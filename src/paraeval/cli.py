@@ -319,6 +319,11 @@ def cmd_metaeval(args) -> int:
                 rows.append(ReportRow(dataset, lang_pair, k, label, mode,
                                       statistic, value, epsilon))
             attached = metaeval.attach_metric_scores(items, table)
+            # Every system of an attached item is scored, so the pairs
+            # also serve the human tie rate.
+            pairs = (metaeval.pair_table(attached)
+                     if args.level == "segment" or args.tau_opt or args.ties
+                     else None)
             if args.level == "system":
                 accuracy = metaeval.system_pairwise_accuracy(
                     metaeval.system_scores(table),
@@ -326,19 +331,18 @@ def cmd_metaeval(args) -> int:
                 row("system_pairwise_accuracy", accuracy)
             else:
                 row("segment_accuracy",
-                    metaeval.segment_accuracy(attached, args.epsilon),
+                    metaeval.segment_accuracy(pairs, args.epsilon),
                     args.epsilon)
             if args.tau_opt:
-                calibration = metaeval.tau_optimize(attached)
+                calibration = metaeval.tau_optimize(pairs)
                 row("segment_accuracy_tau_opt", calibration.accuracy_at_epsilon,
                     calibration.epsilon)
             if args.pearson:
                 xs, ys = _paired_scores(table, unit_paragraphs)
                 row("pearson_no_grouping", metaeval.pearson_no_grouping(xs, ys))
             if args.ties:
-                row("human_tie_rate", metaeval.tie_rates(items, metaeval.HUMAN))
-                row("metric_tie_rate",
-                    metaeval.tie_rates(attached, metaeval.METRIC))
+                row("human_tie_rate", metaeval.tie_rates(pairs, metaeval.HUMAN))
+                row("metric_tie_rate", metaeval.tie_rates(pairs, metaeval.METRIC))
         return rows
 
     per_unit = _map_units(worker, units, _resolve_threads(args))

@@ -92,7 +92,10 @@ def _get_float(obj: dict, name: str, lineno: int) -> float:
     value = obj[name]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(lineno, f"field {name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ParseError(lineno, f"field {name} is out of float range") from None
 
 
 def _get_opt_count(obj: dict, name: str, lineno: int):
@@ -244,8 +247,18 @@ def read_paragraphs(stream: Lines) -> list[ParagraphInstance]:
                 token_count_ref=_get_opt_count(obj, "token_count_ref", lineno),
                 token_count_hyp=_get_opt_count(obj, "token_count_hyp", lineno),
             )
+        except OverflowError:  # an integer literal beyond the float range
+            raise ParseError(lineno, "field sentence_scores is out of float range") from None
         except ValueError as exc:
             raise ParseError(lineno, f"invariant violation for {key}: {exc}") from None
+        # JSON's Infinity and NaN (and overflowing literals such as 1e400)
+        # parse as floats; a non-finite score would read as a human tie.
+        if not math.isfinite(paragraph.human_score):
+            raise ParseError(lineno, f"field human_score must be finite, "
+                             f"got {paragraph.human_score!r}")
+        if not all(map(math.isfinite, paragraph.sentence_scores)):
+            raise ParseError(lineno, f"field sentence_scores must be finite, "
+                             f"got {list(paragraph.sentence_scores)!r}")
         expected = aggregate_score(paragraph.sentence_scores, paragraph.score_type)
         if not math.isclose(paragraph.human_score, expected,
                             rel_tol=1e-9, abs_tol=1e-9):

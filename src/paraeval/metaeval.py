@@ -14,29 +14,29 @@ pair is predicted tied when the absolute score difference is at most
 ``epsilon``; ``tau_optimize`` sweeps all thresholds that can change a
 prediction and returns the smallest one maximizing segment accuracy.
 
-Accuracies and tie rates are accumulated in exact rational arithmetic
-and rounded to float once, so equal underlying ratios always compare
-equal and rescaling scores by a positive constant cannot perturb them.
+Every pairwise statistic is a view of one ``PairTable``, the score
+differences of every within-item pair, built once per unit. An item with
+P pairs weighs L / P in an integer numerator over n_items * L (L the lcm
+of the items' pair counts), and one correctly rounded division gives the
+float, so equal ratios compare equal and positive rescaling of scores
+cannot perturb them.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from itertools import combinations, groupby
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .model import (EvalItem, ItemKey, ParagraphInstance, ScoreTable,
-                    SystemEntry, TauCalibration)
+import numpy as np
+
+from .model import (EvalItem, ParagraphInstance, ScoreTable, SystemEntry,
+                    TauCalibration)
 
 # Sentinel for tie_rates: score the human side of the items.
 HUMAN = "human"
 # Sentinel for tie_rates: score the attached metric side of the items.
 METRIC = "metric"
-
-
-def _sign(delta: float) -> int:
-    return (delta > 0) - (delta < 0)
 
 
 def attach_metric_scores(items: Iterable[EvalItem],
@@ -96,96 +96,112 @@ def system_pairwise_accuracy(metric_sys: Mapping[str, float],
     systems = sorted(metric_sys)
     if len(systems) < 2:
         raise ValueError(f"need at least 2 systems, got {len(systems)}")
-    correct = 0
-    counted = 0
-    for a, b in combinations(systems, 2):
-        human_sign = _sign(human_sys[a] - human_sys[b])
-        if human_sign == 0:
-            continue
-        counted += 1
-        if _sign(metric_sys[a] - metric_sys[b]) == human_sign:
-            correct += 1
-    if counted == 0:
+    table = PairTable.from_blocks([(np.array([[human_sys[s] for s in systems]]),
+                                    np.array([[metric_sys[s] for s in systems]]))])
+    counted = table.human != 0
+    if not counted.any():
         raise ValueError("all system pairs are human-tied; accuracy undefined")
-    return float(Fraction(correct, counted))
+    agreeing = counted & (table.human == np.sign(table.metric))
+    return int(np.count_nonzero(agreeing)) / int(np.count_nonzero(counted))
 
 
-def _retained(items: Iterable[EvalItem]) -> list[EvalItem]:
-    kept = [item for item in items if len(item.scored_systems()) >= 2]
-    if not kept:
+@dataclass(frozen=True)
+class PairTable:
+    """Every within-item system pair of one unit, as flat arrays."""
+
+    human: np.ndarray  # sign of each pair's human score difference
+    metric: np.ndarray  # each pair's metric score difference
+    # L / P for a pair of an item with P pairs. Partial sums of weights lie
+    # within +-denominator, so int64 serves unless that needs more bits.
+    weight: np.ndarray
+    denominator: int  # n_items * L, L the lcm of the items' pair counts
+
+    @classmethod
+    def from_blocks(cls, blocks: Iterable[tuple[np.ndarray, ...]]) -> PairTable:
+        """Build from (human, metric) score matrices of shape (items, systems)."""
+        humans, metrics, shapes = [np.empty(0)], [np.empty(0)], []
+        for human, metric in blocks:
+            first, second = np.triu_indices(human.shape[1], 1)
+            humans.append(np.sign(human[:, first] - human[:, second]).ravel())
+            metrics.append((metric[:, first] - metric[:, second]).ravel())
+            shapes.append((human.shape[0], len(first)))
+        common = math.lcm(*(pairs for _, pairs in shapes))
+        denominator = sum(n for n, _ in shapes) * common
+        weights = np.array([common // pairs for _, pairs in shapes],
+                           dtype=np.int64 if denominator < 2 ** 63 else object)
+        return cls(human=np.concatenate(humans), metric=np.concatenate(metrics),
+                   weight=np.repeat(weights, [n * pairs for n, pairs in shapes]),
+                   denominator=denominator)
+
+
+def _table(items: Iterable[EvalItem],
+           systems_of: Callable[[EvalItem], list[str]]) -> PairTable:
+    rows: dict[int, tuple[list, list]] = {}
+    for item in items:
+        systems = systems_of(item)
+        if len(systems) >= 2:
+            entries = [item.per_system[s] for s in systems]
+            human, metric = rows.setdefault(len(systems), ([], []))
+            human.append([e.human_score for e in entries])
+            metric.append([e.metric_score for e in entries])
+    return PairTable.from_blocks((np.array(human, dtype=float),
+                                  np.array(metric, dtype=float))
+                                 for human, metric in rows.values())
+
+
+def pair_table(items: Iterable[EvalItem]) -> PairTable:
+    """Pairs of metric-scored systems; items with fewer than 2 are dropped."""
+    table = _table(items, EvalItem.scored_systems)
+    if not table.denominator:
         raise ValueError("no item has 2 or more systems with metric scores")
-    return kept
+    return table
 
 
-def segment_accuracy(items: Iterable[EvalItem], epsilon: float) -> float:
+Items = Union[Iterable[EvalItem], PairTable]
+
+
+def segment_accuracy(items: Items, epsilon: float) -> float:
     """Tie-aware pairwise accuracy, averaged unweighted across items.
 
     Within each item, a pair's predicted relation is a tie when the
     absolute metric difference is <= epsilon and the sign otherwise;
     the human relation is a tie only on exact equality. Items with
-    fewer than two metric-scored systems are dropped.
+    fewer than two metric-scored systems are dropped. ``items`` may also
+    be a ``pair_table`` built from them.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    kept = _retained(items)
-    total = Fraction(0)
-    for item in kept:
-        systems = item.scored_systems()
-        correct = 0
-        pairs = 0
-        for a, b in combinations(systems, 2):
-            ea, eb = item.per_system[a], item.per_system[b]
-            human_rel = _sign(ea.human_score - eb.human_score)
-            metric_delta = ea.metric_score - eb.metric_score
-            metric_rel = 0 if abs(metric_delta) <= epsilon else _sign(metric_delta)
-            pairs += 1
-            correct += human_rel == metric_rel
-        total += Fraction(correct, pairs)
-    return float(total / len(kept))
+    table = items if isinstance(items, PairTable) else pair_table(items)
+    correct = np.where(np.abs(table.metric) <= epsilon, table.human == 0,
+                       table.human == np.sign(table.metric))
+    return int(table.weight[correct].sum()) / table.denominator
 
 
-def tau_optimize(items: Iterable[EvalItem]) -> TauCalibration:
+def tau_optimize(items: Items) -> TauCalibration:
     """Smallest epsilon maximizing tie-aware segment accuracy.
 
-    Candidate thresholds are 0 and every observed within-item absolute
-    metric difference; accuracy is piecewise constant between them. The
-    sweep walks the candidates in ascending order, flipping each pair
-    from its sign prediction to a tie prediction when the threshold
-    reaches the pair's absolute difference, with exact rational
-    bookkeeping so ties in accuracy resolve to the smallest epsilon.
+    Accuracy changes only at observed within-item absolute metric
+    differences. The pairs whose correctness flips when predicted tied
+    are sorted by that difference and their signed weights summed; the
+    first maximum at the end of a run of equal differences wins if it
+    beats epsilon 0, so ties in accuracy resolve to the smallest epsilon.
     """
-    kept = _retained(items)
-    n_items = len(kept)
-    accuracy = Fraction(0)
-    flips: list[tuple[float, Fraction]] = []
-    for item in kept:
-        systems = item.scored_systems()
-        pairs = list(combinations(systems, 2))
-        weight = Fraction(1, n_items * len(pairs))
-        for a, b in pairs:
-            ea, eb = item.per_system[a], item.per_system[b]
-            human_rel = _sign(ea.human_score - eb.human_score)
-            metric_delta = abs(ea.metric_score - eb.metric_score)
-            correct_as_sign = human_rel == _sign(ea.metric_score - eb.metric_score)
-            correct_as_tie = human_rel == 0
-            if metric_delta == 0:
-                accuracy += weight * correct_as_tie
-            else:
-                accuracy += weight * correct_as_sign
-                if correct_as_tie != correct_as_sign:
-                    flips.append((metric_delta,
-                                  weight * (correct_as_tie - correct_as_sign)))
-    best_eps = 0.0
-    best_accuracy = accuracy
-    flips.sort(key=lambda f: f[0])
-    for delta, group in groupby(flips, key=lambda f: f[0]):
-        for _, change in group:
-            accuracy += change
-        if accuracy > best_accuracy:
-            best_eps = delta
-            best_accuracy = accuracy
-    return TauCalibration(epsilon=best_eps,
-                          accuracy_at_epsilon=float(best_accuracy))
+    table = items if isinstance(items, PairTable) else pair_table(items)
+    sign_correct = table.human == np.sign(table.metric)
+    flips = np.flatnonzero((table.human == 0) != sign_correct)
+    epsilon, gain = 0.0, 0
+    if len(flips):
+        delta = np.abs(table.metric[flips])
+        order = np.argsort(delta, kind="stable")
+        flips, delta = flips[order], delta[order]
+        weights = table.weight[flips]
+        gains = np.cumsum(np.where(sign_correct[flips], -weights, weights))
+        ends = np.flatnonzero(np.append(delta[1:] != delta[:-1], True))
+        best = ends[np.argmax(gains[ends])]
+        if gains[best] > 0:
+            epsilon, gain = float(delta[best]), int(gains[best])
+    accuracy = (int(table.weight[sign_correct].sum()) + gain) / table.denominator
+    return TauCalibration(epsilon=epsilon, accuracy_at_epsilon=accuracy)
 
 
 def pearson_no_grouping(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -205,41 +221,24 @@ def pearson_no_grouping(xs: Sequence[float], ys: Sequence[float]) -> float:
     return math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
 
 
-def tie_rates(items: Iterable[EvalItem],
-              source: Union[str, ScoreTable]) -> float:
+def tie_rates(items: Items, source: Union[str, ScoreTable]) -> float:
     """Fraction of within-item unordered pairs with exactly equal scores.
 
-    ``source`` selects which scores are compared: the HUMAN sentinel for
-    the items' human scores, the METRIC sentinel for their attached
-    metric scores, or a score table keyed by (system, item).
+    ``source`` is HUMAN for the human scores (of every system of an item,
+    or of a ``pair_table``'s pairs), METRIC for the attached metric
+    scores, or a score table keyed by (system, item).
     """
-    tied = 0
-    pairs = 0
-    for item in items:
-        if isinstance(source, ScoreTable):
-            systems = sorted(item.per_system)
-            scores = {}
-            for system in systems:
-                value = source.entries.get((system, item.item_key))
-                if value is None:
-                    raise ValueError(
-                        f"score table {source.metric_name!r} has no entry for "
-                        f"system {system!r} on item {item.item_key}")
-                scores[system] = value
-        elif source == HUMAN:
-            systems = sorted(item.per_system)
-            scores = {s: item.per_system[s].human_score for s in systems}
-        elif source == METRIC:
-            systems = item.scored_systems()
-            scores = {s: item.per_system[s].metric_score for s in systems}
-        else:
-            raise ValueError(f"unknown score source: {source!r}")
-        for a, b in combinations(systems, 2):
-            pairs += 1
-            tied += scores[a] == scores[b]
-    if pairs == 0:
+    if isinstance(source, ScoreTable):
+        items, source = attach_metric_scores(items, source), METRIC
+    if source not in (HUMAN, METRIC):
+        raise ValueError(f"unknown score source: {source!r}")
+    if not isinstance(items, PairTable):
+        items = _table(items, EvalItem.scored_systems if source == METRIC
+                       else lambda item: sorted(item.per_system))
+    tied = (items.human if source == HUMAN else items.metric) == 0
+    if not tied.size:
         raise ValueError("no within-item system pairs")
-    return float(Fraction(tied, pairs))
+    return int(np.count_nonzero(tied)) / tied.size
 
 
 def mode_correlation(direct: ScoreTable, aligned: ScoreTable) -> float:

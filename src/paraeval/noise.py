@@ -11,18 +11,20 @@ independent per-sentence noise while the shared quality signal remains.
 
 All draws come from one PCG64 generator in a fixed order (system means,
 quality noise, human noise, metric noise), making every output
-bit-identical for a given config.
+bit-identical for a given config. ``noise_curve`` scores each k's score
+matrices with the pairwise core of ``metaeval``, never building items.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from statistics import fmean, pstdev
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .metaeval import segment_accuracy
+from .metaeval import PairTable, segment_accuracy
 from .model import EvalItem, SimConfig, SystemEntry
 
 
@@ -36,7 +38,33 @@ class NoiseCurvePoint:
     per_seed: Tuple[float, ...]
 
 
-def simulate(config: SimConfig) -> Dict[int, List[EvalItem]]:
+class SimulatedItems(Sequence[EvalItem]):
+    """The items of one window size, built on first access from the
+    (items, systems) human and metric score matrices."""
+
+    def __init__(self, k: int, human: np.ndarray, metric: np.ndarray):
+        self.k, self.human, self.metric = k, human, metric
+
+    @cached_property
+    def _items(self) -> List[EvalItem]:
+        systems = [f"sys{s:02d}" for s in range(self.human.shape[1])]
+        rows = zip(self.human.tolist(), self.metric.tolist())
+        return [EvalItem(item_key=(f"item{i:04d}", 0, self.k), per_system={
+                    system: SystemEntry(human_score=human, metric_score=metric)
+                    for system, human, metric in zip(systems, humans, metrics)})
+                for i, (humans, metrics) in enumerate(rows)]
+
+    def __len__(self) -> int:
+        return len(self.human)
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
+
+
+def simulate(config: SimConfig) -> Dict[int, SimulatedItems]:
     """Generate evaluation items for every k in 1..max_k.
 
     Returns a mapping from window size to items; each item holds every
@@ -54,22 +82,8 @@ def simulate(config: SimConfig) -> Dict[int, List[EvalItem]]:
     denominators = np.arange(1, config.max_k + 1, dtype=np.float64)
     human_means = np.cumsum(human, axis=2) / denominators
     metric_means = np.cumsum(metric, axis=2) / denominators
-
-    systems = [f"sys{s:02d}" for s in range(config.n_systems)]
-    out: Dict[int, List[EvalItem]] = {}
-    for k in range(1, config.max_k + 1):
-        items = []
-        for i in range(config.n_items):
-            per_system = {
-                systems[s]: SystemEntry(
-                    human_score=float(human_means[i, s, k - 1]),
-                    metric_score=float(metric_means[i, s, k - 1]))
-                for s in range(config.n_systems)
-            }
-            items.append(EvalItem(item_key=(f"item{i:04d}", 0, k),
-                                  per_system=per_system))
-        out[k] = items
-    return out
+    return {k: SimulatedItems(k, human_means[:, :, k - 1], metric_means[:, :, k - 1])
+            for k in range(1, config.max_k + 1)}
 
 
 def noise_curve(config: SimConfig, ks: Sequence[int],
@@ -92,7 +106,9 @@ def noise_curve(config: SimConfig, ks: Sequence[int],
         seeded = replace(config, seed=(config.seed + i) % 2 ** 64)
         items_by_k = simulate(seeded)
         for k in ks:
-            accuracies[k].append(segment_accuracy(items_by_k[k], epsilon=0.0))
+            items = items_by_k[k]
+            pairs = PairTable.from_blocks([(items.human, items.metric)])
+            accuracies[k].append(segment_accuracy(pairs, epsilon=0.0))
     return [NoiseCurvePoint(k=k,
                             mean_accuracy=fmean(accuracies[k]),
                             std_accuracy=pstdev(accuracies[k]),

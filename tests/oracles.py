@@ -184,3 +184,21 @@ def tau_sweep_exact(items):
         if best_acc is None or acc > best_acc:
             best_eps, best_acc = eps, acc
     return best_eps, best_acc
+
+
+def tie_rate_exact(items, side):
+    """Share of within-item pairs with equal scores, as an exact Fraction.
+
+    ``side`` is "human" (every system of an item) or "metric" (only the
+    systems that carry a metric score).
+    """
+    tied = 0
+    count = 0
+    for item in items:
+        scores = [getattr(e, f"{side}_score") for e in item.per_system.values()]
+        for a, b in combinations([s for s in scores if s is not None], 2):
+            count += 1
+            tied += a == b
+    if count == 0:
+        raise ValueError("no pairs")
+    return Fraction(tied, count)

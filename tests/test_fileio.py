@@ -87,6 +87,13 @@ class TestRatingsFile:
         with pytest.raises(ParseError, match="sent_index must be an integer"):
             fileio.parse_ratings(io.StringIO(json.dumps(obj)))
 
+    def test_integer_score_beyond_float_range_rejected(self):
+        obj = json.loads(self._one_line()[0])
+        obj["score"] = "@"
+        text = json.dumps(obj).replace('"@"', "1" + "0" * 400)
+        with pytest.raises(ParseError, match="line 1: field score is out of float range"):
+            fileio.parse_ratings(io.StringIO(text))
+
     def test_validation_failure_carries_report(self):
         buffer = io.StringIO()
         fileio.write_ratings([make_rating(), make_rating()], buffer)
@@ -143,6 +150,40 @@ class TestParagraphsFile:
         obj["human_score"] = obj["human_score"] + 0.5
         with pytest.raises(ParseError, match="does not aggregate"):
             fileio.read_paragraphs(io.StringIO(json.dumps(obj)))
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400",
+                                         "1" + "0" * 400])
+    @pytest.mark.parametrize("field", ["human_score", "sentence_scores", "both"])
+    def test_non_finite_score_rejected_with_line_number(self, field, literal):
+        lines = []
+        for paragraph in self.build(k=1, n=2):
+            buffer = io.StringIO()
+            fileio.write_paragraphs([paragraph], buffer)
+            lines.append(buffer.getvalue())
+        obj = json.loads(lines[1])
+        if field in ("human_score", "both"):
+            obj["human_score"] = "@"
+        if field in ("sentence_scores", "both"):
+            obj["sentence_scores"] = ["@"]
+        lines[1] = json.dumps(obj).replace('"@"', literal) + "\n"
+        reported = "sentence_scores" if field == "sentence_scores" else "human_score"
+        with pytest.raises(ParseError, match=rf"line 2: field {reported} (must be "
+                                             rf"finite|is out of float range)"):
+            fileio.read_paragraphs(io.StringIO("".join(lines)))
+
+    def test_non_finite_score_exits_2_from_the_cli(self, tmp_path, capsys):
+        from paraeval.cli import main
+
+        buffer = io.StringIO()
+        fileio.write_paragraphs(self.build(k=1, n=1), buffer)
+        obj = json.loads(buffer.getvalue())
+        obj["human_score"], obj["sentence_scores"] = "@", ["@"]
+        text = json.dumps(obj).replace('"@"', "Infinity")
+        path = tmp_path / "paragraphs.jsonl"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert main(["stats", "--paragraphs", str(path), "--out",
+                     str(tmp_path / "stats")]) == 2
+        assert "line 1: field human_score must be finite" in capsys.readouterr().err
 
 
 class TestScoresFile:

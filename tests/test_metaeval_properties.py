@@ -1,0 +1,138 @@
+"""Property tests: the pairwise core against the brute-force oracles.
+
+Scores come from small grids, so both sides are heavily tied and the
+metric differences include distinct floats that print alike (0.3 - 0.1
+is not 0.2). Items have from 2 to 20 systems, so their pair counts and
+hence their weights differ, and some systems carry no metric score.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from paraeval.metaeval import (HUMAN, METRIC, pair_table,
+                               pearson_no_grouping, segment_accuracy,
+                               system_pairwise_accuracy, tau_optimize,
+                               tie_rates)
+from paraeval.model import EvalItem, ScoreMode, ScoreTable, SimConfig, SystemEntry
+from paraeval.noise import noise_curve
+
+SYSTEMS = [f"s{i:02d}" for i in range(60)]
+HUMAN_GRID = [-2.0, -1.0, -0.5, 0.0, 1.0]
+METRIC_GRID = [0.0, 0.1, 0.2, 0.3, 0.7, 1.1]
+
+# Fixed examples: a tier-1 gate must not pass on one run and fail on the next.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def unit_items(draw):
+    metric = st.sampled_from(METRIC_GRID + [None])
+    items = []
+    for index, width in enumerate(draw(st.lists(st.integers(2, 20),
+                                                min_size=1, max_size=6))):
+        systems = draw(st.permutations(SYSTEMS))[:width]
+        per_system = {s: SystemEntry(human_score=draw(st.sampled_from(HUMAN_GRID)),
+                                     metric_score=draw(metric))
+                      for s in systems}
+        items.append(EvalItem(item_key=(f"doc{index}", 0, 1), per_system=per_system))
+    return items
+
+
+def observed_deltas(items):
+    deltas = set()
+    for item in items:
+        scored = [e.metric_score for e in item.per_system.values()
+                  if e.metric_score is not None]
+        deltas.update(abs(a - b) for a in scored for b in scored)
+    return sorted(deltas)
+
+
+def has_scored_pair(items):
+    return any(sum(e.metric_score is not None for e in item.per_system.values()) >= 2
+               for item in items)
+
+
+def assert_matches_oracles(items, epsilons):
+    for epsilon in epsilons:
+        expected = oracles.segment_accuracy_exact(items, epsilon)
+        assert segment_accuracy(items, epsilon) == float(expected)
+    best_eps, best_acc = oracles.tau_sweep_exact(items)
+    calibration = tau_optimize(items)
+    assert calibration.epsilon == best_eps
+    assert calibration.accuracy_at_epsilon == float(best_acc)
+
+
+@PROPERTY
+@given(items=unit_items(), data=st.data())
+def test_core_matches_oracles_on_small_tied_units(items, data):
+    assert tie_rates(items, HUMAN) == float(oracles.tie_rate_exact(items, "human"))
+    if not has_scored_pair(items):
+        with pytest.raises(ValueError, match="no item has 2 or more"):
+            tau_optimize(items)
+        return
+    assert tie_rates(items, METRIC) == float(oracles.tie_rate_exact(items, "metric"))
+    deltas = observed_deltas(items)
+    # An epsilon equal to an observed difference predicts that pair tied.
+    epsilon = data.draw(st.sampled_from(deltas))
+    assert_matches_oracles(items, [0.0, epsilon, 0.25])
+    # Every statistic is one view of the same table.
+    table = pair_table(items)
+    assert segment_accuracy(table, epsilon) == segment_accuracy(items, epsilon)
+    assert tau_optimize(table) == tau_optimize(items)
+    assert tie_rates(table, METRIC) == tie_rates(items, METRIC)
+
+
+@settings(PROPERTY, max_examples=3)
+@given(seed=st.integers(0, 2 ** 32))
+def test_core_stays_exact_when_the_denominator_exceeds_int64(seed):
+    rng = random.Random(seed)
+    # Every system count from 2 to 60 once: lcm(C(m, 2)) alone is 83 bits.
+    items = [EvalItem(item_key=(f"doc{m}", 0, 1), per_system={
+        s: SystemEntry(rng.choice(HUMAN_GRID), rng.choice(METRIC_GRID))
+        for s in rng.sample(SYSTEMS, m)}) for m in range(2, 61)]
+    assert pair_table(items).denominator >= 2 ** 63
+    assert_matches_oracles(items, [0.0, 0.1])
+    assert tie_rates(items, METRIC) == float(oracles.tie_rate_exact(items, "metric"))
+
+
+def test_reported_statistics_are_builtin_floats():
+    # Reports print repr(value); numpy 2 prints np.float64(0.5) there.
+    narrow = [EvalItem(item_key=("d", 0, 1), per_system={
+        "a": SystemEntry(0.0, 1.0), "b": SystemEntry(0.0, 1.1),
+        "c": SystemEntry(-5.0, 0.2)})]
+    wide = [EvalItem(item_key=(f"d{m}", 0, 1), per_system={
+        SYSTEMS[s]: SystemEntry(float(s % 3), float(s % 5) / 10) for s in range(m)})
+        for m in range(2, 61)]
+    assert pair_table(wide).denominator >= 2 ** 63
+    for items in (narrow, wide):
+        calibration = tau_optimize(items)
+        table = ScoreTable(metric_name="m", mode=ScoreMode.EXTERNAL, k=1, entries={
+            (s, item.item_key): e.metric_score
+            for item in items for s, e in item.per_system.items()})
+        values = [segment_accuracy(items, 0.0), segment_accuracy(items, 0.1),
+                  segment_accuracy(pair_table(items), 0.0),
+                  calibration.epsilon, calibration.accuracy_at_epsilon,
+                  tie_rates(items, HUMAN), tie_rates(items, METRIC),
+                  tie_rates(items, table), tie_rates(pair_table(items), HUMAN)]
+        assert calibration.epsilon > 0
+        assert all(type(value) is float for value in values), values
+    agreeing = [EvalItem(item_key=("d", 0, 1), per_system={
+        "a": SystemEntry(1.0, 1.0), "b": SystemEntry(0.0, 0.0)})]
+    assert tau_optimize(agreeing).epsilon == 0
+    assert type(tau_optimize(agreeing).epsilon) is float
+    config = SimConfig(n_items=5, n_systems=3, max_k=2, sigma_quality=1.0,
+                       sigma_human=1.0, sigma_metric=1.0, system_mean_spread=0.5,
+                       seed=3)
+    for point in noise_curve(config, ks=[1, 2], n_seeds=2):
+        assert type(point.mean_accuracy) is float
+        assert type(point.std_accuracy) is float
+        assert all(type(value) is float for value in point.per_seed)
+    assert type(system_pairwise_accuracy({"a": 1.0, "b": 0.0},
+                                         {"a": 2.0, "b": 1.0})) is float
+    assert type(pearson_no_grouping([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])) is float
+
