@@ -249,7 +249,9 @@ def read_paragraphs(stream: Lines) -> list[ParagraphInstance]:
             )
         except OverflowError:  # an integer literal beyond the float range
             raise ParseError(lineno, "field sentence_scores is out of float range") from None
-        except ValueError as exc:
+        except ParseError:  # a field getter's own report, already complete
+            raise
+        except ValueError as exc:  # the paragraph's own invariant checks
             raise ParseError(lineno, f"invariant violation for {key}: {exc}") from None
         # JSON's Infinity and NaN (and overflowing literals such as 1e400)
         # parse as floats; a non-finite score would read as a human tie.

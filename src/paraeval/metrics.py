@@ -3,7 +3,12 @@
 Tokenization for BLEU is the toolkit's canonical scheme: a space is
 inserted around every Unicode punctuation character, then the text is
 split on whitespace. It is documented and reproducible, but makes no
-claim of parity with any particular reference tokenizer signature.
+claim of parity with any particular reference tokenizer signature. The
+padding is one ``str.translate`` through a table that classifies each
+code point the first time some text contains it, so the table holds
+only code points that have been seen (bounded by the alphabet of the
+input, at most every code point once) and a process pays nothing for
+scripts it never reads.
 
 Orders for which the hypothesis has no n-grams at all are dropped from
 the geometric mean in every mode. Sentence BLEU applies exponential
@@ -11,15 +16,21 @@ smoothing to the remaining zero precisions (each is replaced by
 1 / (2^z * total_n), z counting the zero orders seen so far); corpus
 and direct-mode scoring are unsmoothed, with any zero pooled precision
 collapsing the score to 0.
+
+The paragraph scorers visit one item (a window position in a document)
+at a time and tokenize and count each distinct reference text of the item
+once, since every system of an item usually shares one reference. Those
+counts live in a dict local to the item, so the memory they take is
+bounded by one item's references, not by the input.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import unicodedata
 from collections import Counter, defaultdict
-from typing import Callable, Iterable, Sequence, Tuple
+from itertools import groupby, repeat
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 from .model import ItemKey, ParagraphInstance, RatingRecord, ScoreMode, ScoreTable
 
@@ -27,21 +38,26 @@ MAX_NGRAM_ORDER = 4
 
 TokenCounter = Callable[[str], int]
 
+# A text's token count and its n-gram Counters for orders 1..MAX_NGRAM_ORDER.
+NgramCounts = Tuple[int, List[Counter]]
 
-@functools.lru_cache(maxsize=4096)
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+
+class _Padding(dict):
+    """``str.translate`` table: punctuation padded with spaces, else itself."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        padded = f" {ch} " if unicodedata.category(ch).startswith("P") else ch
+        self[code] = padded
+        return padded
+
+
+_PAD = _Padding()
 
 
 def tokenize(text: str) -> list[str]:
     """Split on whitespace after padding Unicode punctuation with spaces."""
-    parts = []
-    for ch in text:
-        if _is_punct(ch):
-            parts.append(f" {ch} ")
-        else:
-            parts.append(ch)
-    return "".join(parts).split()
+    return text.translate(_PAD).split()
 
 
 def whitespace_token_count(text: str) -> int:
@@ -54,21 +70,18 @@ def char_token_count(text: str) -> int:
     return len(text)
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _count_ngrams(text: str) -> NgramCounts:
+    tokens = tokenize(text)
+    return len(tokens), [Counter(zip(*(tokens[i:] for i in range(n))))
+                         for n in range(1, MAX_NGRAM_ORDER + 1)]
 
 
-def _pair_stats(hyp_tokens: Sequence[str],
-                ref_tokens: Sequence[str]) -> tuple[list[int], list[int]]:
+def _clip(hyp: NgramCounts, ref: NgramCounts) -> tuple[list[int], list[int]]:
     """Clipped match and total counts for n-gram orders 1..4."""
-    correct = []
-    total = []
-    for n in range(1, MAX_NGRAM_ORDER + 1):
-        hyp_ngrams = _ngram_counts(hyp_tokens, n)
-        ref_ngrams = _ngram_counts(ref_tokens, n)
-        correct.append(sum(min(count, ref_ngrams[gram])
-                           for gram, count in hyp_ngrams.items()))
-        total.append(sum(hyp_ngrams.values()))
+    hyp_len, hyp_ngrams = hyp
+    correct = [sum(map(min, h.values(), map(r.get, h, repeat(0))))
+               for h, r in zip(hyp_ngrams, ref[1])]
+    total = [max(hyp_len - n, 0) for n in range(MAX_NGRAM_ORDER)]
     return correct, total
 
 
@@ -99,13 +112,14 @@ def _bleu_from_counts(correct: Sequence[int], total: Sequence[int],
     return 100.0 * brevity * math.exp(log_sum)
 
 
+def _bleu(hyp: NgramCounts, ref: NgramCounts, smooth: bool) -> float:
+    correct, total = _clip(hyp, ref)
+    return _bleu_from_counts(correct, total, hyp[0], ref[0], smooth)
+
+
 def bleu_sentence(hypothesis: str, reference: str) -> float:
     """Smoothed sentence-level BLEU in [0, 100]; 0 for an empty hypothesis."""
-    hyp_tokens = tokenize(hypothesis)
-    ref_tokens = tokenize(reference)
-    correct, total = _pair_stats(hyp_tokens, ref_tokens)
-    return _bleu_from_counts(correct, total, len(hyp_tokens), len(ref_tokens),
-                             smooth=True)
+    return _bleu(_count_ngrams(hypothesis), _count_ngrams(reference), smooth=True)
 
 
 def bleu_corpus(pairs: Iterable[Tuple[str, str]]) -> float:
@@ -118,33 +132,45 @@ def bleu_corpus(pairs: Iterable[Tuple[str, str]]) -> float:
     hyp_len = 0
     ref_len = 0
     for hypothesis, reference in pairs:
-        hyp_tokens = tokenize(hypothesis)
-        ref_tokens = tokenize(reference)
-        correct, total = _pair_stats(hyp_tokens, ref_tokens)
+        hyp = _count_ngrams(hypothesis)
+        ref = _count_ngrams(reference)
+        correct, total = _clip(hyp, ref)
         for n in range(MAX_NGRAM_ORDER):
             pooled_correct[n] += correct[n]
             pooled_total[n] += total[n]
-        hyp_len += len(hyp_tokens)
-        ref_len += len(ref_tokens)
+        hyp_len += hyp[0]
+        ref_len += ref[0]
     return _bleu_from_counts(pooled_correct, pooled_total, hyp_len, ref_len,
                              smooth=False)
 
 
 class BleuMetric:
-    """Built-in lexical overlap metric with sentence and direct variants."""
+    """Built-in lexical overlap metric with sentence and direct variants.
+
+    The paragraph scorers call ``count`` once per distinct text and score
+    the counts with ``direct`` or ``sentence``; ``direct_score`` and
+    ``sentence_score`` do the same for one (hypothesis, reference) pair.
+    """
 
     name = "bleu"
+
+    def count(self, text: str) -> NgramCounts:
+        """Token count and n-gram counts of a text, reusable across pairs."""
+        return _count_ngrams(text)
+
+    def sentence(self, hyp: NgramCounts, ref: NgramCounts) -> float:
+        """Smoothed sentence BLEU of counted texts."""
+        return _bleu(hyp, ref, smooth=True)
+
+    def direct(self, hyp: NgramCounts, ref: NgramCounts) -> float:
+        """One long segment, counted the corpus way (no smoothing)."""
+        return _bleu(hyp, ref, smooth=False)
 
     def sentence_score(self, hypothesis: str, reference: str) -> float:
         return bleu_sentence(hypothesis, reference)
 
     def direct_score(self, hypothesis: str, reference: str) -> float:
-        """One long segment, counted the corpus way (no smoothing)."""
-        hyp_tokens = tokenize(hypothesis)
-        ref_tokens = tokenize(reference)
-        correct, total = _pair_stats(hyp_tokens, ref_tokens)
-        return _bleu_from_counts(correct, total, len(hyp_tokens), len(ref_tokens),
-                                 smooth=False)
+        return self.direct(self.count(hypothesis), self.count(reference))
 
 
 BUILTIN_METRICS = {BleuMetric.name: BleuMetric()}
@@ -160,16 +186,37 @@ def _check_unit(paragraphs: list[ParagraphInstance]) -> int:
     return paragraphs[0].k
 
 
+def _items(paragraphs: list[ParagraphInstance]) -> Iterator[Iterator[ParagraphInstance]]:
+    """One unit's paragraphs grouped by item, in (doc_id, start_index, system_id) order."""
+    ordered = sorted(paragraphs, key=lambda p: (p.doc_id, p.start_index, p.system_id))
+    return (item for _, item in groupby(ordered, key=lambda p: (p.doc_id, p.start_index)))
+
+
+class _Counted(dict):
+    """Text -> the metric's counts of it, each text counted on first use."""
+
+    def __init__(self, metric):
+        super().__init__()
+        self.metric = metric
+
+    def __missing__(self, text: str) -> NgramCounts:
+        counts = self[text] = self.metric.count(text)
+        return counts
+
+
 def score_direct(metric, paragraphs: Iterable[ParagraphInstance]) -> ScoreTable:
     """Score each paragraph as one long segment."""
     paragraphs = list(paragraphs)
     k = _check_unit(paragraphs)
     entries: dict[tuple[str, ItemKey], float] = {}
-    for p in paragraphs:
-        key = (p.system_id, p.item_key)
-        if key in entries:
-            raise ValueError(f"duplicate paragraph for {key}")
-        entries[key] = metric.direct_score(p.hypothesis_text, p.reference_text)
+    for item in _items(paragraphs):
+        references = _Counted(metric)
+        for p in item:
+            key = (p.system_id, p.item_key)
+            if key in entries:
+                raise ValueError(f"duplicate paragraph for {key}")
+            entries[key] = metric.direct(metric.count(p.hypothesis_text),
+                                         references[p.reference_text])
     return ScoreTable(metric_name=metric.name, mode=ScoreMode.DIRECT, k=k,
                       entries=dict(sorted(entries.items())))
 
@@ -183,7 +230,7 @@ def score_aligned_avg(metric, paragraphs: Iterable[ParagraphInstance],
     available for built-in metrics; externally scored metrics have no
     sentence alignment to average over.
     """
-    if not hasattr(metric, "sentence_score"):
+    if not hasattr(metric, "sentence"):
         raise ValueError(f"aligned-average mode is unsupported for "
                          f"{getattr(metric, 'name', metric)!r}: no sentence-level "
                          f"scores are available")
@@ -191,19 +238,22 @@ def score_aligned_avg(metric, paragraphs: Iterable[ParagraphInstance],
     k = _check_unit(paragraphs)
     by_key = {r.key: r for r in records}
     entries: dict[tuple[str, ItemKey], float] = {}
-    for p in paragraphs:
-        sentence_scores = []
-        for i in range(p.start_index, p.start_index + p.k):
-            record = by_key.get((p.dataset_id, p.lang_pair, p.system_id, p.doc_id, i))
-            if record is None:
-                raise ValueError(f"missing rating record for sentence {i} of "
-                                 f"paragraph {p.sort_key()}")
-            sentence_scores.append(
-                metric.sentence_score(record.hypothesis_text, record.reference_text))
-        key = (p.system_id, p.item_key)
-        if key in entries:
-            raise ValueError(f"duplicate paragraph for {key}")
-        entries[key] = math.fsum(sentence_scores) / len(sentence_scores)
+    for item in _items(paragraphs):
+        references = _Counted(metric)
+        for p in item:
+            sentence_scores = []
+            for i in range(p.start_index, p.start_index + p.k):
+                record = by_key.get((p.dataset_id, p.lang_pair, p.system_id, p.doc_id, i))
+                if record is None:
+                    raise ValueError(f"missing rating record for sentence {i} of "
+                                     f"paragraph {p.sort_key()}")
+                sentence_scores.append(metric.sentence(
+                    metric.count(record.hypothesis_text),
+                    references[record.reference_text]))
+            key = (p.system_id, p.item_key)
+            if key in entries:
+                raise ValueError(f"duplicate paragraph for {key}")
+            entries[key] = math.fsum(sentence_scores) / len(sentence_scores)
     return ScoreTable(metric_name=metric.name, mode=ScoreMode.ALIGNED_AVG, k=k,
                       entries=dict(sorted(entries.items())))
 

@@ -5,6 +5,7 @@ pair enumeration, product-form BLEU, and exact rational arithmetic where
 the library promises exactness. None of it shares code with the package.
 """
 
+import unicodedata
 from fractions import Fraction
 from itertools import combinations
 
@@ -51,6 +52,18 @@ def run_window_count(rated, raters, k):
 
 
 # --- BLEU -------------------------------------------------------------------
+
+def tokenize(text):
+    """Pad each Unicode punctuation character (category P*) with spaces,
+    one character at a time, then split on whitespace."""
+    parts = []
+    for ch in text:
+        if unicodedata.category(ch).startswith("P"):
+            parts.append(f" {ch} ")
+        else:
+            parts.append(ch)
+    return "".join(parts).split()
+
 
 def _ngrams(tokens, n):
     return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]

@@ -1,12 +1,15 @@
 import gzip
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import make_rating
+import paraeval
 from paraeval import fileio, metaeval, noise
 from paraeval.cli import REPORT_HEADER, main, parse_k_spec
 from paraeval.metrics import bleu_sentence
@@ -593,8 +596,13 @@ class TestThreads:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child imports the same package the tests import, whether it
+        # is installed or found through pytest's pythonpath setting.
+        source = str(Path(paraeval.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         result = subprocess.run([sys.executable, "-m", "paraeval", "--help"],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0
         assert "COMMAND" in result.stdout
 

@@ -171,6 +171,22 @@ class TestParagraphsFile:
                                              rf"finite|is out of float range)"):
             fileio.read_paragraphs(io.StringIO("".join(lines)))
 
+    @pytest.mark.parametrize("field, literal, message", [
+        ("rater_id", "3", "field rater_id must be a string, got 3"),
+        ("start_index", '"0"', "field start_index must be an integer, got '0'"),
+        ("human_score", "1" + "0" * 400, "field human_score is out of float range"),
+    ])
+    def test_bad_field_reports_its_line_once(self, field, literal, message):
+        buffer = io.StringIO()
+        fileio.write_paragraphs(self.build(k=1, n=1), buffer)
+        obj = json.loads(buffer.getvalue())
+        obj[field] = "@"
+        text = json.dumps(obj).replace('"@"', literal)
+        with pytest.raises(ParseError) as excinfo:
+            fileio.read_paragraphs(io.StringIO(text + "\n"))
+        assert str(excinfo.value) == f"line 1: {message}"
+        assert excinfo.value.line == 1
+
     def test_non_finite_score_exits_2_from_the_cli(self, tmp_path, capsys):
         from paraeval.cli import main
 
