@@ -9,10 +9,9 @@ evaluation-unit key (dataset, lang_pair, k, metric, mode) plus the
 statistic name, its value, and the epsilon it was computed at (``-`` /
 null when not applicable). All files are written atomically (temp file
 in the target directory, then rename), so a crashed run never leaves a
-half-written output. Evaluation units are processed independently;
-``--threads`` (default from PARAEVAL_THREADS, else 1) caps the worker
-pool, and results are always merged in canonical unit order, so reports
-are byte-identical regardless of thread count.
+half-written output. Evaluation units are processed one at a time in
+canonical (dataset, lang_pair, k) order, so a report does not depend on
+the order of the input lines.
 """
 
 from __future__ import annotations
@@ -23,8 +22,9 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -116,7 +116,7 @@ class ReportRow:
     epsilon: Optional[float] = None
 
 
-def _write_report(rows: Sequence[ReportRow], out_base: str) -> tuple[Path, Path]:
+def _write_report(rows: Sequence[ReportRow], out_base: str) -> str:
     tsv_path = Path(f"{out_base}.tsv")
     jsonl_path = Path(f"{out_base}.jsonl")
 
@@ -139,21 +139,28 @@ def _write_report(rows: Sequence[ReportRow], out_base: str) -> tuple[Path, Path]
 
     _atomic_write(tsv_path, write_tsv)
     _atomic_write(jsonl_path, write_jsonl)
-    return tsv_path, jsonl_path
+    return f"{tsv_path}, {jsonl_path}"
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        raw = os.environ.get("PARAEVAL_THREADS", "1")
-        try:
-            n = int(raw)
-        except ValueError:
-            raise UsageError(f"PARAEVAL_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise UsageError(f"thread count must be >= 1, got {n}")
-    return n
+def _write_scores(rows: Sequence[tuple], path: str) -> str:
+    _atomic_write(Path(path), lambda stream: fileio.write_scores(rows, stream))
+    return path
+
+
+def _report(per_unit: dict, line: Callable[[tuple, list], str], out: str,
+            write: Callable = _write_report, noun: str = "rows") -> int:
+    """Write all units' rows to ``out``, then print a line per unit and the total."""
+    rows = [row for unit_rows in per_unit.values() for row in unit_rows]
+    written = write(rows, out)
+    for key, unit_rows in per_unit.items():
+        print(line(key, unit_rows))
+    print(f"wrote {len(rows)} {noun} -> {written}")
+    return 0
+
+
+def _unit_name(key: UnitKey) -> str:
+    dataset, lang_pair, k = key
+    return f"{dataset}/{lang_pair} k={k}"
 
 
 def _group_units(paragraphs: Iterable[ParagraphInstance]
@@ -166,46 +173,54 @@ def _group_units(paragraphs: Iterable[ParagraphInstance]
             for key, group in sorted(units.items())}
 
 
-def _map_units(worker: Callable, units: dict, threads: int) -> list:
-    """Apply worker to every unit; results come back in canonical unit order."""
-    keys = list(units)
-    if threads <= 1 or len(keys) <= 1:
-        return [worker(key, units[key]) for key in keys]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda key: worker(key, units[key]), keys))
-
-
-def _load_unit_ratings(path: Optional[str]):
-    if path is None:
-        return None
-    return fileio.load_ratings(path)
-
-
-def _builtin_table(metric_name: str, mode: str,
-                   unit_paragraphs: list[ParagraphInstance],
-                   records) -> ScoreTable:
-    metric = metrics.BUILTIN_METRICS[metric_name]
-    if mode == "direct":
-        return metrics.score_direct(metric, unit_paragraphs)
-    if records is None:
+def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Optional[list]]:
+    """The paragraphs grouped into units, and the ratings if --ratings is given."""
+    if args.metric is not None and args.mode == "aligned" and args.ratings is None:
         raise UsageError("aligned mode needs --ratings to recover the "
                          "sentence pairs")
+    units = _group_units(fileio.load_paragraphs(args.paragraphs))
+    return units, (fileio.load_ratings(args.ratings) if args.ratings else None)
+
+
+def _load_external(path: Optional[str], units: Iterable[UnitKey]):
+    """External score tables keyed by (metric, lang_pair, k), or None.
+
+    The scores file has no dataset column, so a lang_pair that spans two
+    datasets would have one dataset's scores applied to the other's units.
+    """
+    if path is None:
+        return None
+    datasets: dict[str, set[str]] = {}
+    for dataset, lang_pair, _ in units:
+        datasets.setdefault(lang_pair, set()).add(dataset)
+    for lang_pair, names in sorted(datasets.items()):
+        if len(names) > 1:
+            raise ValueError(f"lang_pair {lang_pair} spans datasets "
+                             f"{', '.join(sorted(names))}, but the scores file "
+                             f"has no dataset column to tell them apart")
+    return fileio.load_external_scores(path)
+
+
+def _builtin_table(args, unit_paragraphs: list[ParagraphInstance],
+                   records) -> ScoreTable:
+    metric = metrics.BUILTIN_METRICS[args.metric]
+    if args.mode == "direct":
+        return metrics.score_direct(metric, unit_paragraphs)
     return metrics.score_aligned_avg(metric, unit_paragraphs, records)
 
 
 def _unit_tables(args, key: UnitKey, unit_paragraphs: list[ParagraphInstance],
                  records, external) -> list[tuple[str, str, ScoreTable]]:
     """(metric label, mode label, table) triples that apply to one unit."""
-    dataset, lang_pair, k = key
+    _, lang_pair, k = key
     if external is not None:
         found = [(metric, "external", table)
                  for (metric, lp, table_k), table in sorted(external.items())
                  if lp == lang_pair and table_k == k]
         if not found:
-            raise ValueError(f"no external scores for unit "
-                             f"{dataset}/{lang_pair} k={k}")
+            raise ValueError(f"no external scores for unit {_unit_name(key)}")
         return found
-    table = _builtin_table(args.metric, args.mode, unit_paragraphs, records)
+    table = _builtin_table(args, unit_paragraphs, records)
     return [(table.metric_name, args.mode, table)]
 
 
@@ -247,10 +262,7 @@ def cmd_build_paragraphs(args) -> int:
         built = build_paragraphs(records, k)
         path = out_dir / f"paragraphs-k{k}.jsonl"
         _atomic_write(path, lambda stream: fileio.write_paragraphs(built, stream))
-        counts: dict[tuple[str, str], int] = {}
-        for p in built:
-            counts[(p.dataset_id, p.lang_pair)] = \
-                counts.get((p.dataset_id, p.lang_pair), 0) + 1
+        counts = Counter((p.dataset_id, p.lang_pair) for p in built)
         if not counts:
             print(f"k={k}: 0 paragraphs -> {path}")
         for (dataset, lang_pair), n in sorted(counts.items()):
@@ -261,6 +273,8 @@ def cmd_build_paragraphs(args) -> int:
 def cmd_export_training(args) -> int:
     if args.size < 1:
         raise UsageError(f"--size must be >= 1, got {args.size}")
+    if args.ks is not None and args.strategy != "stratified":
+        raise UsageError("--ks applies only to --strategy stratified")
     pool = fileio.load_paragraphs(args.paragraphs)
     if args.strategy == "stratified":
         ks = args.ks if args.ks is not None else sorted({p.k for p in pool})
@@ -274,28 +288,15 @@ def cmd_export_training(args) -> int:
 
 
 def cmd_score(args) -> int:
-    paragraphs = fileio.load_paragraphs(args.paragraphs)
-    records = _load_unit_ratings(args.ratings)
-    if args.mode == "aligned" and records is None:
-        raise UsageError("aligned mode needs --ratings to recover the "
-                         "sentence pairs")
-    units = _group_units(paragraphs)
+    units, records = _load_units(args)
     label = args.label or f"{args.metric}-{args.mode}"
-
-    def worker(key, unit_paragraphs):
-        _, lang_pair, _ = key
-        table = _builtin_table(args.metric, args.mode, unit_paragraphs, records)
-        return fileio.score_rows(label, lang_pair, table.entries)
-
-    per_unit = _map_units(worker, units, _resolve_threads(args))
-    rows = [row for unit_rows in per_unit for row in unit_rows]
-    _atomic_write(Path(args.out), lambda stream: fileio.write_scores(rows, stream))
-    for key, unit_rows in zip(units, per_unit):
-        dataset, lang_pair, k = key
-        print(f"{dataset}/{lang_pair} k={k}: scored {len(unit_rows)} paragraphs"
-              f" ({label})")
-    print(f"wrote {len(rows)} scores -> {args.out}")
-    return 0
+    per_unit = {}
+    for key, unit_paragraphs in units.items():
+        table = _builtin_table(args, unit_paragraphs, records)
+        per_unit[key] = fileio.score_rows(label, key[1], table.entries)
+    return _report(per_unit, lambda key, rows: f"{_unit_name(key)}: scored "
+                   f"{len(rows)} paragraphs ({label})",
+                   args.out, _write_scores, "scores")
 
 
 def cmd_metaeval(args) -> int:
@@ -304,12 +305,10 @@ def cmd_metaeval(args) -> int:
                          "--scores FILE or --metric NAME")
     if args.epsilon < 0:
         raise UsageError(f"--epsilon must be >= 0, got {args.epsilon}")
-    paragraphs = fileio.load_paragraphs(args.paragraphs)
-    records = _load_unit_ratings(args.ratings)
-    external = fileio.load_external_scores(args.scores) if args.scores else None
-    units = _group_units(paragraphs)
+    units, records = _load_units(args)
+    external = _load_external(args.scores, units)
 
-    def worker(key, unit_paragraphs):
+    def unit_rows(key, unit_paragraphs):
         dataset, lang_pair, k = key
         rows = []
         items = build_eval_items(unit_paragraphs, k)
@@ -326,8 +325,9 @@ def cmd_metaeval(args) -> int:
                      else None)
             if args.level == "system":
                 accuracy = metaeval.system_pairwise_accuracy(
-                    metaeval.system_scores(table),
-                    metaeval.human_system_scores(unit_paragraphs))
+                    metaeval.system_scores(table.entries),
+                    metaeval.system_scores({(p.system_id, p.item_key): p.human_score
+                                            for p in unit_paragraphs}))
                 row("system_pairwise_accuracy", accuracy)
             else:
                 row("segment_accuracy",
@@ -345,24 +345,19 @@ def cmd_metaeval(args) -> int:
                 row("metric_tie_rate", metaeval.tie_rates(pairs, metaeval.METRIC))
         return rows
 
-    per_unit = _map_units(worker, units, _resolve_threads(args))
-    rows = [row for unit_rows in per_unit for row in unit_rows]
-    tsv_path, jsonl_path = _write_report(rows, args.out)
-    for key, unit_rows in zip(units, per_unit):
-        dataset, lang_pair, k = key
-        summary = ", ".join(f"{r.statistic}={r.value:.4f}" for r in unit_rows)
-        print(f"{dataset}/{lang_pair} k={k}: {summary}")
-    print(f"wrote {len(rows)} rows -> {tsv_path}, {jsonl_path}")
-    return 0
+    per_unit = {key: unit_rows(key, unit) for key, unit in units.items()}
+    return _report(per_unit, lambda key, rows: f"{_unit_name(key)}: " + ", ".join(
+        f"{r.statistic}={r.value:.4f}" for r in rows), args.out)
 
 
 def cmd_ties(args) -> int:
-    paragraphs = fileio.load_paragraphs(args.paragraphs)
-    records = _load_unit_ratings(args.ratings)
-    external = fileio.load_external_scores(args.scores) if args.scores else None
-    units = _group_units(paragraphs)
+    if args.scores is not None and args.metric is not None:
+        raise UsageError("at most one score source is allowed: "
+                         "--scores FILE or --metric NAME")
+    units, records = _load_units(args)
+    external = _load_external(args.scores, units)
 
-    def worker(key, unit_paragraphs):
+    def unit_rows(key, unit_paragraphs):
         dataset, lang_pair, k = key
         items = build_eval_items(unit_paragraphs, k)
         rows = [ReportRow(dataset, lang_pair, k, "-", "-", "human_tie_rate",
@@ -370,43 +365,31 @@ def cmd_ties(args) -> int:
         if external is not None or args.metric is not None:
             for label, mode, table in _unit_tables(args, key, unit_paragraphs,
                                                    records, external):
+                attached = metaeval.attach_metric_scores(items, table)
                 rows.append(ReportRow(dataset, lang_pair, k, label, mode,
                                       "metric_tie_rate",
-                                      metaeval.tie_rates(items, table)))
+                                      metaeval.tie_rates(attached, metaeval.METRIC)))
         return rows
 
-    per_unit = _map_units(worker, units, _resolve_threads(args))
-    rows = [row for unit_rows in per_unit for row in unit_rows]
-    tsv_path, jsonl_path = _write_report(rows, args.out)
-    for row in rows:
-        print(f"{row.dataset}/{row.lang_pair} k={row.k}: "
-              f"{row.statistic}({row.metric})={row.value:.4f}")
-    print(f"wrote {len(rows)} rows -> {tsv_path}, {jsonl_path}")
-    return 0
+    per_unit = {key: unit_rows(key, unit) for key, unit in units.items()}
+    return _report(per_unit, lambda key, rows: "\n".join(
+        f"{_unit_name(key)}: {r.statistic}({r.metric})={r.value:.4f}" for r in rows),
+        args.out)
 
 
 def cmd_compare_modes(args) -> int:
     paragraphs = fileio.load_paragraphs(args.paragraphs)
     records = fileio.load_ratings(args.ratings)
-    units = _group_units(paragraphs)
-
-    def worker(key, unit_paragraphs):
-        dataset, lang_pair, k = key
-        metric = metrics.BUILTIN_METRICS[args.metric]
+    metric = metrics.BUILTIN_METRICS[args.metric]
+    per_unit = {}
+    for key, unit_paragraphs in _group_units(paragraphs).items():
         direct = metrics.score_direct(metric, unit_paragraphs)
         aligned = metrics.score_aligned_avg(metric, unit_paragraphs, records)
-        value = metaeval.mode_correlation(direct, aligned)
-        return [ReportRow(dataset, lang_pair, k, args.metric,
-                          "direct_vs_aligned", "mode_pearson", value)]
-
-    per_unit = _map_units(worker, units, _resolve_threads(args))
-    rows = [row for unit_rows in per_unit for row in unit_rows]
-    tsv_path, jsonl_path = _write_report(rows, args.out)
-    for row in rows:
-        print(f"{row.dataset}/{row.lang_pair} k={row.k}: "
-              f"mode_pearson={row.value:.4f}")
-    print(f"wrote {len(rows)} rows -> {tsv_path}, {jsonl_path}")
-    return 0
+        per_unit[key] = [ReportRow(*key, args.metric, "direct_vs_aligned",
+                                   "mode_pearson",
+                                   metaeval.mode_correlation(direct, aligned))]
+    return _report(per_unit, lambda key, rows:
+                   f"{_unit_name(key)}: mode_pearson={rows[0].value:.4f}", args.out)
 
 
 def cmd_stats(args) -> int:
@@ -419,8 +402,9 @@ def cmd_stats(args) -> int:
     groups: dict[tuple[str, str], list[ParagraphInstance]] = {}
     for p in paragraphs:
         groups.setdefault((p.dataset_id, p.lang_pair), []).append(p)
-    rows = []
+    per_group = {}
     for (dataset, lang_pair), group in sorted(groups.items()):
+        rows = per_group[(dataset, lang_pair)] = []
         if want_lengths:
             for k, per_percentile in metrics.length_percentiles(
                     group, counter, args.percentiles).items():
@@ -437,12 +421,9 @@ def cmd_stats(args) -> int:
                 rows.append(ReportRow(dataset, lang_pair, k, "-", "-",
                                       f"truncated_fraction@{args.budget}",
                                       fraction))
-    tsv_path, jsonl_path = _write_report(rows, args.out)
-    for row in rows:
-        print(f"{row.dataset}/{row.lang_pair} k={row.k}: "
-              f"{row.statistic}={row.value:g}")
-    print(f"wrote {len(rows)} rows -> {tsv_path}, {jsonl_path}")
-    return 0
+    return _report(per_group, lambda _, rows: "\n".join(
+        f"{r.dataset}/{r.lang_pair} k={r.k}: {r.statistic}={r.value:g}" for r in rows),
+        args.out)
 
 
 _SIM_FIELDS = {
@@ -483,28 +464,17 @@ def cmd_simulate(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     config = _parse_sim_config(args.config)
-    curve = noise.noise_curve(config, args.ks, args.seeds)
-    rows = []
-    for point in curve:
-        rows.append(ReportRow("sim", "-", point.k, "simulated", "-",
-                              "mean_segment_accuracy", point.mean_accuracy, 0.0))
-        rows.append(ReportRow("sim", "-", point.k, "simulated", "-",
-                              "std_segment_accuracy", point.std_accuracy, 0.0))
-    tsv_path, jsonl_path = _write_report(rows, args.out)
-    for point in curve:
-        print(f"k={point.k}: mean segment accuracy {point.mean_accuracy:.4f} "
-              f"(std {point.std_accuracy:.4f}, {args.seeds} seeds)")
-    print(f"wrote {len(rows)} rows -> {tsv_path}, {jsonl_path}")
-    return 0
+    per_k = {}
+    for point in noise.noise_curve(config, args.ks, args.seeds):
+        row = partial(ReportRow, "sim", "-", point.k, "simulated", "-")
+        per_k[point.k] = [row("mean_segment_accuracy", point.mean_accuracy, 0.0),
+                          row("std_segment_accuracy", point.std_accuracy, 0.0)]
+    return _report(per_k, lambda k, rows: f"k={k}: mean segment accuracy "
+                   f"{rows[0].value:.4f} (std {rows[1].value:.4f}, {args.seeds} seeds)",
+                   args.out)
 
 
 # --- parser ----------------------------------------------------------------
-
-
-def _add_common(parser, threads=True):
-    if threads:
-        parser.add_argument("--threads", type=int, default=None,
-                            help="worker threads (default: $PARAEVAL_THREADS or 1)")
 
 
 def build_parser() -> _Parser:
@@ -556,7 +526,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--label", help="metric column value "
                                      "(default '<metric>-<mode>')")
     sub.add_argument("--out", required=True, help="output scores .tsv path")
-    _add_common(sub)
 
     sub = add("metaeval", cmd_metaeval,
               "Measure metric-human agreement per evaluation unit.")
@@ -576,7 +545,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--ties", action="store_true",
                      help="also report human and metric tie rates")
     sub.add_argument("--out", required=True, help="report base path")
-    _add_common(sub)
 
     sub = add("ties", cmd_ties, "Report exact-tie rates per evaluation unit.")
     sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")
@@ -586,7 +554,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--mode", choices=("direct", "aligned"), default="direct")
     sub.add_argument("--ratings", help="ratings file (for aligned mode)")
     sub.add_argument("--out", required=True, help="report base path")
-    _add_common(sub)
 
     sub = add("compare-modes", cmd_compare_modes,
               "Correlate direct vs aligned-average scoring of one metric.")
@@ -595,7 +562,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--metric", choices=sorted(metrics.BUILTIN_METRICS),
                      default="bleu")
     sub.add_argument("--out", required=True, help="report base path")
-    _add_common(sub)
 
     sub = add("stats", cmd_stats, "Report paragraph length statistics per k.")
     sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")

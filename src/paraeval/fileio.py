@@ -20,7 +20,6 @@ from .model import (
     ItemKey,
     ParagraphInstance,
     RatingRecord,
-    ScoreMode,
     ScoreTable,
     ScoreType,
     validate_ratings,
@@ -320,8 +319,8 @@ def parse_external_scores(stream: Lines) -> dict[tuple[str, str, int], ScoreTabl
         entries[entry_key] = score
 
     return {
-        group_key: ScoreTable(metric_name=group_key[0], mode=ScoreMode.EXTERNAL,
-                              k=group_key[2], entries=entries)
+        group_key: ScoreTable(metric_name=group_key[0], k=group_key[2],
+                              entries=entries)
         for group_key, entries in sorted(groups.items())
     }
 

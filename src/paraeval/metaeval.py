@@ -30,8 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .model import (EvalItem, ParagraphInstance, ScoreTable, SystemEntry,
-                    TauCalibration)
+from .model import EvalItem, ItemKey, ScoreTable, SystemEntry, TauCalibration
 
 # Sentinel for tie_rates: score the human side of the items.
 HUMAN = "human"
@@ -61,24 +60,13 @@ def attach_metric_scores(items: Iterable[EvalItem],
     return attached
 
 
-def system_scores(table: ScoreTable) -> dict[str, float]:
-    """Per-system arithmetic mean over all of that system's entries."""
-    if not table.entries:
+def system_scores(entries: Mapping[tuple[str, ItemKey], float]) -> dict[str, float]:
+    """Per-system arithmetic mean of (system, item) -> score entries."""
+    if not entries:
         raise ValueError("empty score table")
     totals: dict[str, list[float]] = {}
-    for (system, _), score in table.entries.items():
+    for (system, _), score in entries.items():
         totals.setdefault(system, []).append(score)
-    return {system: math.fsum(scores) / len(scores)
-            for system, scores in sorted(totals.items())}
-
-
-def human_system_scores(paragraphs: Iterable[ParagraphInstance]) -> dict[str, float]:
-    """Per-system arithmetic mean of human paragraph scores."""
-    totals: dict[str, list[float]] = {}
-    for p in paragraphs:
-        totals.setdefault(p.system_id, []).append(p.human_score)
-    if not totals:
-        raise ValueError("no paragraphs")
     return {system: math.fsum(scores) / len(scores)
             for system, scores in sorted(totals.items())}
 
@@ -221,15 +209,13 @@ def pearson_no_grouping(xs: Sequence[float], ys: Sequence[float]) -> float:
     return math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
 
 
-def tie_rates(items: Items, source: Union[str, ScoreTable]) -> float:
+def tie_rates(items: Items, source: str) -> float:
     """Fraction of within-item unordered pairs with exactly equal scores.
 
     ``source`` is HUMAN for the human scores (of every system of an item,
-    or of a ``pair_table``'s pairs), METRIC for the attached metric
-    scores, or a score table keyed by (system, item).
+    or of a ``pair_table``'s pairs) or METRIC for the attached metric
+    scores.
     """
-    if isinstance(source, ScoreTable):
-        items, source = attach_metric_scores(items, source), METRIC
     if source not in (HUMAN, METRIC):
         raise ValueError(f"unknown score source: {source!r}")
     if not isinstance(items, PairTable):

@@ -32,7 +32,7 @@ from collections import Counter, defaultdict
 from itertools import groupby, repeat
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
-from .model import ItemKey, ParagraphInstance, RatingRecord, ScoreMode, ScoreTable
+from .model import ItemKey, ParagraphInstance, RatingRecord, ScoreTable
 
 MAX_NGRAM_ORDER = 4
 
@@ -217,8 +217,7 @@ def score_direct(metric, paragraphs: Iterable[ParagraphInstance]) -> ScoreTable:
                 raise ValueError(f"duplicate paragraph for {key}")
             entries[key] = metric.direct(metric.count(p.hypothesis_text),
                                          references[p.reference_text])
-    return ScoreTable(metric_name=metric.name, mode=ScoreMode.DIRECT, k=k,
-                      entries=dict(sorted(entries.items())))
+    return ScoreTable(metric_name=metric.name, k=k, entries=dict(sorted(entries.items())))
 
 
 def score_aligned_avg(metric, paragraphs: Iterable[ParagraphInstance],
@@ -254,8 +253,7 @@ def score_aligned_avg(metric, paragraphs: Iterable[ParagraphInstance],
             if key in entries:
                 raise ValueError(f"duplicate paragraph for {key}")
             entries[key] = math.fsum(sentence_scores) / len(sentence_scores)
-    return ScoreTable(metric_name=metric.name, mode=ScoreMode.ALIGNED_AVG, k=k,
-                      entries=dict(sorted(entries.items())))
+    return ScoreTable(metric_name=metric.name, k=k, entries=dict(sorted(entries.items())))
 
 
 def _hyp_count(p: ParagraphInstance, counter: TokenCounter) -> int:

@@ -1,10 +1,9 @@
 """Domain types for paragraph-level MT evaluation data.
 
-All types are immutable after construction and safe to share across
-threads. Collection-level invariants (key uniqueness, score finiteness,
-a single score type per collection) are checked by ``validate_ratings``,
-which reports problems instead of raising so that callers can surface
-every issue at once.
+All types are immutable after construction. Collection-level invariants
+(key uniqueness, score finiteness, a single score type per collection)
+are checked by ``validate_ratings``, which reports problems instead of
+raising so that callers can surface every issue at once.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import enum
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 # (dataset_id, lang_pair, system_id, doc_id, sent_index)
 RatingKey = Tuple[str, str, str, str, int]
@@ -27,14 +26,6 @@ class ScoreType(enum.Enum):
 
     DA_Z = "DA_Z"  # per-rater z-normalized direct assessment; aggregates by mean
     MQM = "MQM"    # summed weighted error scores; aggregates by sum
-
-
-class ScoreMode(enum.Enum):
-    """How a metric score for a paragraph was obtained."""
-
-    DIRECT = "direct"            # whole paragraph scored as one segment
-    ALIGNED_AVG = "aligned_avg"  # mean of the k aligned sentence-level scores
-    EXTERNAL = "external"        # ingested from a pre-computed score file
 
 
 @dataclass(frozen=True)
@@ -124,7 +115,6 @@ class ScoreTable:
     """Metric scores for one evaluation unit, keyed by (system, item)."""
 
     metric_name: str
-    mode: ScoreMode
     k: int
     entries: Mapping[Tuple[str, ItemKey], float]
 

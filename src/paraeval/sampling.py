@@ -3,8 +3,8 @@
 Selections are drawn without replacement with a seeded PCG64 generator
 (numpy's named, portable algorithm), after canonically sorting the pool,
 so a given (pool, n, seed) always yields the same paragraphs regardless
-of input order, platform, or thread count. Undersized strata fail hard;
-there is no silent replacement fallback.
+of input order or platform. Undersized strata fail hard; there is no
+silent replacement fallback.
 """
 
 from __future__ import annotations

@@ -18,14 +18,12 @@ import oracles
 from helpers import make_item, make_rating
 from paraeval import fileio, metaeval
 from paraeval.cli import main
-from paraeval.metaeval import (HUMAN, METRIC, human_system_scores,
-                               pearson_no_grouping, segment_accuracy,
-                               system_pairwise_accuracy, system_scores,
-                               tau_optimize, tie_rates)
+from paraeval.metaeval import (HUMAN, METRIC, pearson_no_grouping,
+                               segment_accuracy, system_pairwise_accuracy,
+                               system_scores, tau_optimize, tie_rates)
 from paraeval.metrics import (bleu_corpus, bleu_sentence, truncation_stats,
                               whitespace_token_count)
-from paraeval.model import (EvalItem, ParagraphInstance, ScoreMode,
-                            ScoreTable, ScoreType, SimConfig, SystemEntry)
+from paraeval.model import EvalItem, ScoreTable, SimConfig, SystemEntry
 from paraeval.noise import noise_curve
 from paraeval.paragraphs import build_paragraphs
 
@@ -103,19 +101,10 @@ def _random_table(rng):
     return items
 
 
-def _as_paragraphs(items, factor=1.0):
-    paragraphs = []
-    for item in items:
-        doc_id, start, k = item.item_key
-        for system, entry in item.per_system.items():
-            score = entry.human_score * factor
-            paragraphs.append(ParagraphInstance(
-                dataset_id="synthetic", lang_pair="xx-yy", system_id=system,
-                doc_id=doc_id, start_index=start, k=k,
-                score_type=ScoreType.MQM, rater_id="r1", human_score=score,
-                sentence_scores=(score,), source_text="s",
-                reference_text="r", hypothesis_text="h"))
-    return paragraphs
+def _human_entries(items, factor=1.0):
+    """(system, item) -> human score, scaled by factor."""
+    return {(system, item.item_key): entry.human_score * factor
+            for item in items for system, entry in item.per_system.items()}
 
 
 def _scaled(items, human_factor):
@@ -149,14 +138,14 @@ def test_metaeval_invariance_suite_on_100_random_tables():
         assert tie_rates(scaled, HUMAN) == tie_rates(items, HUMAN)
         assert tie_rates(scaled, METRIC) == tie_rates(items, METRIC)
         table = ScoreTable(
-            metric_name="m", mode=ScoreMode.EXTERNAL, k=1,
+            metric_name="m", k=1,
             entries={(s, item.item_key): item.per_system[s].metric_score
                      for item in items for s in item.per_system})
-        metric_sys = system_scores(table)
+        metric_sys = system_scores(table.entries)
         assert system_pairwise_accuracy(
-            metric_sys, human_system_scores(_as_paragraphs(items))) == \
+            metric_sys, system_scores(_human_entries(items))) == \
             system_pairwise_accuracy(
-                metric_sys, human_system_scores(_as_paragraphs(items, 2.7)))
+                metric_sys, system_scores(_human_entries(items, 2.7)))
 
         # (b) the tuned threshold never loses to epsilon = 0
         assert original_tau.accuracy_at_epsilon >= segment_accuracy(items, 0.0)
@@ -253,7 +242,7 @@ def _determinism_corpus(rng):
     return records
 
 
-def test_cli_reports_are_byte_identical_across_thread_counts(tmp_path):
+def test_cli_reports_are_byte_identical_across_runs_and_input_order(tmp_path):
     rng = random.Random(73)
     records = _determinism_corpus(rng)
     ratings = tmp_path / "ratings.jsonl"
@@ -263,30 +252,31 @@ def test_cli_reports_are_byte_identical_across_thread_counts(tmp_path):
     paragraphs_path = tmp_path / "paragraphs.jsonl"
     with open(paragraphs_path, "w", encoding="utf-8") as stream:
         fileio.write_paragraphs(paragraphs, stream)
+    lines = paragraphs_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(74).shuffle(lines)
+    shuffled_path = tmp_path / "shuffled.jsonl"
+    shuffled_path.write_text("".join(lines), encoding="utf-8")
     config_path = tmp_path / "sim.cfg"
     config_path.write_text(
         "n_items = 20\nn_systems = 3\nmax_k = 5\nsigma_quality = 1.0\n"
         "sigma_human = 0.5\nsigma_metric = 0.5\nsystem_mean_spread = 0.5\n"
         "seed = 99\n", encoding="utf-8")
 
-    threaded_commands = {
-        "score": ["score", "--paragraphs", str(paragraphs_path),
-                  "--metric", "bleu", "--mode", "aligned",
-                  "--ratings", str(ratings)],
-        "metaeval": ["metaeval", "--paragraphs", str(paragraphs_path),
-                     "--metric", "bleu", "--tau-opt", "--pearson", "--ties"],
-        "ties": ["ties", "--paragraphs", str(paragraphs_path),
-                 "--metric", "bleu"],
-        "compare-modes": ["compare-modes", "--paragraphs",
-                          str(paragraphs_path), "--ratings", str(ratings),
-                          "--metric", "bleu"],
-    }
-    unthreaded_commands = {
-        "stats": ["stats", "--paragraphs", str(paragraphs_path), "--lengths",
-                  "--truncation"],
-        "simulate": ["simulate", "--config", str(config_path),
-                     "--ks", "1,3,5", "--seeds", "5"],
-    }
+    def commands(paragraphs):
+        return {
+            "score": ["score", "--paragraphs", paragraphs, "--metric", "bleu",
+                      "--mode", "aligned", "--ratings", str(ratings)],
+            "metaeval-segment": ["metaeval", "--paragraphs", paragraphs,
+                                 "--metric", "bleu", "--tau-opt", "--pearson",
+                                 "--ties"],
+            "metaeval-system": ["metaeval", "--paragraphs", paragraphs,
+                                "--metric", "bleu", "--level", "system"],
+            "ties": ["ties", "--paragraphs", paragraphs, "--metric", "bleu"],
+            "compare-modes": ["compare-modes", "--paragraphs", paragraphs,
+                              "--ratings", str(ratings), "--metric", "bleu"],
+            "stats": ["stats", "--paragraphs", paragraphs, "--lengths",
+                      "--truncation"],
+        }
 
     def outputs(name, argv, run_id):
         base = tmp_path / f"{name}-{run_id}"
@@ -296,10 +286,15 @@ def test_cli_reports_are_byte_identical_across_thread_counts(tmp_path):
         assert produced, f"{name} wrote no outputs"
         return [path.read_bytes() for path in produced]
 
-    for name, argv in threaded_commands.items():
-        single = outputs(name, argv + ["--threads", "1"], "t1")
-        pooled = outputs(name, argv + ["--threads", "8"], "t8")
-        assert single == pooled, f"{name} differs between 1 and 8 threads"
-    for name, argv in unthreaded_commands.items():
-        assert outputs(name, argv, "run1") == outputs(name, argv, "run2"), \
+    shuffled = commands(str(shuffled_path))
+    for name, argv in commands(str(paragraphs_path)).items():
+        first = outputs(name, argv, "run1")
+        assert outputs(name, argv, "run2") == first, \
             f"{name} differs between identical runs"
+        assert outputs(name, shuffled[name], "shuffled") == first, \
+            f"{name} differs on shuffled input lines"
+    simulate = ["simulate", "--config", str(config_path), "--ks", "1,3,5",
+                "--seeds", "5"]
+    assert outputs("simulate", simulate, "run1") == \
+        outputs("simulate", simulate, "run2"), \
+        "simulate differs between identical runs"

@@ -1,8 +1,10 @@
+import argparse
 import gzip
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 from helpers import make_rating
 import paraeval
 from paraeval import fileio, metaeval, noise
-from paraeval.cli import REPORT_HEADER, main, parse_k_spec
+from paraeval.cli import REPORT_HEADER, build_parser, main, parse_k_spec
 from paraeval.metrics import bleu_sentence
 from paraeval.model import ScoreType, SimConfig
 from paraeval.paragraphs import build_paragraphs
@@ -95,6 +97,15 @@ def tau_scores(tmp_path):
     with open(path, "w", encoding="utf-8") as stream:
         fileio.write_scores(rows, stream)
     return str(path)
+
+
+@pytest.fixture
+def two_dataset_paragraphs(tmp_path):
+    """The tau fixture twice, as datasets wmtA and wmtB of one lang pair."""
+    records = [replace(r, dataset_id=dataset, score=r.score - shift)
+               for dataset, shift in (("wmtA", 0.0), ("wmtB", 1.0))
+               for r in tau_fixture_records()]
+    return write_paragraph_file(tmp_path / "two-datasets.jsonl", records, [1])
 
 
 @pytest.fixture
@@ -238,6 +249,14 @@ class TestExportTraining:
                      "--strategy", "uniform", "--size", "99",
                      "--out", str(tmp_path / "s.jsonl")]) == 2
         assert "exceeds pool size" in capsys.readouterr().err
+
+    def test_ks_with_uniform_strategy_exits_1(self, rich_paragraphs, tmp_path,
+                                              capsys):
+        assert main(["export-training", "--paragraphs", rich_paragraphs,
+                     "--strategy", "uniform", "--size", "2", "--ks", "7",
+                     "--out", str(tmp_path / "t.jsonl")]) == 1
+        assert "--ks applies only to --strategy stratified" in \
+            capsys.readouterr().err
 
     def test_nonpositive_size_exits_1(self, tau_paragraphs, tmp_path, capsys):
         assert main(["export-training", "--paragraphs", tau_paragraphs,
@@ -383,6 +402,14 @@ class TestMetaeval:
                      "--out", str(tmp_path / "r")]) == 2
         assert "has no entry for system" in capsys.readouterr().err
 
+    def test_scores_for_a_lang_pair_spanning_two_datasets_exit_2(
+            self, two_dataset_paragraphs, tau_scores, tmp_path, capsys):
+        assert main(["metaeval", "--paragraphs", two_dataset_paragraphs,
+                     "--scores", tau_scores, "--out", str(tmp_path / "r")]) == 2
+        assert "lang_pair en-de spans datasets wmtA, wmtB" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
     def test_no_leftover_temp_files(self, tau_paragraphs, tau_scores,
                                     tmp_path):
         base = tmp_path / "report"
@@ -413,6 +440,20 @@ class TestTies:
         assert rows["human_tie_rate"]["value"] == pytest.approx(1 / 6)
         assert rows["metric_tie_rate"]["value"] == 0.0
         assert rows["metric_tie_rate"]["metric"] == "ext"
+
+    def test_scores_for_a_lang_pair_spanning_two_datasets_exit_2(
+            self, two_dataset_paragraphs, tau_scores, tmp_path, capsys):
+        assert main(["ties", "--paragraphs", two_dataset_paragraphs,
+                     "--scores", tau_scores, "--out", str(tmp_path / "r")]) == 2
+        assert "lang_pair en-de spans datasets wmtA, wmtB" in \
+            capsys.readouterr().err
+
+    def test_two_score_sources_exit_1(self, tau_paragraphs, tau_scores,
+                                      tmp_path, capsys):
+        assert main(["ties", "--paragraphs", tau_paragraphs,
+                     "--scores", tau_scores, "--metric", "bleu",
+                     "--out", str(tmp_path / "r")]) == 1
+        assert "at most one score source" in capsys.readouterr().err
 
 
 class TestCompareModes:
@@ -543,9 +584,9 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             main(["metaeval", "--paragraphs", tau_paragraphs,
                   "--metric", "bleu", "--out", str(tmp_path / "r"),
-                  "--treads", "2"])
+                  "--pearsn"])
         assert excinfo.value.code == 1
-        assert "did you mean --threads?" in capsys.readouterr().err
+        assert "did you mean --pearson?" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_1(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -553,45 +594,42 @@ class TestParsing:
         assert excinfo.value.code == 1
 
 
-class TestThreads:
-    def run_report(self, tmp_path, name, extra):
-        base = tmp_path / name
-        paragraphs = write_paragraph_file(tmp_path / f"{name}-p.jsonl",
-                                          rich_records(), [1, 2])
-        assert main(["metaeval", "--paragraphs", paragraphs,
-                     "--metric", "bleu", "--tau-opt", "--ties",
-                     "--out", str(base)] + extra) == 0
-        with open(f"{base}.tsv", "rb") as tsv, \
-                open(f"{base}.jsonl", "rb") as jsonl:
-            return tsv.read(), jsonl.read()
+# The option strings of every subcommand. A new or removed option shows up
+# here as a diff.
+CLI_SURFACE = {
+    "validate": {"--ratings"},
+    "build-paragraphs": {"--ratings", "--k", "--out"},
+    "export-training": {"--paragraphs", "--strategy", "--size", "--ks", "--seed",
+                        "--out"},
+    "score": {"--paragraphs", "--metric", "--mode", "--ratings", "--label",
+              "--out"},
+    "metaeval": {"--paragraphs", "--scores", "--metric", "--mode", "--ratings",
+                 "--level", "--epsilon", "--tau-opt", "--pearson", "--ties",
+                 "--out"},
+    "ties": {"--paragraphs", "--scores", "--metric", "--mode", "--ratings",
+             "--out"},
+    "compare-modes": {"--paragraphs", "--ratings", "--metric", "--out"},
+    "stats": {"--paragraphs", "--lengths", "--percentiles", "--counter",
+              "--truncation", "--budget", "--out"},
+    "simulate": {"--config", "--ks", "--seeds", "--out"},
+}
 
-    def test_reports_identical_across_thread_counts(self, tmp_path):
-        single = self.run_report(tmp_path, "one", ["--threads", "1"])
-        pooled = self.run_report(tmp_path, "eight", ["--threads", "8"])
-        assert single == pooled
 
-    def test_threads_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PARAEVAL_THREADS", "4")
-        from_env = self.run_report(tmp_path, "env", [])
-        monkeypatch.delenv("PARAEVAL_THREADS")
-        explicit = self.run_report(tmp_path, "flag", ["--threads", "4"])
-        assert from_env == explicit
+class TestSurface:
+    @staticmethod
+    def subcommands():
+        parser = build_parser()
+        action, = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
 
-    def test_bad_env_value_exits_1(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PARAEVAL_THREADS", "many")
-        paragraphs = write_paragraph_file(tmp_path / "p.jsonl",
-                                          rich_records(), [1])
-        assert main(["metaeval", "--paragraphs", paragraphs,
-                     "--metric", "bleu", "--out", str(tmp_path / "r")]) == 1
-        assert "PARAEVAL_THREADS" in capsys.readouterr().err
+    def test_subcommand_names(self):
+        assert set(self.subcommands()) == set(CLI_SURFACE)
 
-    def test_nonpositive_threads_exits_1(self, tmp_path, capsys):
-        paragraphs = write_paragraph_file(tmp_path / "p.jsonl",
-                                          rich_records(), [1])
-        assert main(["metaeval", "--paragraphs", paragraphs,
-                     "--metric", "bleu", "--threads", "0",
-                     "--out", str(tmp_path / "r")]) == 1
-        assert "thread count" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+    def test_option_strings(self, command):
+        options = set(self.subcommands()[command]._option_string_actions)
+        assert options - {"-h", "--help"} == CLI_SURFACE[command]
 
 
 class TestEntryPoint:

@@ -8,7 +8,7 @@ import pytest
 from helpers import make_rating
 from paraeval import fileio
 from paraeval.fileio import ParseError, ValidationError
-from paraeval.model import ScoreMode, ScoreType
+from paraeval.model import ScoreType
 from paraeval.paragraphs import build_paragraphs
 
 
@@ -212,7 +212,6 @@ class TestScoresFile:
         tables = fileio.parse_external_scores(io.StringIO(text))
         assert set(tables) == {("bleu", "en-de", 2)}
         table = tables[("bleu", "en-de", 2)]
-        assert table.mode is ScoreMode.EXTERNAL
         assert table.entries[("sysA", ("doc1", 0, 2))] == 41.5
         assert len(table) == 2
 

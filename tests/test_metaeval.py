@@ -8,18 +8,17 @@ import scipy.stats
 import oracles
 from helpers import make_item, make_rating
 from paraeval.metaeval import (HUMAN, METRIC, attach_metric_scores,
-                               human_system_scores, mode_correlation,
-                               pearson_no_grouping, segment_accuracy,
-                               system_pairwise_accuracy, system_scores,
-                               tau_optimize, tie_rates)
-from paraeval.model import EvalItem, ScoreMode, ScoreTable, SystemEntry
+                               mode_correlation, pearson_no_grouping,
+                               segment_accuracy, system_pairwise_accuracy,
+                               system_scores, tau_optimize, tie_rates)
+from paraeval.model import EvalItem, ScoreTable, SystemEntry
 from paraeval.paragraphs import build_paragraphs
 
 KEY = ("doc1", 0, 1)
 
 
-def score_table(entries, k=1, name="m", mode=ScoreMode.EXTERNAL):
-    return ScoreTable(metric_name=name, mode=mode, k=k, entries=entries)
+def score_table(entries, k=1, name="m"):
+    return ScoreTable(metric_name=name, k=k, entries=entries)
 
 
 class TestAttachMetricScores:
@@ -51,22 +50,22 @@ class TestAttachMetricScores:
 class TestSystemScores:
     def test_single_entry_per_system_is_identity(self):
         table = score_table({("sysA", KEY): 7.5, ("sysB", KEY): -1.0})
-        assert system_scores(table) == {"sysA": 7.5, "sysB": -1.0}
+        assert system_scores(table.entries) == {"sysA": 7.5, "sysB": -1.0}
 
     def test_mean_of_2_and_4_is_3(self):
         table = score_table({("sysA", ("d1", 0, 1)): 2.0,
                              ("sysA", ("d2", 0, 1)): 4.0})
-        assert system_scores(table) == {"sysA": 3.0}
+        assert system_scores(table.entries) == {"sysA": 3.0}
 
     def test_asymmetric_coverage_averages_each_system_over_its_own_items(self):
         table = score_table({("sysA", ("d1", 0, 1)): 1.0,
                              ("sysA", ("d2", 0, 1)): 5.0,
                              ("sysB", ("d1", 0, 1)): 4.0})
-        assert system_scores(table) == {"sysA": 3.0, "sysB": 4.0}
+        assert system_scores(table.entries) == {"sysA": 3.0, "sysB": 4.0}
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            system_scores(score_table({}))
+            system_scores(score_table({}).entries)
 
 
 class TestHumanSystemScores:
@@ -80,11 +79,12 @@ class TestHumanSystemScores:
                         system_id="sysB", doc_id="d1"),
         ]
         paragraphs = build_paragraphs(records, 1)
-        assert human_system_scores(paragraphs) == {"sysA": 2.0, "sysB": 2.0}
+        human = {(p.system_id, p.item_key): p.human_score for p in paragraphs}
+        assert system_scores(human) == {"sysA": 2.0, "sysB": 2.0}
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no paragraphs"):
-            human_system_scores([])
+        with pytest.raises(ValueError, match="empty"):
+            system_scores({})
 
 
 class TestSystemPairwiseAccuracy:
@@ -331,13 +331,13 @@ class TestTieRates:
     def test_score_table_source(self):
         items = [make_item({"a": 0.0, "b": 1.0})]
         table = score_table({("a", KEY): 3.0, ("b", KEY): 3.0})
-        assert tie_rates(items, table) == 1.0
+        assert tie_rates(attach_metric_scores(items, table), METRIC) == 1.0
 
     def test_score_table_missing_entry_rejected(self):
         items = [make_item({"a": 0.0, "b": 1.0})]
         table = score_table({("a", KEY): 3.0})
         with pytest.raises(ValueError, match="no entry"):
-            tie_rates(items, table)
+            tie_rates(attach_metric_scores(items, table), METRIC)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError, match="unknown score source"):
@@ -352,10 +352,10 @@ class TestModeCorrelation:
     @staticmethod
     def tables(direct_values, aligned_values):
         keys = [(f"s{i}", (f"d{i}", 0, 2)) for i in range(len(direct_values))]
-        direct = ScoreTable(metric_name="bleu", mode=ScoreMode.DIRECT, k=2,
+        direct = ScoreTable(metric_name="bleu", k=2,
                             entries=dict(zip(keys, direct_values)))
-        aligned = ScoreTable(metric_name="bleu", mode=ScoreMode.ALIGNED_AVG,
-                             k=2, entries=dict(zip(keys, aligned_values)))
+        aligned = ScoreTable(metric_name="bleu", k=2,
+                             entries=dict(zip(keys, aligned_values)))
         return direct, aligned
 
     def test_identical_tables_correlate_at_exactly_1(self):
@@ -370,9 +370,9 @@ class TestModeCorrelation:
 
     def test_key_mismatch_rejected_and_lists_keys(self):
         direct, _ = self.tables([1.0, 2.0], [1.0, 2.0])
-        aligned = ScoreTable(metric_name="bleu", mode=ScoreMode.ALIGNED_AVG,
-                             k=2, entries={("sX", ("dX", 0, 2)): 1.0,
-                                           ("s0", ("d0", 0, 2)): 1.0})
+        aligned = ScoreTable(metric_name="bleu", k=2,
+                             entries={("sX", ("dX", 0, 2)): 1.0,
+                                      ("s0", ("d0", 0, 2)): 1.0})
         with pytest.raises(ValueError, match=r"different.*sX"):
             mode_correlation(direct, aligned)
 

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from paraeval.metaeval import (HUMAN, METRIC, pair_table,
-                               pearson_no_grouping, segment_accuracy,
-                               system_pairwise_accuracy, tau_optimize,
-                               tie_rates)
-from paraeval.model import EvalItem, ScoreMode, ScoreTable, SimConfig, SystemEntry
+from paraeval.metaeval import (HUMAN, METRIC, attach_metric_scores,
+                               pair_table, pearson_no_grouping,
+                               segment_accuracy, system_pairwise_accuracy,
+                               tau_optimize, tie_rates)
+from paraeval.model import EvalItem, ScoreTable, SimConfig, SystemEntry
 from paraeval.noise import noise_curve
 
 SYSTEMS = [f"s{i:02d}" for i in range(60)]
@@ -111,14 +111,15 @@ def test_reported_statistics_are_builtin_floats():
     assert pair_table(wide).denominator >= 2 ** 63
     for items in (narrow, wide):
         calibration = tau_optimize(items)
-        table = ScoreTable(metric_name="m", mode=ScoreMode.EXTERNAL, k=1, entries={
+        table = ScoreTable(metric_name="m", k=1, entries={
             (s, item.item_key): e.metric_score
             for item in items for s, e in item.per_system.items()})
         values = [segment_accuracy(items, 0.0), segment_accuracy(items, 0.1),
                   segment_accuracy(pair_table(items), 0.0),
                   calibration.epsilon, calibration.accuracy_at_epsilon,
                   tie_rates(items, HUMAN), tie_rates(items, METRIC),
-                  tie_rates(items, table), tie_rates(pair_table(items), HUMAN)]
+                  tie_rates(attach_metric_scores(items, table), METRIC),
+                  tie_rates(pair_table(items), HUMAN)]
         assert calibration.epsilon > 0
         assert all(type(value) is float for value in values), values
     agreeing = [EvalItem(item_key=("d", 0, 1), per_system={

@@ -11,7 +11,6 @@ from paraeval.metrics import (BleuMetric, bleu_corpus, bleu_sentence,
                               nearest_rank_percentile, score_aligned_avg,
                               score_direct, tokenize, truncation_stats,
                               whitespace_token_count)
-from paraeval.model import ScoreMode
 from paraeval.paragraphs import build_paragraphs
 
 
@@ -157,7 +156,6 @@ class TestScoreDirect:
         _, paragraphs = paragraphs_from(
             {"sysA": [("a b", "a b"), ("c d", "c d")]}, k=2)
         table = score_direct(BleuMetric(), paragraphs)
-        assert table.mode is ScoreMode.DIRECT
         assert table.k == 2
         assert set(table.entries) == {("sysA", ("doc1", 0, 2))}
 
@@ -215,7 +213,6 @@ class TestScoreAlignedAvg:
             {"sysA": [("a b c d e", "a b c d f")]}, k=1)
         records, _ = paragraphs_from({"sysA": [("a b c d e", "a b c d f")]}, k=1)
         aligned = score_aligned_avg(BleuMetric(), paragraphs, records)
-        assert aligned.mode is ScoreMode.ALIGNED_AVG
         key = ("sysA", ("doc1", 0, 1))
         assert aligned.entries[key] == pytest.approx(
             bleu_sentence("a b c d e", "a b c d f"), abs=1e-12)

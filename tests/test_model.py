@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import make_rating
-from paraeval.model import (ParagraphInstance, ScoreMode, ScoreTable, ScoreType,
+from paraeval.model import (ParagraphInstance, ScoreTable, ScoreType,
                             SimConfig, SystemEntry, TauCalibration,
                             validate_ratings)
 
@@ -119,11 +119,11 @@ class TestParagraphInstance:
 class TestScoreTable:
     def test_rejects_non_finite_scores(self):
         with pytest.raises(ValueError, match="non-finite"):
-            ScoreTable(metric_name="bleu", mode=ScoreMode.DIRECT, k=1,
+            ScoreTable(metric_name="bleu", k=1,
                        entries={("sysA", ("d", 0, 1)): math.nan})
 
     def test_len_counts_entries(self):
-        table = ScoreTable(metric_name="bleu", mode=ScoreMode.DIRECT, k=1,
+        table = ScoreTable(metric_name="bleu", k=1,
                            entries={("sysA", ("d", 0, 1)): 1.0,
                                     ("sysB", ("d", 0, 1)): 2.0})
         assert len(table) == 2
