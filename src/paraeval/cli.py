@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import json
 import os
 import re
 import sys
@@ -130,12 +129,11 @@ def _write_report(rows: Sequence[ReportRow], out_base: str) -> str:
 
     def write_jsonl(stream):
         for row in rows:
-            stream.write(json.dumps(
+            stream.write(fileio.dump_json(
                 {"dataset": row.dataset, "lang_pair": row.lang_pair, "k": row.k,
                  "metric": row.metric, "mode": row.mode,
                  "statistic": row.statistic, "value": row.value,
-                 "epsilon": row.epsilon},
-                ensure_ascii=False, separators=(",", ":")) + "\n")
+                 "epsilon": row.epsilon}) + "\n")
 
     _atomic_write(tsv_path, write_tsv)
     _atomic_write(jsonl_path, write_jsonl)
@@ -163,6 +161,24 @@ def _unit_name(key: UnitKey) -> str:
     return f"{dataset}/{lang_pair} k={k}"
 
 
+def _per_unit(units: dict, unit_rows: Callable[[UnitKey, list], list]) -> dict:
+    """Each unit's rows; a unit that cannot be evaluated is named in the error."""
+    per_unit = {}
+    for key, unit_paragraphs in units.items():
+        try:
+            per_unit[key] = unit_rows(key, unit_paragraphs)
+        except ValueError as exc:
+            raise ValueError(f"{_unit_name(key)}: {exc}") from None
+    return per_unit
+
+
+def _load_paragraphs(path: str) -> list[ParagraphInstance]:
+    paragraphs = fileio.load_paragraphs(path)
+    if not paragraphs:
+        raise ValueError(f"no paragraphs in {path}")
+    return paragraphs
+
+
 def _group_units(paragraphs: Iterable[ParagraphInstance]
                  ) -> dict[UnitKey, list[ParagraphInstance]]:
     """Split paragraphs into canonically ordered (dataset, lang_pair, k) units."""
@@ -178,7 +194,7 @@ def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Optional[
     if args.metric is not None and args.mode == "aligned" and args.ratings is None:
         raise UsageError("aligned mode needs --ratings to recover the "
                          "sentence pairs")
-    units = _group_units(fileio.load_paragraphs(args.paragraphs))
+    units = _group_units(_load_paragraphs(args.paragraphs))
     return units, (fileio.load_ratings(args.ratings) if args.ratings else None)
 
 
@@ -218,7 +234,7 @@ def _unit_tables(args, key: UnitKey, unit_paragraphs: list[ParagraphInstance],
                  for (metric, lp, table_k), table in sorted(external.items())
                  if lp == lang_pair and table_k == k]
         if not found:
-            raise ValueError(f"no external scores for unit {_unit_name(key)}")
+            raise ValueError("no external scores for unit")
         return found
     table = _builtin_table(args, unit_paragraphs, records)
     return [(table.metric_name, args.mode, table)]
@@ -275,7 +291,7 @@ def cmd_export_training(args) -> int:
         raise UsageError(f"--size must be >= 1, got {args.size}")
     if args.ks is not None and args.strategy != "stratified":
         raise UsageError("--ks applies only to --strategy stratified")
-    pool = fileio.load_paragraphs(args.paragraphs)
+    pool = _load_paragraphs(args.paragraphs)
     if args.strategy == "stratified":
         ks = args.ks if args.ks is not None else sorted({p.k for p in pool})
         sample = sampling.sample_stratified(pool, args.size, ks, args.seed)
@@ -290,10 +306,8 @@ def cmd_export_training(args) -> int:
 def cmd_score(args) -> int:
     units, records = _load_units(args)
     label = args.label or f"{args.metric}-{args.mode}"
-    per_unit = {}
-    for key, unit_paragraphs in units.items():
-        table = _builtin_table(args, unit_paragraphs, records)
-        per_unit[key] = fileio.score_rows(label, key[1], table.entries)
+    per_unit = _per_unit(units, lambda key, unit_paragraphs: fileio.score_rows(
+        label, key[1], _builtin_table(args, unit_paragraphs, records).entries))
     return _report(per_unit, lambda key, rows: f"{_unit_name(key)}: scored "
                    f"{len(rows)} paragraphs ({label})",
                    args.out, _write_scores, "scores")
@@ -345,9 +359,8 @@ def cmd_metaeval(args) -> int:
                 row("metric_tie_rate", metaeval.tie_rates(pairs, metaeval.METRIC))
         return rows
 
-    per_unit = {key: unit_rows(key, unit) for key, unit in units.items()}
-    return _report(per_unit, lambda key, rows: f"{_unit_name(key)}: " + ", ".join(
-        f"{r.statistic}={r.value:.4f}" for r in rows), args.out)
+    return _report(_per_unit(units, unit_rows), lambda key, rows: f"{_unit_name(key)}: "
+                   + ", ".join(f"{r.statistic}={r.value:.4f}" for r in rows), args.out)
 
 
 def cmd_ties(args) -> int:
@@ -371,31 +384,30 @@ def cmd_ties(args) -> int:
                                       metaeval.tie_rates(attached, metaeval.METRIC)))
         return rows
 
-    per_unit = {key: unit_rows(key, unit) for key, unit in units.items()}
-    return _report(per_unit, lambda key, rows: "\n".join(
+    return _report(_per_unit(units, unit_rows), lambda key, rows: "\n".join(
         f"{_unit_name(key)}: {r.statistic}({r.metric})={r.value:.4f}" for r in rows),
         args.out)
 
 
 def cmd_compare_modes(args) -> int:
-    paragraphs = fileio.load_paragraphs(args.paragraphs)
+    units = _group_units(_load_paragraphs(args.paragraphs))
     records = fileio.load_ratings(args.ratings)
     metric = metrics.BUILTIN_METRICS[args.metric]
-    per_unit = {}
-    for key, unit_paragraphs in _group_units(paragraphs).items():
+
+    def unit_rows(key, unit_paragraphs):
         direct = metrics.score_direct(metric, unit_paragraphs)
         aligned = metrics.score_aligned_avg(metric, unit_paragraphs, records)
-        per_unit[key] = [ReportRow(*key, args.metric, "direct_vs_aligned",
-                                   "mode_pearson",
-                                   metaeval.mode_correlation(direct, aligned))]
-    return _report(per_unit, lambda key, rows:
+        return [ReportRow(*key, args.metric, "direct_vs_aligned", "mode_pearson",
+                          metaeval.mode_correlation(direct, aligned))]
+
+    return _report(_per_unit(units, unit_rows), lambda key, rows:
                    f"{_unit_name(key)}: mode_pearson={rows[0].value:.4f}", args.out)
 
 
 def cmd_stats(args) -> int:
     if args.budget < 1:
         raise UsageError(f"--budget must be >= 1, got {args.budget}")
-    paragraphs = fileio.load_paragraphs(args.paragraphs)
+    paragraphs = _load_paragraphs(args.paragraphs)
     counter = (metrics.char_token_count if args.counter == "char"
                else metrics.whitespace_token_count)
     want_lengths = args.lengths or not args.truncation

@@ -13,6 +13,7 @@ import gzip
 import io
 import json
 import math
+import operator
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -24,6 +25,7 @@ from .model import (
     ScoreType,
     validate_ratings,
 )
+from .paragraphs import aggregate_score
 
 RATING_FIELDS = (
     "dataset_id", "lang_pair", "system_id", "doc_id", "sent_index",
@@ -31,6 +33,7 @@ RATING_FIELDS = (
     "hypothesis_text", "token_count_ref", "token_count_hyp",
 )
 _RATING_REQUIRED = frozenset(RATING_FIELDS) - {"token_count_ref", "token_count_hyp"}
+_RATING_KNOWN = frozenset(RATING_FIELDS)
 
 PARAGRAPH_FIELDS = (
     "dataset_id", "lang_pair", "system_id", "doc_id", "start_index", "k",
@@ -39,6 +42,14 @@ PARAGRAPH_FIELDS = (
     "token_count_ref", "token_count_hyp",
 )
 _PARAGRAPH_REQUIRED = frozenset(PARAGRAPH_FIELDS) - {"token_count_ref", "token_count_hyp"}
+_PARAGRAPH_KNOWN = frozenset(PARAGRAPH_FIELDS)
+# A record's required values in field order, and the exact JSON type of each.
+_rating_values = operator.itemgetter(*RATING_FIELDS[:11])
+_RATING_TYPES = (str, str, str, str, int, str, float, str, str, str, str)
+_paragraph_values = operator.itemgetter(*PARAGRAPH_FIELDS[:13])
+_PARAGRAPH_TYPES = (str, str, str, str, int, int, str, str, float, list, str, str, str)
+_SCORE_TYPES = {t.value: t for t in ScoreType}
+_PARAGRAPH_KEY = "dataset={} lang_pair={} system={} doc={} start_index={} k={}"
 
 SCORES_HEADER = ("metric", "lang_pair", "system", "doc_id", "start_index", "k", "score")
 
@@ -132,6 +143,16 @@ def read_rating_lines(stream: Lines) -> list[RatingRecord]:
     """Parse a ratings stream without collection-level validation."""
     records = []
     for lineno, obj in _parse_lines(stream):
+        # A record of exactly the expected JSON types is built directly; any
+        # other goes through the field getters, which word the error.
+        if _RATING_REQUIRED <= obj.keys() <= _RATING_KNOWN:
+            values = _rating_values(obj)
+            counts = obj.get("token_count_ref"), obj.get("token_count_hyp")
+            if (tuple(map(type, values)) == _RATING_TYPES and values[7] in _SCORE_TYPES
+                    and all(c is None or type(c) is int and c >= 0 for c in counts)):
+                records.append(RatingRecord(*values[:7], _SCORE_TYPES[values[7]],
+                                            *values[8:], *counts))
+                continue
         _check_fields(obj, _RATING_REQUIRED, RATING_FIELDS, lineno)
         records.append(RatingRecord(
             dataset_id=_get_str(obj, "dataset_id", lineno),
@@ -165,14 +186,14 @@ def parse_ratings(stream: Lines) -> list[RatingRecord]:
     return records
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+# One encoder for every record; json.dumps would build one per call.
+dump_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def write_ratings(records: Iterable[RatingRecord], stream: IO[str]) -> None:
     """Serialize records one per line, fields in fixed order."""
     for r in records:
-        stream.write(_dump({
+        stream.write(dump_json({
             "dataset_id": r.dataset_id,
             "lang_pair": r.lang_pair,
             "system_id": r.system_id,
@@ -193,7 +214,7 @@ def write_ratings(records: Iterable[RatingRecord], stream: IO[str]) -> None:
 def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -> None:
     """Serialize paragraphs one per line, fields in fixed order."""
     for p in paragraphs:
-        stream.write(_dump({
+        stream.write(dump_json({
             "dataset_id": p.dataset_id,
             "lang_pair": p.lang_pair,
             "system_id": p.system_id,
@@ -215,19 +236,30 @@ def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -
 
 def read_paragraphs(stream: Lines) -> list[ParagraphInstance]:
     """Parse a paragraph stream, checking per-paragraph invariants."""
-    from .paragraphs import aggregate_score  # cycle: paragraphs imports model only
-
     paragraphs = []
     for lineno, obj in _parse_lines(stream):
+        # As in read_rating_lines. A sum is finite only if every term is, so a
+        # finite human_score close to the aggregate has finite sentence scores.
+        if _PARAGRAPH_REQUIRED <= obj.keys() <= _PARAGRAPH_KNOWN:
+            values = _paragraph_values(obj)
+            counts = obj.get("token_count_ref"), obj.get("token_count_hyp")
+            _, _, _, _, start, k, score_type, _, human, scores, *_ = values
+            kind = (_SCORE_TYPES.get(score_type)
+                    if tuple(map(type, values)) == _PARAGRAPH_TYPES else None)
+            if (kind is not None and start >= 0 and len(scores) == k >= 1
+                    and {float}.issuperset(map(type, scores))
+                    and all(c is None or type(c) is int and c >= 0 for c in counts)
+                    and math.isfinite(human) and math.isclose(
+                        human, aggregate_score(scores, kind), rel_tol=1e-9, abs_tol=1e-9)):
+                paragraphs.append(ParagraphInstance(*values[:6], kind, *values[7:9],
+                                                    tuple(scores), *values[10:], *counts))
+                continue
         _check_fields(obj, _PARAGRAPH_REQUIRED, PARAGRAPH_FIELDS, lineno)
         scores = obj["sentence_scores"]
         if (not isinstance(scores, list)
                 or any(isinstance(s, bool) or not isinstance(s, (int, float))
                        for s in scores)):
             raise ParseError(lineno, "field sentence_scores must be a list of numbers")
-        key = (f"dataset={obj.get('dataset_id')} lang_pair={obj.get('lang_pair')} "
-               f"system={obj.get('system_id')} doc={obj.get('doc_id')} "
-               f"start_index={obj.get('start_index')} k={obj.get('k')}")
         try:
             paragraph = ParagraphInstance(
                 dataset_id=_get_str(obj, "dataset_id", lineno),
@@ -251,6 +283,7 @@ def read_paragraphs(stream: Lines) -> list[ParagraphInstance]:
         except ParseError:  # a field getter's own report, already complete
             raise
         except ValueError as exc:  # the paragraph's own invariant checks
+            key = _PARAGRAPH_KEY.format(*_paragraph_values(obj))
             raise ParseError(lineno, f"invariant violation for {key}: {exc}") from None
         # JSON's Infinity and NaN (and overflowing literals such as 1e400)
         # parse as floats; a non-finite score would read as a human tie.
@@ -263,8 +296,8 @@ def read_paragraphs(stream: Lines) -> list[ParagraphInstance]:
         expected = aggregate_score(paragraph.sentence_scores, paragraph.score_type)
         if not math.isclose(paragraph.human_score, expected,
                             rel_tol=1e-9, abs_tol=1e-9):
-            raise ParseError(
-                lineno, f"invariant violation for {key}: human_score "
+            raise ParseError(lineno, f"invariant violation for "
+                f"{_PARAGRAPH_KEY.format(*_paragraph_values(obj))}: human_score "
                 f"{paragraph.human_score!r} does not aggregate its "
                 f"sentence_scores (expected {expected!r})")
         paragraphs.append(paragraph)

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
 
 from .model import EvalItem, ItemKey, ScoreTable, SystemEntry, TauCalibration
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Sentinel for tie_rates: score the human side of the items.
 HUMAN = "human"
@@ -78,6 +79,7 @@ def system_pairwise_accuracy(metric_sys: Mapping[str, float],
     Pairs with exactly equal human scores are excluded; a metric
     difference of exactly zero on a counted pair is a disagreement.
     """
+    import numpy as np
     if set(metric_sys) != set(human_sys):
         raise ValueError(f"system key sets differ: "
                          f"{sorted(set(metric_sys) ^ set(human_sys))}")
@@ -107,6 +109,7 @@ class PairTable:
     @classmethod
     def from_blocks(cls, blocks: Iterable[tuple[np.ndarray, ...]]) -> PairTable:
         """Build from (human, metric) score matrices of shape (items, systems)."""
+        import numpy as np
         humans, metrics, shapes = [np.empty(0)], [np.empty(0)], []
         for human, metric in blocks:
             first, second = np.triu_indices(human.shape[1], 1)
@@ -124,6 +127,7 @@ class PairTable:
 
 def _table(items: Iterable[EvalItem],
            systems_of: Callable[[EvalItem], list[str]]) -> PairTable:
+    import numpy as np
     rows: dict[int, tuple[list, list]] = {}
     for item in items:
         systems = systems_of(item)
@@ -157,6 +161,7 @@ def segment_accuracy(items: Items, epsilon: float) -> float:
     fewer than two metric-scored systems are dropped. ``items`` may also
     be a ``pair_table`` built from them.
     """
+    import numpy as np
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     table = items if isinstance(items, PairTable) else pair_table(items)
@@ -174,6 +179,7 @@ def tau_optimize(items: Items) -> TauCalibration:
     first maximum at the end of a run of equal differences wins if it
     beats epsilon 0, so ties in accuracy resolve to the smallest epsilon.
     """
+    import numpy as np
     table = items if isinstance(items, PairTable) else pair_table(items)
     sign_correct = table.human == np.sign(table.metric)
     flips = np.flatnonzero((table.human == 0) != sign_correct)
@@ -216,6 +222,7 @@ def tie_rates(items: Items, source: str) -> float:
     or of a ``pair_table``'s pairs) or METRIC for the attached metric
     scores.
     """
+    import numpy as np
     if source not in (HUMAN, METRIC):
         raise ValueError(f"unknown score source: {source!r}")
     if not isinstance(items, PairTable):

@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from statistics import fmean, pstdev
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .metaeval import PairTable, segment_accuracy
 from .model import EvalItem, SimConfig, SystemEntry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,7 @@ def simulate(config: SimConfig) -> Dict[int, SimulatedItems]:
     Returns a mapping from window size to items; each item holds every
     system's simulated human and metric paragraph scores.
     """
+    import numpy as np
     rng = np.random.Generator(np.random.PCG64(config.seed))
     shape = (config.n_items, config.n_systems, config.max_k)
     system_means = rng.normal(0.0, config.system_mean_spread, config.n_systems)

@@ -10,11 +10,12 @@ silent replacement fallback.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .model import ParagraphInstance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _canonical(pool: Iterable[ParagraphInstance]) -> list[ParagraphInstance]:
@@ -30,6 +31,7 @@ def _draw(pool: list[ParagraphInstance], n: int,
 def sample_uniform(pool: Iterable[ParagraphInstance], n: int,
                    seed: int) -> list[ParagraphInstance]:
     """Draw n distinct paragraphs uniformly at random, without replacement."""
+    import numpy as np
     pool = _canonical(pool)
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
@@ -46,6 +48,7 @@ def sample_stratified(pool: Iterable[ParagraphInstance], n: int,
     n must be divisible by len(ks), and each stratum must hold at least
     n / len(ks) paragraphs; paragraphs whose k is not listed are ignored.
     """
+    import numpy as np
     ks = list(ks)
     if not ks:
         raise ValueError("ks must be non-empty")

@@ -2,9 +2,13 @@
 
 Everything here trades speed for obviousness: plain list scans, explicit
 pair enumeration, product-form BLEU, and exact rational arithmetic where
-the library promises exactness. None of it shares code with the package.
+the library promises exactness. None of it shares code with the package,
+except that the record readers at the end build the package's own record
+types and errors, so that their results can be compared directly.
 """
 
+import json
+import math
 import unicodedata
 from fractions import Fraction
 from itertools import combinations
@@ -215,3 +219,182 @@ def tie_rate_exact(items, side):
     if count == 0:
         raise ValueError("no pairs")
     return Fraction(tied, count)
+
+
+# --- JSONL record readers ---------------------------------------------------
+# The package's ratings and paragraphs readers as they were before their
+# one-pass record check: each field goes through its own getter. They build
+# the package's record types and raise its ParseError, so the readers can
+# be compared record for record and message for message; paraeval is
+# imported when they run, not when this module loads.
+
+RATING_FIELDS = (
+    "dataset_id", "lang_pair", "system_id", "doc_id", "sent_index",
+    "rater_id", "score", "score_type", "source_text", "reference_text",
+    "hypothesis_text", "token_count_ref", "token_count_hyp",
+)
+_RATING_REQUIRED = frozenset(RATING_FIELDS) - {"token_count_ref", "token_count_hyp"}
+
+PARAGRAPH_FIELDS = (
+    "dataset_id", "lang_pair", "system_id", "doc_id", "start_index", "k",
+    "score_type", "rater_id", "human_score", "sentence_scores",
+    "source_text", "reference_text", "hypothesis_text",
+    "token_count_ref", "token_count_hyp",
+)
+_PARAGRAPH_REQUIRED = frozenset(PARAGRAPH_FIELDS) - {"token_count_ref", "token_count_hyp"}
+
+
+def _parse_error(lineno, reason):
+    from paraeval.fileio import ParseError
+    return ParseError(lineno, reason)
+
+
+def _check_fields(obj, required, known, lineno):
+    for name in sorted(required):
+        if name not in obj:
+            raise _parse_error(lineno, f"missing field {name}")
+    for name in sorted(obj):
+        if name not in known:
+            raise _parse_error(lineno, f"unknown field {name}")
+
+
+def _get_str(obj, name, lineno):
+    value = obj[name]
+    if not isinstance(value, str):
+        raise _parse_error(lineno, f"field {name} must be a string, got {value!r}")
+    return value
+
+
+def _get_int(obj, name, lineno):
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _parse_error(lineno, f"field {name} must be an integer, got {value!r}")
+    return value
+
+
+def _get_float(obj, name, lineno):
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _parse_error(lineno, f"field {name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise _parse_error(lineno, f"field {name} is out of float range") from None
+
+
+def _get_opt_count(obj, name, lineno):
+    value = obj.get(name)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise _parse_error(lineno, f"field {name} must be a non-negative integer or null")
+    return value
+
+
+def _get_score_type(obj, lineno):
+    from paraeval.model import ScoreType
+
+    value = _get_str(obj, "score_type", lineno)
+    try:
+        return ScoreType(value)
+    except ValueError:
+        raise _parse_error(lineno, f"unknown score_type {value!r}") from None
+
+
+def _parse_lines(stream):
+    for lineno, line in enumerate(stream, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise _parse_error(lineno, f"invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise _parse_error(lineno, "expected a JSON object")
+        yield lineno, obj
+
+
+def read_rating_lines(stream):
+    """Parse a ratings stream without collection-level validation."""
+    from paraeval.model import RatingRecord
+
+    records = []
+    for lineno, obj in _parse_lines(stream):
+        _check_fields(obj, _RATING_REQUIRED, RATING_FIELDS, lineno)
+        records.append(RatingRecord(
+            dataset_id=_get_str(obj, "dataset_id", lineno),
+            lang_pair=_get_str(obj, "lang_pair", lineno),
+            system_id=_get_str(obj, "system_id", lineno),
+            doc_id=_get_str(obj, "doc_id", lineno),
+            sent_index=_get_int(obj, "sent_index", lineno),
+            rater_id=_get_str(obj, "rater_id", lineno),
+            score=_get_float(obj, "score", lineno),
+            score_type=_get_score_type(obj, lineno),
+            source_text=_get_str(obj, "source_text", lineno),
+            reference_text=_get_str(obj, "reference_text", lineno),
+            hypothesis_text=_get_str(obj, "hypothesis_text", lineno),
+            token_count_ref=_get_opt_count(obj, "token_count_ref", lineno),
+            token_count_hyp=_get_opt_count(obj, "token_count_hyp", lineno),
+        ))
+    return records
+
+
+def read_paragraphs(stream):
+    """Parse a paragraph stream, checking per-paragraph invariants."""
+    from paraeval.fileio import ParseError
+    from paraeval.model import ParagraphInstance
+    from paraeval.paragraphs import aggregate_score
+
+    paragraphs = []
+    for lineno, obj in _parse_lines(stream):
+        _check_fields(obj, _PARAGRAPH_REQUIRED, PARAGRAPH_FIELDS, lineno)
+        scores = obj["sentence_scores"]
+        if (not isinstance(scores, list)
+                or any(isinstance(s, bool) or not isinstance(s, (int, float))
+                       for s in scores)):
+            raise ParseError(lineno, "field sentence_scores must be a list of numbers")
+        key = (f"dataset={obj.get('dataset_id')} lang_pair={obj.get('lang_pair')} "
+               f"system={obj.get('system_id')} doc={obj.get('doc_id')} "
+               f"start_index={obj.get('start_index')} k={obj.get('k')}")
+        try:
+            paragraph = ParagraphInstance(
+                dataset_id=_get_str(obj, "dataset_id", lineno),
+                lang_pair=_get_str(obj, "lang_pair", lineno),
+                system_id=_get_str(obj, "system_id", lineno),
+                doc_id=_get_str(obj, "doc_id", lineno),
+                start_index=_get_int(obj, "start_index", lineno),
+                k=_get_int(obj, "k", lineno),
+                score_type=_get_score_type(obj, lineno),
+                rater_id=_get_str(obj, "rater_id", lineno),
+                human_score=_get_float(obj, "human_score", lineno),
+                sentence_scores=tuple(float(s) for s in scores),
+                source_text=_get_str(obj, "source_text", lineno),
+                reference_text=_get_str(obj, "reference_text", lineno),
+                hypothesis_text=_get_str(obj, "hypothesis_text", lineno),
+                token_count_ref=_get_opt_count(obj, "token_count_ref", lineno),
+                token_count_hyp=_get_opt_count(obj, "token_count_hyp", lineno),
+            )
+        except OverflowError:  # an integer literal beyond the float range
+            raise ParseError(lineno, "field sentence_scores is out of float range") from None
+        except ParseError:  # a field getter's own report, already complete
+            raise
+        except ValueError as exc:  # the paragraph's own invariant checks
+            raise ParseError(lineno, f"invariant violation for {key}: {exc}") from None
+        # JSON's Infinity and NaN (and overflowing literals such as 1e400)
+        # parse as floats; a non-finite score would read as a human tie.
+        if not math.isfinite(paragraph.human_score):
+            raise ParseError(lineno, f"field human_score must be finite, "
+                             f"got {paragraph.human_score!r}")
+        if not all(map(math.isfinite, paragraph.sentence_scores)):
+            raise ParseError(lineno, f"field sentence_scores must be finite, "
+                             f"got {list(paragraph.sentence_scores)!r}")
+        expected = aggregate_score(paragraph.sentence_scores, paragraph.score_type)
+        if not math.isclose(paragraph.human_score, expected,
+                            rel_tol=1e-9, abs_tol=1e-9):
+            raise ParseError(
+                lineno, f"invariant violation for {key}: human_score "
+                f"{paragraph.human_score!r} does not aggregate its "
+                f"sentence_scores (expected {expected!r})")
+        paragraphs.append(paragraph)
+    return paragraphs

@@ -109,6 +109,15 @@ def two_dataset_paragraphs(tmp_path):
 
 
 @pytest.fixture
+def one_system_k2_paragraphs(tmp_path):
+    """en-ru k=1 and k=2 units; only sysA's doc is long enough for k=2."""
+    records = [mqm(0, -1.0, "sysA", "d1", lang_pair="en-ru"),
+               mqm(1, -2.0, "sysA", "d1", lang_pair="en-ru"),
+               mqm(0, -3.0, "sysB", "d1", lang_pair="en-ru")]
+    return write_paragraph_file(tmp_path / "one-system-k2.jsonl", records, [1, 2])
+
+
+@pytest.fixture
 def rich_ratings(tmp_path):
     return write_ratings(tmp_path / "rich-ratings.jsonl", rich_records())
 
@@ -410,6 +419,18 @@ class TestMetaeval:
             capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
 
+    @pytest.mark.parametrize("level, message", [
+        ("segment", "no item has 2 or more systems with metric scores"),
+        ("system", "need at least 2 systems, got 1"),
+    ])
+    def test_unit_that_cannot_be_evaluated_is_named(self, one_system_k2_paragraphs,
+                                                    level, message, tmp_path, capsys):
+        assert main(["metaeval", "--paragraphs", one_system_k2_paragraphs,
+                     "--metric", "bleu", "--level", level,
+                     "--out", str(tmp_path / "r")]) == 2
+        assert f"error: wmt/en-ru k=2: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
     def test_no_leftover_temp_files(self, tau_paragraphs, tau_scores,
                                     tmp_path):
         base = tmp_path / "report"
@@ -446,6 +467,13 @@ class TestTies:
         assert main(["ties", "--paragraphs", two_dataset_paragraphs,
                      "--scores", tau_scores, "--out", str(tmp_path / "r")]) == 2
         assert "lang_pair en-de spans datasets wmtA, wmtB" in \
+            capsys.readouterr().err
+
+    def test_unit_without_pairs_is_named(self, one_system_k2_paragraphs, tmp_path,
+                                         capsys):
+        assert main(["ties", "--paragraphs", one_system_k2_paragraphs,
+                     "--out", str(tmp_path / "r")]) == 2
+        assert "error: wmt/en-ru k=2: no within-item system pairs" in \
             capsys.readouterr().err
 
     def test_two_score_sources_exit_1(self, tau_paragraphs, tau_scores,
@@ -518,6 +546,28 @@ class TestStats:
         assert main(["stats", "--paragraphs", rich_paragraphs, "--truncation",
                      "--budget", "0", "--out", str(tmp_path / "s")]) == 1
         assert "--budget" in capsys.readouterr().err
+
+
+# Every command that reads a paragraphs file, with its other arguments.
+PARAGRAPH_COMMANDS = {
+    "score": ["--metric", "bleu", "--out", "{out}.tsv"],
+    "metaeval": ["--metric", "bleu", "--out", "{out}"],
+    "ties": ["--out", "{out}"],
+    "stats": ["--out", "{out}"],
+    "compare-modes": ["--ratings", "{ratings}", "--out", "{out}"],
+    "export-training": ["--size", "1", "--out", "{out}.jsonl"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARAGRAPH_COMMANDS))
+def test_empty_paragraphs_file_exits_2(command, tau_ratings, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    argv = [arg.format(out=tmp_path / "out", ratings=tau_ratings)
+            for arg in PARAGRAPH_COMMANDS[command]]
+    assert main([command, "--paragraphs", str(empty), *argv]) == 2
+    assert f"error: no paragraphs in {empty}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
 
 
 SIM_CONFIG = """\
@@ -653,3 +703,45 @@ class TestEntryPoint:
                      "metaeval", "stats", "ties", "compare-modes",
                      "simulate", "validate"):
             assert name in out
+
+
+# Runs the CLI as `python -m paraeval` does, then reports its exit code and
+# whether numpy was imported.
+IMPORT_PROBE = """
+import runpy, sys
+sys.argv[0] = "paraeval"
+try:
+    runpy.run_module("paraeval", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, "numpy" in sys.modules)
+"""
+
+IMPORT_CASES = {
+    "validate": (["--ratings", "{ratings}"], False),
+    "build-paragraphs": (["--ratings", "{ratings}", "--k", "1,2", "--out", "{out}"], False),
+    "score": (["--paragraphs", "{paragraphs}", "--out", "{out}.tsv"], False),
+    "compare-modes": (["--paragraphs", "{paragraphs}", "--ratings", "{ratings}",
+                       "--out", "{out}"], False),
+    "stats": (["--paragraphs", "{paragraphs}", "--out", "{out}"], False),
+    "metaeval": (["--paragraphs", "{paragraphs}", "--metric", "bleu", "--out", "{out}"],
+                 True),
+    "simulate": (["--config", "{config}", "--ks", "1,4", "--seeds", "2", "--out", "{out}"],
+                 True),
+}
+
+
+@pytest.mark.parametrize("command", list(IMPORT_CASES))
+def test_only_the_statistics_commands_import_numpy(command, rich_ratings, rich_paragraphs,
+                                                   tmp_path):
+    config = tmp_path / "sim.cfg"
+    config.write_text(SIM_CONFIG, encoding="utf-8")
+    args, loads_numpy = IMPORT_CASES[command]
+    argv = [arg.format(ratings=rich_ratings, paragraphs=rich_paragraphs, config=config,
+                       out=tmp_path / "out") for arg in args]
+    source = str(Path(paraeval.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, command, *argv],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"0 {loads_numpy}"

@@ -1,0 +1,196 @@
+"""Property tests: the one-pass JSONL record readers against the oracles.
+
+``oracles.read_rating_lines`` and ``oracles.read_paragraphs`` check every
+field through its own getter. Each example is a few random valid records,
+one per line with blank lines mixed in, and at most one of them mutated
+in one field: a value of the wrong JSON type, a missing or unknown field,
+an integer where a float is expected, a non-finite or out-of-range
+number, an inconsistent k, a negative index or count, an unknown score
+type (also an unhashable one), or a human score that does not aggregate
+its sentence scores. The readers must return the records the oracles
+return, or raise the same error with the same message.
+"""
+
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from paraeval import fileio
+
+# Fixed examples: a tier-1 gate must not pass on one run and fail on the next.
+PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
+                    database=None)
+
+# A JSON string that no drawn text serializes to; it marks where a raw
+# literal (NaN, 1e400, ...) goes into the serialized line.
+PLACEHOLDER = "\x00literal"
+TEXT = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\x00"),
+               max_size=6)
+SCORE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([0.0, -0.0, 1.0, -25.0, 0.5, 1e-12]))
+WRONG_TYPES = [True, False, None, [], [1.0], {}, {"MQM": 1}, 1, 1.5, "x"]
+LITERALS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400,
+            "-7", "0"]
+BAD_SCORE_TYPES = ["da_z", "", "MQM ", "DA", ["MQM"], {"MQM": 1}]
+# str.strip removes all of these, so each line reads as blank.
+BLANKS = ["", " ", "\t", "\u00a0", "\u2028"]
+COUNTS = ("token_count_ref", "token_count_hyp")
+
+
+def rating_record(draw):
+    record = {"dataset_id": draw(TEXT), "lang_pair": draw(TEXT),
+              "system_id": draw(TEXT), "doc_id": draw(TEXT),
+              "sent_index": draw(st.integers(0, 30)), "rater_id": draw(TEXT),
+              "score": draw(SCORE), "score_type": draw(st.sampled_from(["DA_Z", "MQM"])),
+              "source_text": draw(TEXT), "reference_text": draw(TEXT),
+              "hypothesis_text": draw(TEXT)}
+    for name in COUNTS:
+        if draw(st.booleans()):
+            record[name] = draw(st.one_of(st.none(), st.integers(0, 50)))
+    return record
+
+
+def paragraph_record(draw):
+    k = draw(st.integers(1, 4))
+    score_type = draw(st.sampled_from(["DA_Z", "MQM"]))
+    scores = draw(st.lists(SCORE, min_size=k, max_size=k))
+    total = 0.0
+    for score in scores:
+        total += score
+    record = {"dataset_id": draw(TEXT), "lang_pair": draw(TEXT),
+              "system_id": draw(TEXT), "doc_id": draw(TEXT),
+              "start_index": draw(st.integers(0, 30)), "k": k,
+              "score_type": score_type, "rater_id": draw(TEXT),
+              "human_score": total / k if score_type == "DA_Z" else total,
+              "sentence_scores": scores, "source_text": draw(TEXT),
+              "reference_text": draw(TEXT), "hypothesis_text": draw(TEXT)}
+    for name in COUNTS:
+        if draw(st.booleans()):
+            record[name] = draw(st.one_of(st.none(), st.integers(0, 50)))
+    return record
+
+
+def _as_int(value):
+    try:
+        return int(value)
+    except (OverflowError, ValueError):
+        return 0
+
+
+def mutate(draw, record, fields, index_field, float_field):
+    """Change one field of record in place; return a literal for PLACEHOLDER."""
+    kind = draw(st.sampled_from([
+        "none", "wrong_type", "missing", "unknown", "int_for_float", "literal",
+        "negative_index", "negative_count", "score_type", "k", "aggregate"]))
+    if kind == "wrong_type":
+        record[draw(st.sampled_from(fields))] = draw(st.sampled_from(WRONG_TYPES))
+    elif kind == "missing":
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif kind == "unknown":
+        record[draw(TEXT.filter(lambda name: name not in fields))] = 0
+    elif kind == "int_for_float":
+        record[float_field] = _as_int(record[float_field])
+        if "sentence_scores" in record and draw(st.booleans()):
+            scores = record["sentence_scores"]
+            position = draw(st.integers(0, len(scores) - 1))
+            scores[position] = _as_int(scores[position])
+    elif kind == "literal":
+        # In a sentence score, in the float field, or in both.
+        where = draw(st.integers(0, 2)) if "sentence_scores" in record else 1
+        if where != 1:
+            scores = record["sentence_scores"]
+            scores[draw(st.integers(0, len(scores) - 1))] = PLACEHOLDER
+        if where != 0:
+            record[float_field] = PLACEHOLDER
+        return draw(st.sampled_from(LITERALS))
+    elif kind == "negative_index":
+        record[index_field] = -draw(st.integers(1, 5))
+    elif kind == "negative_count":
+        record[draw(st.sampled_from(COUNTS))] = -draw(st.integers(1, 5))
+    elif kind == "score_type":
+        record["score_type"] = draw(st.sampled_from(BAD_SCORE_TYPES))
+    elif kind == "k" and "k" in record:
+        if draw(st.booleans()):
+            record["k"] = draw(st.sampled_from([0, record["k"] - 1, record["k"] + 1]))
+        else:
+            record["sentence_scores"] = record["sentence_scores"][1:]
+    elif kind == "aggregate" and "human_score" in record:
+        record["human_score"] += draw(st.sampled_from([1e-12, 1e-3, 1.0, -0.5]))
+    return None
+
+
+def serialize(draw, records, mutated, literal):
+    lines = []
+    for index, record in enumerate(records):
+        line = json.dumps(record, ensure_ascii=False)
+        if index == mutated and literal is not None:
+            line = line.replace(json.dumps(PLACEHOLDER), literal)
+        lines.extend(draw(st.lists(st.sampled_from(BLANKS), max_size=2)))
+        lines.append(line)
+    lines.extend(draw(st.lists(st.sampled_from(BLANKS), max_size=2)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def stream_text(draw, make_record, fields, index_field, float_field):
+    records = [make_record(draw) for _ in range(draw(st.integers(1, 4)))]
+    mutated = draw(st.integers(0, len(records) - 1))
+    literal = mutate(draw, records[mutated], fields, index_field, float_field)
+    return serialize(draw, records, mutated, literal)
+
+
+def outcome(read, text):
+    try:
+        return [repr(record) for record in read(io.StringIO(text))]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(stream_text(rating_record, fileio.RATING_FIELDS, "sent_index", "score"))
+def test_rating_reader_matches_the_field_by_field_oracle(text):
+    assert outcome(fileio.read_rating_lines, text) == \
+        outcome(oracles.read_rating_lines, text)
+
+
+@PROPERTY
+@given(stream_text(paragraph_record, fileio.PARAGRAPH_FIELDS, "start_index",
+                   "human_score"))
+def test_paragraph_reader_matches_the_field_by_field_oracle(text):
+    assert outcome(fileio.read_paragraphs, text) == \
+        outcome(oracles.read_paragraphs, text)
+
+
+VALID_RATING = {
+    "dataset_id": "wmt", "lang_pair": "en-de", "system_id": "sysA", "doc_id": "d1",
+    "sent_index": 0, "rater_id": "r1", "score": -1.0, "score_type": "MQM",
+    "source_text": "s", "reference_text": "r", "hypothesis_text": "h"}
+VALID_PARAGRAPH = {
+    "dataset_id": "wmt", "lang_pair": "en-de", "system_id": "sysA", "doc_id": "d1",
+    "start_index": 0, "k": 2, "score_type": "MQM", "rater_id": "r1",
+    "human_score": -3.0, "sentence_scores": [-1.0, -2.0], "source_text": "s",
+    "reference_text": "r", "hypothesis_text": "h"}
+READERS = {"rating": (VALID_RATING, fileio.read_rating_lines, oracles.read_rating_lines),
+           "paragraph": (VALID_PARAGRAPH, fileio.read_paragraphs, oracles.read_paragraphs)}
+
+
+@pytest.mark.parametrize("reader, field, value", [
+    ("rating", "score_type", ["MQM"]), ("rating", "score_type", {"MQM": 1}),
+    ("rating", "sent_index", True), ("rating", "sent_index", -1),
+    ("rating", "score", True), ("rating", "score", -1), ("rating", "rater_id", 3),
+    ("rating", "token_count_ref", 1.0), ("rating", "token_count_hyp", 0),
+    ("paragraph", "score_type", ["MQM"]), ("paragraph", "score_type", {"MQM": 1}),
+    ("paragraph", "k", True), ("paragraph", "start_index", False),
+    ("paragraph", "human_score", True), ("paragraph", "human_score", -3),
+    ("paragraph", "sentence_scores", [True, 1.0]), ("paragraph", "sentence_scores", [-1, -2]),
+    ("paragraph", "sentence_scores", "-1.0"), ("paragraph", "token_count_ref", True),
+    ("paragraph", "token_count_hyp", 1.0), ("paragraph", "token_count_ref", 0),
+])
+def test_a_field_of_another_type_is_read_as_the_oracle_reads_it(reader, field, value):
+    valid, read, oracle = READERS[reader]
+    text = json.dumps({**valid, field: value})
+    assert outcome(read, text) == outcome(oracle, text)
