@@ -2,9 +2,16 @@
 
 Ratings and paragraphs are stored as line-delimited JSON (one object per
 line, UTF-8, fixed field order, unknown fields rejected) so that free
-text with tabs or newlines survives round-trips. Metric scores are
-stored as a tab-separated table. All path-based loaders transparently
-accept gzip-compressed files, detected by magic bytes.
+text with tabs or newlines survives round-trips; a line nested too deeply
+for the JSON parser is a ParseError like any other malformed line. Metric
+scores are stored as a tab-separated table whose start_index and k are
+unsigned ASCII decimal integers and whose score is an ASCII decimal number,
+optionally signed and with an exponent. All path-based loaders
+transparently accept gzip-compressed files, detected by magic bytes.
+
+Every system translates the same documents, so ids, source and reference
+texts repeat once per system. Each reader call keeps one copy of each such
+string (a dict local to the call), so memory grows with distinct text.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ _RATING_TYPES = (str, str, str, str, int, str, float, str, str, str, str)
 _paragraph_values = operator.itemgetter(*PARAGRAPH_FIELDS[:13])
 _PARAGRAPH_TYPES = (str, str, str, str, int, int, str, str, float, list, str, str, str)
 _SCORE_TYPES = {t.value: t for t in ScoreType}
+# Parses one JSON value at an index of a string, without copying the string.
+_scan_json = json.JSONDecoder().scan_once
+_TOO_DEEP = "invalid JSON (nested too deeply)"
 _PARAGRAPH_KEY = "dataset={} lang_pair={} system={} doc={} start_index={} k={}"
 
 SCORES_HEADER = ("metric", "lang_pair", "system", "doc_id", "start_index", "k", "score")
@@ -91,10 +101,22 @@ def _get_str(obj: dict, name: str, lineno: int) -> str:
     return value
 
 
+def _get_shared(obj: dict, name: str, lineno: int, share) -> str:
+    value = _get_str(obj, name, lineno)
+    return share(value, value)
+
+
 def _get_int(obj: dict, name: str, lineno: int) -> int:
     value = obj[name]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(lineno, f"field {name} must be an integer, got {value!r}")
+    return value
+
+
+def _get_index(obj: dict, name: str, lineno: int) -> int:
+    value = _get_int(obj, name, lineno)
+    if value < 0:
+        raise ParseError(lineno, f"field {name} must be >= 0, got {value}")
     return value
 
 
@@ -127,6 +149,20 @@ def _get_score_type(obj: dict, lineno: int) -> ScoreType:
 
 def _parse_lines(stream: Lines) -> Iterator[tuple[int, dict]]:
     for lineno, line in enumerate(stream, start=1):
+        # An object followed by nothing but whitespace is scanned in place.
+        # Any other line takes strip() and json.loads, which word the error;
+        # both paths accept the same lines.
+        if line[:1] == "{":
+            try:
+                obj, end = _scan_json(line, 0)
+            except RecursionError:
+                raise ParseError(lineno, _TOO_DEEP) from None
+            except (ValueError, StopIteration):
+                pass
+            else:
+                if end == len(line) or line[end:].isspace():
+                    yield lineno, obj
+                    continue
         line = line.strip()
         if not line:
             continue
@@ -134,6 +170,8 @@ def _parse_lines(stream: Lines) -> Iterator[tuple[int, dict]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(lineno, f"invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise ParseError(lineno, _TOO_DEEP) from None
         if not isinstance(obj, dict):
             raise ParseError(lineno, "expected a JSON object")
         yield lineno, obj
@@ -142,6 +180,7 @@ def _parse_lines(stream: Lines) -> Iterator[tuple[int, dict]]:
 def read_rating_lines(stream: Lines) -> list[RatingRecord]:
     """Parse a ratings stream without collection-level validation."""
     records = []
+    share = {}.setdefault  # one copy of each repeated string
     for lineno, obj in _parse_lines(stream):
         # A record of exactly the expected JSON types is built directly; any
         # other goes through the field getters, which word the error.
@@ -149,22 +188,29 @@ def read_rating_lines(stream: Lines) -> list[RatingRecord]:
             values = _rating_values(obj)
             counts = obj.get("token_count_ref"), obj.get("token_count_hyp")
             if (tuple(map(type, values)) == _RATING_TYPES and values[7] in _SCORE_TYPES
+                    and values[4] >= 0
                     and all(c is None or type(c) is int and c >= 0 for c in counts)):
-                records.append(RatingRecord(*values[:7], _SCORE_TYPES[values[7]],
-                                            *values[8:], *counts))
+                dataset, lang_pair, system, doc, index, rater, score, kind, \
+                    source, reference, hypothesis = values
+                records.append(RatingRecord(
+                    share(dataset, dataset), share(lang_pair, lang_pair),
+                    share(system, system), share(doc, doc), index,
+                    share(rater, rater), score, _SCORE_TYPES[kind],
+                    share(source, source), share(reference, reference),
+                    hypothesis, *counts))
                 continue
         _check_fields(obj, _RATING_REQUIRED, RATING_FIELDS, lineno)
         records.append(RatingRecord(
-            dataset_id=_get_str(obj, "dataset_id", lineno),
-            lang_pair=_get_str(obj, "lang_pair", lineno),
-            system_id=_get_str(obj, "system_id", lineno),
-            doc_id=_get_str(obj, "doc_id", lineno),
-            sent_index=_get_int(obj, "sent_index", lineno),
-            rater_id=_get_str(obj, "rater_id", lineno),
+            dataset_id=_get_shared(obj, "dataset_id", lineno, share),
+            lang_pair=_get_shared(obj, "lang_pair", lineno, share),
+            system_id=_get_shared(obj, "system_id", lineno, share),
+            doc_id=_get_shared(obj, "doc_id", lineno, share),
+            sent_index=_get_index(obj, "sent_index", lineno),
+            rater_id=_get_shared(obj, "rater_id", lineno, share),
             score=_get_float(obj, "score", lineno),
             score_type=_get_score_type(obj, lineno),
-            source_text=_get_str(obj, "source_text", lineno),
-            reference_text=_get_str(obj, "reference_text", lineno),
+            source_text=_get_shared(obj, "source_text", lineno, share),
+            reference_text=_get_shared(obj, "reference_text", lineno, share),
             hypothesis_text=_get_str(obj, "hypothesis_text", lineno),
             token_count_ref=_get_opt_count(obj, "token_count_ref", lineno),
             token_count_hyp=_get_opt_count(obj, "token_count_hyp", lineno),
@@ -237,13 +283,15 @@ def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -
 def read_paragraphs(stream: Lines) -> list[ParagraphInstance]:
     """Parse a paragraph stream, checking per-paragraph invariants."""
     paragraphs = []
+    share = {}.setdefault  # as in read_rating_lines
     for lineno, obj in _parse_lines(stream):
         # As in read_rating_lines. A sum is finite only if every term is, so a
         # finite human_score close to the aggregate has finite sentence scores.
         if _PARAGRAPH_REQUIRED <= obj.keys() <= _PARAGRAPH_KNOWN:
             values = _paragraph_values(obj)
             counts = obj.get("token_count_ref"), obj.get("token_count_hyp")
-            _, _, _, _, start, k, score_type, _, human, scores, *_ = values
+            dataset, lang_pair, system, doc, start, k, score_type, rater, human, \
+                scores, source, reference, hypothesis = values
             kind = (_SCORE_TYPES.get(score_type)
                     if tuple(map(type, values)) == _PARAGRAPH_TYPES else None)
             if (kind is not None and start >= 0 and len(scores) == k >= 1
@@ -251,8 +299,11 @@ def read_paragraphs(stream: Lines) -> list[ParagraphInstance]:
                     and all(c is None or type(c) is int and c >= 0 for c in counts)
                     and math.isfinite(human) and math.isclose(
                         human, aggregate_score(scores, kind), rel_tol=1e-9, abs_tol=1e-9)):
-                paragraphs.append(ParagraphInstance(*values[:6], kind, *values[7:9],
-                                                    tuple(scores), *values[10:], *counts))
+                paragraphs.append(ParagraphInstance(
+                    share(dataset, dataset), share(lang_pair, lang_pair),
+                    share(system, system), share(doc, doc), start, k, kind,
+                    share(rater, rater), human, tuple(scores), share(source, source),
+                    share(reference, reference), hypothesis, *counts))
                 continue
         _check_fields(obj, _PARAGRAPH_REQUIRED, PARAGRAPH_FIELDS, lineno)
         scores = obj["sentence_scores"]
@@ -262,18 +313,18 @@ def read_paragraphs(stream: Lines) -> list[ParagraphInstance]:
             raise ParseError(lineno, "field sentence_scores must be a list of numbers")
         try:
             paragraph = ParagraphInstance(
-                dataset_id=_get_str(obj, "dataset_id", lineno),
-                lang_pair=_get_str(obj, "lang_pair", lineno),
-                system_id=_get_str(obj, "system_id", lineno),
-                doc_id=_get_str(obj, "doc_id", lineno),
+                dataset_id=_get_shared(obj, "dataset_id", lineno, share),
+                lang_pair=_get_shared(obj, "lang_pair", lineno, share),
+                system_id=_get_shared(obj, "system_id", lineno, share),
+                doc_id=_get_shared(obj, "doc_id", lineno, share),
                 start_index=_get_int(obj, "start_index", lineno),
                 k=_get_int(obj, "k", lineno),
                 score_type=_get_score_type(obj, lineno),
-                rater_id=_get_str(obj, "rater_id", lineno),
+                rater_id=_get_shared(obj, "rater_id", lineno, share),
                 human_score=_get_float(obj, "human_score", lineno),
                 sentence_scores=tuple(float(s) for s in scores),
-                source_text=_get_str(obj, "source_text", lineno),
-                reference_text=_get_str(obj, "reference_text", lineno),
+                source_text=_get_shared(obj, "source_text", lineno, share),
+                reference_text=_get_shared(obj, "reference_text", lineno, share),
                 hypothesis_text=_get_str(obj, "hypothesis_text", lineno),
                 token_count_ref=_get_opt_count(obj, "token_count_ref", lineno),
                 token_count_hyp=_get_opt_count(obj, "token_count_hyp", lineno),
@@ -307,7 +358,8 @@ def read_paragraphs(stream: Lines) -> list[ParagraphInstance]:
 def parse_external_scores(stream: Lines) -> dict[tuple[str, str, int], ScoreTable]:
     """Parse a tab-separated score file into one table per (metric, lang_pair, k).
 
-    All tables are tagged mode EXTERNAL; duplicate (system, item) keys and
+    All tables are tagged mode EXTERNAL; duplicate (system, item) keys,
+    numbers outside the strict grammar (see the module docstring) and
     non-finite scores are rejected with their line number.
     """
     lines = iter(enumerate(stream, start=1))
@@ -320,6 +372,9 @@ def parse_external_scores(stream: Lines) -> dict[tuple[str, str, int], ScoreTabl
         raise ParseError(1, f"header must be {list(SCORES_HEADER)}, got {list(columns)}")
 
     groups: dict[tuple[str, str, int], dict] = {}
+    share = {}.setdefault  # as in read_rating_lines
+    # Each distinct start_index and k text, checked and converted once.
+    integers: dict[str, int] = {}
     for lineno, line in lines:
         line = line.rstrip("\n")
         if not line:
@@ -329,22 +384,32 @@ def parse_external_scores(stream: Lines) -> dict[tuple[str, str, int], ScoreTabl
             raise ParseError(lineno, f"expected {len(SCORES_HEADER)} columns, "
                                      f"got {len(fields)}")
         metric, lang_pair, system, doc_id, start_raw, k_raw, score_raw = fields
-        try:
-            start_index = int(start_raw)
-            k = int(k_raw)
-        except ValueError:
-            raise ParseError(lineno, "start_index and k must be integers") from None
+        # int() and float() also take surrounding whitespace, "_" between
+        # digits, a sign on an integer and non-ASCII digits; none is allowed.
+        start_index, k = integers.get(start_raw), integers.get(k_raw)
+        if start_index is None or k is None:
+            if not (start_raw.isdigit() and k_raw.isdigit()
+                    and start_raw.isascii() and k_raw.isascii()):
+                raise ParseError(lineno, f"start_index and k must be unsigned decimal "
+                                 f"integers, got {start_raw!r} and {k_raw!r}")
+            start_index = integers[start_raw] = int(start_raw)
+            k = integers[k_raw] = int(k_raw)
         try:
             score = float(score_raw)
         except ValueError:
-            raise ParseError(lineno, f"score does not parse as a number: {score_raw!r}") from None
+            score = None
+        if (score is None or not score_raw.isascii() or "_" in score_raw
+                or score_raw != score_raw.strip()):
+            raise ParseError(lineno, f"score is not a decimal number: {score_raw!r}")
         if not math.isfinite(score):
             raise ParseError(lineno, f"non-finite score: {score_raw!r}")
-        if k < 1 or start_index < 0:
-            raise ParseError(lineno, "start_index must be >= 0 and k >= 1")
+        if k < 1:
+            raise ParseError(lineno, "k must be >= 1")
 
-        entries = groups.setdefault((metric, lang_pair, k), {})
-        entry_key = (system, (doc_id, start_index, k))
+        entries = groups.get((metric, lang_pair, k))
+        if entries is None:
+            entries = groups[share(metric, metric), share(lang_pair, lang_pair), k] = {}
+        entry_key = (share(system, system), (share(doc_id, doc_id), start_index, k))
         if entry_key in entries:
             raise ParseError(
                 lineno, f"duplicate score key: metric={metric} lang_pair={lang_pair} "

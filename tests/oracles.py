@@ -272,6 +272,13 @@ def _get_int(obj, name, lineno):
     return value
 
 
+def _get_index(obj, name, lineno):
+    value = _get_int(obj, name, lineno)
+    if value < 0:
+        raise _parse_error(lineno, f"field {name} must be >= 0, got {value}")
+    return value
+
+
 def _get_float(obj, name, lineno):
     value = obj[name]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -327,7 +334,7 @@ def read_rating_lines(stream):
             lang_pair=_get_str(obj, "lang_pair", lineno),
             system_id=_get_str(obj, "system_id", lineno),
             doc_id=_get_str(obj, "doc_id", lineno),
-            sent_index=_get_int(obj, "sent_index", lineno),
+            sent_index=_get_index(obj, "sent_index", lineno),
             rater_id=_get_str(obj, "rater_id", lineno),
             score=_get_float(obj, "score", lineno),
             score_type=_get_score_type(obj, lineno),

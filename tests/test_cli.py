@@ -191,6 +191,18 @@ class TestValidate:
         assert main(["validate", "--ratings", str(path)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_negative_sent_index_exits_2_naming_the_line(self, tau_ratings, tmp_path,
+                                                          capsys):
+        lines = Path(tau_ratings).read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["sent_index"] = -1
+        lines[1] = json.dumps(record)
+        path = tmp_path / "negative.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["validate", "--ratings", str(path)]) == 2
+        assert "error: line 2: field sent_index must be >= 0, got -1" in \
+            capsys.readouterr().err
+
 
 class TestBuildParagraphs:
     def test_writes_one_file_per_k(self, tau_ratings, tmp_path, capsys):
@@ -411,6 +423,19 @@ class TestMetaeval:
                      "--out", str(tmp_path / "r")]) == 2
         assert "has no entry for system" in capsys.readouterr().err
 
+    def test_scores_with_a_lax_number_exit_2(self, tau_paragraphs, tau_scores,
+                                             tmp_path, capsys):
+        # float() would read "1_0" as 10.0.
+        lines = Path(tau_scores).read_text(encoding="utf-8").splitlines()
+        fields = lines[3].split("\t")
+        lines[3] = "\t".join([*fields[:-1], "1_0"])
+        path = tmp_path / "lax.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["metaeval", "--paragraphs", tau_paragraphs, "--scores", str(path),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert "error: line 4: score is not a decimal number: '1_0'" in \
+            capsys.readouterr().err
+
     def test_scores_for_a_lang_pair_spanning_two_datasets_exit_2(
             self, two_dataset_paragraphs, tau_scores, tmp_path, capsys):
         assert main(["metaeval", "--paragraphs", two_dataset_paragraphs,
@@ -568,6 +593,23 @@ def test_empty_paragraphs_file_exits_2(command, tau_ratings, tmp_path, capsys):
     assert main([command, "--paragraphs", str(empty), *argv]) == 2
     assert f"error: no paragraphs in {empty}" in capsys.readouterr().err
     assert not list(tmp_path.glob("out*"))
+
+
+# 100,000 levels of nesting: deeper than the JSON parser can recurse.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("line", [DEEP, '{"a": ' + DEEP + "}"],
+                         ids=["array", "in-object"])
+@pytest.mark.parametrize("argv", [["validate", "--ratings"],
+                                  ["stats", "--out", "{out}", "--paragraphs"]],
+                         ids=["validate", "stats"])
+def test_deeply_nested_line_exits_2_naming_the_line(argv, line, tmp_path, capsys):
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n" + line + "\n", encoding="utf-8")
+    argv = [arg.format(out=tmp_path / "out") for arg in argv]
+    assert main([*argv, str(path)]) == 2
+    assert "error: line 2: invalid JSON (nested too deeply)" in capsys.readouterr().err
 
 
 SIM_CONFIG = """\

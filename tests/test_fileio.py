@@ -2,9 +2,12 @@ import gzip
 import io
 import json
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
+import oracles
 from helpers import make_rating
 from paraeval import fileio
 from paraeval.fileio import ParseError, ValidationError
@@ -243,6 +246,45 @@ class TestScoresFile:
         with pytest.raises(ParseError, match="expected 7 columns"):
             fileio.parse_external_scores(io.StringIO(text))
 
+    @pytest.mark.parametrize("start, k, score", [
+        ("0", "1", "0.5"), ("17", "10", "-1.25"), ("3", "2", "1e-05"),
+        ("0", "1", "1.5e+20"), ("0", "1", "-0.0"), ("0", "1", "3"),
+        ("0", "1", "+1.5"), ("0", "1", ".5"), ("0", "1", "5."), ("0", "1", "2E3"),
+        ("007", "01", "1.0"),
+    ])
+    def test_decimal_numbers_are_read(self, start, k, score):
+        text = f"{self.HEADER}\nbleu\ten-de\tsysA\tdoc1\t{start}\t{k}\t{score}\n"
+        table = fileio.parse_external_scores(io.StringIO(text))[("bleu", "en-de", int(k))]
+        assert table.entries == {("sysA", ("doc1", int(start), int(k))): float(score)}
+
+    @pytest.mark.parametrize("start, k, score, message", [
+        (" 0_1", "1", "1.0", "start_index and k must be unsigned decimal integers, "
+                             "got ' 0_1' and '1'"),
+        ("0_1", "1", "1.0", "start_index and k must be"),
+        ("+1", "1", "1.0", "start_index and k must be"),
+        ("-1", "1", "1.0", "start_index and k must be"),
+        ("0", "+1", "1.0", "start_index and k must be"),
+        ("0", "1 ", "1.0", "start_index and k must be"),
+        ("1.0", "1", "1.0", "start_index and k must be"),
+        ("\u0663", "1", "1.0", "start_index and k must be"),
+        ("\u00b2", "1", "1.0", "start_index and k must be"),
+        ("", "1", "1.0", "start_index and k must be"),
+        ("0", "0", "1.0", "k must be >= 1"),
+        ("0", "1", "1_0", "score is not a decimal number: '1_0'"),
+        ("0", "1", " 1.0", "score is not a decimal number"),
+        ("0", "1", "1.0\r", "score is not a decimal number"),
+        ("0", "1", "\u0661.5", "score is not a decimal number"),
+        ("0", "1", "0x1p3", "score is not a decimal number"),
+        ("0", "1", "", "score is not a decimal number"),
+        ("0", "1", "inf", "non-finite score"),
+        ("0", "1", "-NaN", "non-finite score"),
+    ])
+    def test_other_numbers_are_rejected_with_the_line(self, start, k, score, message):
+        text = (f"{self.HEADER}\nbleu\ten-de\tsysA\tdoc1\t0\t1\t2.0\n"
+                f"bleu\ten-de\tsysB\tdoc1\t{start}\t{k}\t{score}\n")
+        with pytest.raises(ParseError, match=f"^line 3: {re.escape(message)}"):
+            fileio.parse_external_scores(io.StringIO(text))
+
     def test_write_then_parse_roundtrips_scores(self):
         entries = {("sysA", ("doc1", 0, 2)): 0.1 + 0.2,
                    ("sysB", ("doc1", 4, 2)): -17.25}
@@ -284,3 +326,71 @@ class TestGzipInput(object):
         path = tmp_path / "paragraphs.jsonl.gz"
         path.write_bytes(gzip.compress(buffer.getvalue().encode("utf-8")))
         assert fileio.load_paragraphs(path) == paragraphs
+
+
+class TestSharedStrings:
+    """Every system translates the same documents, so ids and the source and
+    reference texts repeat across lines; a reader keeps one object for each
+    distinct value and still returns the records the oracles return. With
+    integral scores written as JSON integers, lines take the per-field path."""
+
+    SYSTEMS = ("sysA", "sysB", "sysC")
+
+    def ratings(self):
+        return [make_rating(sent_index=i, rater_id=f"r{i % 2}", score=float(i) - 1,
+                            system_id=system, doc_id=doc,
+                            source_text=f"source {doc} {i}",
+                            reference_text=f"reference {doc} {i}",
+                            hypothesis_text=f"{system} says {doc} {i}")
+                for system in self.SYSTEMS for doc in ("d1", "d2") for i in range(4)]
+
+    @staticmethod
+    def assert_one_object_per_value(values):
+        values = list(values)
+        assert len({id(value) for value in values}) == len(set(values)) > 0
+
+    @pytest.mark.parametrize("integral", [False, True])
+    def test_rating_fields(self, integral):
+        buffer = io.StringIO()
+        fileio.write_ratings(self.ratings(), buffer)
+        text = buffer.getvalue()
+        if integral:
+            text = re.sub(r'"score":(-?[0-9]+)\.0,', r'"score":\1,', text)
+        records = fileio.read_rating_lines(io.StringIO(text))
+        assert records == oracles.read_rating_lines(io.StringIO(text)) == self.ratings()
+        for name in ("dataset_id", "lang_pair", "system_id", "doc_id", "rater_id",
+                     "source_text", "reference_text"):
+            self.assert_one_object_per_value(getattr(r, name) for r in records)
+
+    @pytest.mark.parametrize("integral", [False, True])
+    def test_paragraph_fields(self, integral):
+        # One rater throughout, so that windows of two sentences form.
+        paragraphs = [p for k in (1, 2) for p in build_paragraphs(
+            [replace(r, rater_id="r1") for r in self.ratings()], k)]
+        buffer = io.StringIO()
+        fileio.write_paragraphs(paragraphs, buffer)
+        text = buffer.getvalue()
+        if integral:
+            text = re.sub(r'"human_score":(-?[0-9]+)\.0,', r'"human_score":\1,', text)
+        read = fileio.read_paragraphs(io.StringIO(text))
+        assert read == oracles.read_paragraphs(io.StringIO(text)) == paragraphs
+        for name in ("dataset_id", "lang_pair", "system_id", "doc_id", "rater_id",
+                     "source_text", "reference_text"):
+            self.assert_one_object_per_value(getattr(p, name) for p in read)
+
+    def test_score_fields(self):
+        written = {("ext", "en-de", k): {
+            (system, (doc, start, k)): float(start) - len(system)
+            for system in self.SYSTEMS for doc in ("d1", "d2") for start in range(0, 4, k)}
+            for k in (1, 2)}
+        buffer = io.StringIO()
+        fileio.write_scores([row for (metric, lang_pair, _), entries in written.items()
+                             for row in fileio.score_rows(metric, lang_pair, entries)],
+                            buffer)
+        tables = fileio.parse_external_scores(io.StringIO(buffer.getvalue()))
+        assert {key: table.entries for key, table in tables.items()} == written
+        keys = [key for table in tables.values() for key in table.entries]
+        self.assert_one_object_per_value(system for system, _ in keys)
+        self.assert_one_object_per_value(doc for _, (doc, _, _) in keys)
+        self.assert_one_object_per_value(metric for metric, _, _ in tables)
+        self.assert_one_object_per_value(lang_pair for _, lang_pair, _ in tables)

@@ -1,4 +1,4 @@
-"""Property tests: the one-pass JSONL record readers against the oracles.
+"""Property tests: the one-pass readers against the oracles.
 
 ``oracles.read_rating_lines`` and ``oracles.read_paragraphs`` check every
 field through its own getter. Each example is a few random valid records,
@@ -9,10 +9,16 @@ number, an inconsistent k, a negative index or count, an unknown score
 type (also an unhashable one), or a human score that does not aggregate
 its sentence scores. The readers must return the records the oracles
 return, or raise the same error with the same message.
+
+The line splitter, which scans most lines in place, is checked against
+``json.loads(line.strip())``, and the scores parser's strict numbers
+against a regular grammar.
 """
 
 import io
 import json
+import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -194,3 +200,74 @@ def test_a_field_of_another_type_is_read_as_the_oracle_reads_it(reader, field, v
     valid, read, oracle = READERS[reader]
     text = json.dumps({**valid, field: value})
     assert outcome(read, text) == outcome(oracle, text)
+
+
+# str.isspace() is true for each of these, so strip() removes them.
+SPACES = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028",
+          "\u2029", "\u3000"]
+JSON_TEXT = st.text(st.sampled_from(["a", "\u00e9", "\u2028", "\u2029", '"', "\\", "\t",
+                                     "\r", "\x85", "{", "}"]), max_size=4)
+JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-5, 5), SCORE, JSON_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(JSON_TEXT, inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def json_line(draw):
+    value = draw(st.one_of(st.dictionaries(JSON_TEXT, JSON_VALUE, max_size=3), JSON_VALUE))
+    body = json.dumps(value, ensure_ascii=draw(st.booleans()))
+    form = draw(st.sampled_from(["plain", "plain", "truncated", "doubled", "trailing",
+                                 "bom", "blank"]))
+    if form == "truncated":
+        body = body[:draw(st.integers(0, max(len(body) - 1, 0)))]
+    elif form == "doubled":
+        body += draw(st.sampled_from(["", " "])) + body
+    elif form == "trailing":
+        body += draw(st.sampled_from([" x", "x", ",", " \x00", "\ufeff"]))
+    elif form == "bom":
+        body = "\ufeff" + body
+    elif form == "blank":
+        body = ""
+    spaces = st.lists(st.sampled_from(SPACES), max_size=2).map("".join)
+    return draw(spaces) + body + draw(spaces)
+
+
+@PROPERTY
+@given(st.lists(json_line(), min_size=1, max_size=3),
+       st.lists(st.sampled_from(["\n", "\r\n"]), min_size=3, max_size=3),
+       st.sampled_from(["", "\n", "\r\n"]))
+def test_line_splitter_matches_json_loads_of_the_stripped_line(lines, ends, last):
+    text = "".join(line + end for line, end in zip(lines, ends[:len(lines) - 1]))
+    text += lines[-1] + last
+
+    def parsed(parse_lines):
+        try:
+            return [(lineno, repr(obj)) for lineno, obj in parse_lines(io.StringIO(text))]
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    assert parsed(fileio._parse_lines) == parsed(oracles._parse_lines)
+
+
+UNSIGNED = re.compile(r"[0-9]+")
+DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+NEAR_NUMBER = st.text(st.sampled_from("0123456789+-._eE infaINF\u0663\u00b2\u00a0\r"),
+                      max_size=6)
+
+
+@PROPERTY
+@given(st.one_of(st.from_regex(UNSIGNED, fullmatch=True), NEAR_NUMBER),
+       st.one_of(st.from_regex(UNSIGNED, fullmatch=True), NEAR_NUMBER),
+       st.one_of(st.from_regex(DECIMAL, fullmatch=True), NEAR_NUMBER))
+def test_score_numbers_follow_the_strict_grammar(start, k, score):
+    text = "\t".join(fileio.SCORES_HEADER) + f"\next\ten-de\tsysA\tdoc1\t{start}\t{k}\t{score}\n"
+    if (UNSIGNED.fullmatch(start) and UNSIGNED.fullmatch(k) and int(k) >= 1
+            and DECIMAL.fullmatch(score) and math.isfinite(float(score))):
+        tables = fileio.parse_external_scores(io.StringIO(text))
+        assert tables[("ext", "en-de", int(k))].entries == \
+            {("sysA", ("doc1", int(start), int(k))): float(score)}
+    else:
+        with pytest.raises(fileio.ParseError, match="^line 2: "):
+            fileio.parse_external_scores(io.StringIO(text))
