@@ -181,10 +181,18 @@ def _load_paragraphs(path: str) -> list[ParagraphInstance]:
 
 def _group_units(paragraphs: Iterable[ParagraphInstance]
                  ) -> dict[UnitKey, list[ParagraphInstance]]:
-    """Split paragraphs into canonically ordered (dataset, lang_pair, k) units."""
+    """Split paragraphs into canonically ordered (dataset, lang_pair, k) units.
+
+    A unit holds one score type: MQM sums and DA z-scores do not compare.
+    """
     units: dict[UnitKey, list[ParagraphInstance]] = {}
     for p in paragraphs:
         units.setdefault((p.dataset_id, p.lang_pair, p.k), []).append(p)
+    for key, group in sorted(units.items()):
+        if len({p.score_type for p in group}) > 1:
+            types = Counter(p.score_type.value for p in group)
+            raise ValueError(f"{_unit_name(key)}: mixed score types in one unit: "
+                             + ", ".join(f"{t}={n}" for t, n in sorted(types.items())))
     return {key: sorted(group, key=lambda p: p.sort_key())
             for key, group in sorted(units.items())}
 
@@ -245,7 +253,7 @@ def _paired_scores(table: ScoreTable,
                    ) -> tuple[list[float], list[float]]:
     """Metric and human score lists aligned over the unit's paragraphs."""
     xs, ys = [], []
-    for p in sorted(unit_paragraphs, key=lambda p: p.sort_key()):
+    for p in unit_paragraphs:
         score = table.entries.get((p.system_id, p.item_key))
         if score is None:
             raise ValueError(f"score table {table.metric_name!r} has no entry "
@@ -338,10 +346,12 @@ def cmd_metaeval(args) -> int:
                      if args.level == "segment" or args.tau_opt or args.ties
                      else None)
             if args.level == "system":
+                # Both means run over exactly the unit's (system, item) keys.
+                keys = [(p.system_id, p.item_key) for p in unit_paragraphs]
+                xs, ys = _paired_scores(table, unit_paragraphs)
                 accuracy = metaeval.system_pairwise_accuracy(
-                    metaeval.system_scores(table.entries),
-                    metaeval.system_scores({(p.system_id, p.item_key): p.human_score
-                                            for p in unit_paragraphs}))
+                    metaeval.system_scores(dict(zip(keys, xs))),
+                    metaeval.system_scores(dict(zip(keys, ys))))
                 row("system_pairwise_accuracy", accuracy)
             else:
                 row("segment_accuracy",

@@ -2,12 +2,13 @@
 
 Ratings and paragraphs are stored as line-delimited JSON (one object per
 line, UTF-8, fixed field order, unknown fields rejected) so that free
-text with tabs or newlines survives round-trips; a line nested too deeply
-for the JSON parser is a ParseError like any other malformed line. Metric
-scores are stored as a tab-separated table whose start_index and k are
-unsigned ASCII decimal integers and whose score is an ASCII decimal number,
-optionally signed and with an exponent. All path-based loaders
-transparently accept gzip-compressed files, detected by magic bytes.
+text with tabs or newlines survives round-trips. Each format is one table
+of fields and getters: a record whose values have their exact JSON types
+passes one test, any other goes through the getters, which convert what
+they accept and name the first bad field. Metric scores are a tab-separated
+table whose start_index and k are unsigned ASCII decimal integers and whose
+score is an ASCII decimal number, optionally signed and with an exponent.
+Path-based loaders accept gzip-compressed files, detected by magic bytes.
 
 Every system translates the same documents, so ids, source and reference
 texts repeat once per system. Each reader call keeps one copy of each such
@@ -34,27 +35,6 @@ from .model import (
 )
 from .paragraphs import aggregate_score
 
-RATING_FIELDS = (
-    "dataset_id", "lang_pair", "system_id", "doc_id", "sent_index",
-    "rater_id", "score", "score_type", "source_text", "reference_text",
-    "hypothesis_text", "token_count_ref", "token_count_hyp",
-)
-_RATING_REQUIRED = frozenset(RATING_FIELDS) - {"token_count_ref", "token_count_hyp"}
-_RATING_KNOWN = frozenset(RATING_FIELDS)
-
-PARAGRAPH_FIELDS = (
-    "dataset_id", "lang_pair", "system_id", "doc_id", "start_index", "k",
-    "score_type", "rater_id", "human_score", "sentence_scores",
-    "source_text", "reference_text", "hypothesis_text",
-    "token_count_ref", "token_count_hyp",
-)
-_PARAGRAPH_REQUIRED = frozenset(PARAGRAPH_FIELDS) - {"token_count_ref", "token_count_hyp"}
-_PARAGRAPH_KNOWN = frozenset(PARAGRAPH_FIELDS)
-# A record's required values in field order, and the exact JSON type of each.
-_rating_values = operator.itemgetter(*RATING_FIELDS[:11])
-_RATING_TYPES = (str, str, str, str, int, str, float, str, str, str, str)
-_paragraph_values = operator.itemgetter(*PARAGRAPH_FIELDS[:13])
-_PARAGRAPH_TYPES = (str, str, str, str, int, int, str, str, float, list, str, str, str)
 _SCORE_TYPES = {t.value: t for t in ScoreType}
 # Parses one JSON value at an index of a string, without copying the string.
 _scan_json = json.JSONDecoder().scan_once
@@ -85,14 +65,7 @@ class ValidationError(ValueError):
 Lines = Union[IO[str], Iterable[str]]
 
 
-def _check_fields(obj: dict, required: frozenset, known: tuple, lineno: int) -> None:
-    for name in sorted(required):
-        if name not in obj:
-            raise ParseError(lineno, f"missing field {name}")
-    for name in sorted(obj):
-        if name not in known:
-            raise ParseError(lineno, f"unknown field {name}")
-
+# Field getters: a field's value as the record type takes it, or a ParseError.
 
 def _get_str(obj: dict, name: str, lineno: int) -> str:
     value = obj[name]
@@ -101,9 +74,9 @@ def _get_str(obj: dict, name: str, lineno: int) -> str:
     return value
 
 
-def _get_shared(obj: dict, name: str, lineno: int, share) -> str:
-    value = _get_str(obj, name, lineno)
-    return share(value, value)
+def _get_shared(obj: dict, name: str, lineno: int) -> str:
+    """A string that repeats across records; the readers keep one copy."""
+    return _get_str(obj, name, lineno)
 
 
 def _get_int(obj: dict, name: str, lineno: int) -> int:
@@ -130,7 +103,26 @@ def _get_float(obj: dict, name: str, lineno: int) -> float:
         raise ParseError(lineno, f"field {name} is out of float range") from None
 
 
-def _get_opt_count(obj: dict, name: str, lineno: int):
+def _get_floats(obj: dict, name: str, lineno: int) -> tuple[float, ...]:
+    value = obj[name]
+    if (not isinstance(value, list)
+            or any(isinstance(s, bool) or not isinstance(s, (int, float)) for s in value)):
+        raise ParseError(lineno, f"field {name} must be a list of numbers")
+    try:
+        return tuple(map(float, value))
+    except OverflowError:  # an integer literal beyond the float range
+        raise ParseError(lineno, f"field {name} is out of float range") from None
+
+
+def _get_score_type(obj: dict, name: str, lineno: int) -> ScoreType:
+    value = _get_str(obj, name, lineno)
+    if value not in _SCORE_TYPES:
+        raise ParseError(lineno, f"unknown {name} {value!r}")
+    return _SCORE_TYPES[value]
+
+
+def _get_count(obj: dict, name: str, lineno: int):
+    """An optional token count: absent and null both read as None."""
     value = obj.get(name)
     if value is None:
         return None
@@ -139,12 +131,59 @@ def _get_opt_count(obj: dict, name: str, lineno: int):
     return value
 
 
-def _get_score_type(obj: dict, lineno: int) -> ScoreType:
-    value = _get_str(obj, "score_type", lineno)
-    try:
-        return ScoreType(value)
-    except ValueError:
-        raise ParseError(lineno, f"unknown score_type {value!r}") from None
+# Each record format once: its fields in file and record-type order, with getters.
+_RATING_TABLE = (
+    ("dataset_id", _get_shared), ("lang_pair", _get_shared),
+    ("system_id", _get_shared), ("doc_id", _get_shared),
+    ("sent_index", _get_index), ("rater_id", _get_shared),
+    ("score", _get_float), ("score_type", _get_score_type),
+    ("source_text", _get_shared), ("reference_text", _get_shared),
+    ("hypothesis_text", _get_str),
+    ("token_count_ref", _get_count), ("token_count_hyp", _get_count),
+)
+_PARAGRAPH_TABLE = (
+    ("dataset_id", _get_shared), ("lang_pair", _get_shared),
+    ("system_id", _get_shared), ("doc_id", _get_shared),
+    ("start_index", _get_int), ("k", _get_int),
+    ("score_type", _get_score_type), ("rater_id", _get_shared),
+    ("human_score", _get_float), ("sentence_scores", _get_floats),
+    ("source_text", _get_shared), ("reference_text", _get_shared),
+    ("hypothesis_text", _get_str),
+    ("token_count_ref", _get_count), ("token_count_hyp", _get_count),
+)
+RATING_FIELDS = tuple(name for name, _ in _RATING_TABLE)
+PARAGRAPH_FIELDS = tuple(name for name, _ in _PARAGRAPH_TABLE)
+# The exact JSON type of each getter's field in a record that passes one test.
+_JSON_TYPES = {_get_str: str, _get_shared: str, _get_int: int, _get_index: int,
+               _get_float: float, _get_floats: list, _get_score_type: str}
+
+
+def _derive(table: tuple, fast_check) -> tuple:
+    """The table, required and known field names, the required values' getter
+    and exact JSON types, score_type's position, the two trailing token count
+    fields, the shared strings' positions and the format's own fast test."""
+    fields = [name for name, _ in table]
+    required = [name for name, get in table if get is not _get_count]
+    ref, hyp = fields[len(required):]
+    return (table, frozenset(required), frozenset(fields), operator.itemgetter(*required),
+            [_JSON_TYPES[get] for _, get in table[:len(required)]],
+            fields.index("score_type"), ref, hyp,
+            [i for i, (_, get) in enumerate(table) if get is _get_shared], fast_check)
+
+
+_RATINGS = _derive(_RATING_TABLE, lambda obj: obj["sent_index"] >= 0)
+# Integer sentence scores go through the getters, which convert them.
+_PARAGRAPHS = _derive(_PARAGRAPH_TABLE,
+                      lambda obj: {float}.issuperset(map(type, obj["sentence_scores"])))
+
+
+def _checked_values(obj: dict, derived: tuple, lineno: int) -> list:
+    """A record's values in file order, each through its field's getter."""
+    table, required, known = derived[:3]
+    for problem, names in ("missing", required - obj.keys()), ("unknown", obj.keys() - known):
+        if names:
+            raise ParseError(lineno, f"{problem} field {min(names)}")
+    return [get(obj, name, lineno) for name, get in table]
 
 
 def _parse_lines(stream: Lines) -> Iterator[tuple[int, dict]]:
@@ -177,45 +216,30 @@ def _parse_lines(stream: Lines) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
+def _record_values(stream: Lines, derived: tuple) -> Iterator[tuple[int, list]]:
+    """Each record's line number and values, in the record type's field order."""
+    share = {}.setdefault  # one copy of each repeated string
+    _, required, known, values_of, types, kind, ref, hyp, shared, fast_check = derived
+    for lineno, obj in _parse_lines(stream):
+        # A record whose required values have exactly their JSON types is taken
+        # as it is; any other goes through the getters, which word the error.
+        values = list(values_of(obj)) if required <= obj.keys() <= known else []
+        counts = obj.get(ref), obj.get(hyp)
+        if (list(map(type, values)) == types and values[kind] in _SCORE_TYPES
+                and all(c is None or type(c) is int and c >= 0 for c in counts)
+                and fast_check(obj)):
+            values[kind] = _SCORE_TYPES[values[kind]]
+            values += counts
+        else:
+            values = _checked_values(obj, derived, lineno)
+        for i in shared:
+            values[i] = share(values[i], values[i])
+        yield lineno, values
+
+
 def read_rating_lines(stream: Lines) -> list[RatingRecord]:
     """Parse a ratings stream without collection-level validation."""
-    records = []
-    share = {}.setdefault  # one copy of each repeated string
-    for lineno, obj in _parse_lines(stream):
-        # A record of exactly the expected JSON types is built directly; any
-        # other goes through the field getters, which word the error.
-        if _RATING_REQUIRED <= obj.keys() <= _RATING_KNOWN:
-            values = _rating_values(obj)
-            counts = obj.get("token_count_ref"), obj.get("token_count_hyp")
-            if (tuple(map(type, values)) == _RATING_TYPES and values[7] in _SCORE_TYPES
-                    and values[4] >= 0
-                    and all(c is None or type(c) is int and c >= 0 for c in counts)):
-                dataset, lang_pair, system, doc, index, rater, score, kind, \
-                    source, reference, hypothesis = values
-                records.append(RatingRecord(
-                    share(dataset, dataset), share(lang_pair, lang_pair),
-                    share(system, system), share(doc, doc), index,
-                    share(rater, rater), score, _SCORE_TYPES[kind],
-                    share(source, source), share(reference, reference),
-                    hypothesis, *counts))
-                continue
-        _check_fields(obj, _RATING_REQUIRED, RATING_FIELDS, lineno)
-        records.append(RatingRecord(
-            dataset_id=_get_shared(obj, "dataset_id", lineno, share),
-            lang_pair=_get_shared(obj, "lang_pair", lineno, share),
-            system_id=_get_shared(obj, "system_id", lineno, share),
-            doc_id=_get_shared(obj, "doc_id", lineno, share),
-            sent_index=_get_index(obj, "sent_index", lineno),
-            rater_id=_get_shared(obj, "rater_id", lineno, share),
-            score=_get_float(obj, "score", lineno),
-            score_type=_get_score_type(obj, lineno),
-            source_text=_get_shared(obj, "source_text", lineno, share),
-            reference_text=_get_shared(obj, "reference_text", lineno, share),
-            hypothesis_text=_get_str(obj, "hypothesis_text", lineno),
-            token_count_ref=_get_opt_count(obj, "token_count_ref", lineno),
-            token_count_hyp=_get_opt_count(obj, "token_count_hyp", lineno),
-        ))
-    return records
+    return [RatingRecord(*values) for _, values in _record_values(stream, _RATINGS)]
 
 
 def parse_ratings(stream: Lines) -> list[RatingRecord]:
@@ -283,74 +307,26 @@ def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -
 def read_paragraphs(stream: Lines) -> list[ParagraphInstance]:
     """Parse a paragraph stream, checking per-paragraph invariants."""
     paragraphs = []
-    share = {}.setdefault  # as in read_rating_lines
-    for lineno, obj in _parse_lines(stream):
-        # As in read_rating_lines. A sum is finite only if every term is, so a
-        # finite human_score close to the aggregate has finite sentence scores.
-        if _PARAGRAPH_REQUIRED <= obj.keys() <= _PARAGRAPH_KNOWN:
-            values = _paragraph_values(obj)
-            counts = obj.get("token_count_ref"), obj.get("token_count_hyp")
-            dataset, lang_pair, system, doc, start, k, score_type, rater, human, \
-                scores, source, reference, hypothesis = values
-            kind = (_SCORE_TYPES.get(score_type)
-                    if tuple(map(type, values)) == _PARAGRAPH_TYPES else None)
-            if (kind is not None and start >= 0 and len(scores) == k >= 1
-                    and {float}.issuperset(map(type, scores))
-                    and all(c is None or type(c) is int and c >= 0 for c in counts)
-                    and math.isfinite(human) and math.isclose(
-                        human, aggregate_score(scores, kind), rel_tol=1e-9, abs_tol=1e-9)):
-                paragraphs.append(ParagraphInstance(
-                    share(dataset, dataset), share(lang_pair, lang_pair),
-                    share(system, system), share(doc, doc), start, k, kind,
-                    share(rater, rater), human, tuple(scores), share(source, source),
-                    share(reference, reference), hypothesis, *counts))
-                continue
-        _check_fields(obj, _PARAGRAPH_REQUIRED, PARAGRAPH_FIELDS, lineno)
-        scores = obj["sentence_scores"]
-        if (not isinstance(scores, list)
-                or any(isinstance(s, bool) or not isinstance(s, (int, float))
-                       for s in scores)):
-            raise ParseError(lineno, "field sentence_scores must be a list of numbers")
+    for lineno, values in _record_values(stream, _PARAGRAPHS):
         try:
-            paragraph = ParagraphInstance(
-                dataset_id=_get_shared(obj, "dataset_id", lineno, share),
-                lang_pair=_get_shared(obj, "lang_pair", lineno, share),
-                system_id=_get_shared(obj, "system_id", lineno, share),
-                doc_id=_get_shared(obj, "doc_id", lineno, share),
-                start_index=_get_int(obj, "start_index", lineno),
-                k=_get_int(obj, "k", lineno),
-                score_type=_get_score_type(obj, lineno),
-                rater_id=_get_shared(obj, "rater_id", lineno, share),
-                human_score=_get_float(obj, "human_score", lineno),
-                sentence_scores=tuple(float(s) for s in scores),
-                source_text=_get_shared(obj, "source_text", lineno, share),
-                reference_text=_get_shared(obj, "reference_text", lineno, share),
-                hypothesis_text=_get_str(obj, "hypothesis_text", lineno),
-                token_count_ref=_get_opt_count(obj, "token_count_ref", lineno),
-                token_count_hyp=_get_opt_count(obj, "token_count_hyp", lineno),
-            )
-        except OverflowError:  # an integer literal beyond the float range
-            raise ParseError(lineno, "field sentence_scores is out of float range") from None
-        except ParseError:  # a field getter's own report, already complete
-            raise
-        except ValueError as exc:  # the paragraph's own invariant checks
-            key = _PARAGRAPH_KEY.format(*_paragraph_values(obj))
+            paragraph = ParagraphInstance(*values)
+        except ValueError as exc:  # k, start_index and the number of scores
+            key = _PARAGRAPH_KEY.format(*values)
             raise ParseError(lineno, f"invariant violation for {key}: {exc}") from None
-        # JSON's Infinity and NaN (and overflowing literals such as 1e400)
-        # parse as floats; a non-finite score would read as a human tie.
-        if not math.isfinite(paragraph.human_score):
-            raise ParseError(lineno, f"field human_score must be finite, "
-                             f"got {paragraph.human_score!r}")
-        if not all(map(math.isfinite, paragraph.sentence_scores)):
-            raise ParseError(lineno, f"field sentence_scores must be finite, "
-                             f"got {list(paragraph.sentence_scores)!r}")
-        expected = aggregate_score(paragraph.sentence_scores, paragraph.score_type)
-        if not math.isclose(paragraph.human_score, expected,
-                            rel_tol=1e-9, abs_tol=1e-9):
+        # JSON's NaN, Infinity and 1e400 parse as floats; a non-finite score
+        # would read as a human tie. Only finite terms have a finite sum, so a
+        # finite human_score close to the aggregate has finite sentence scores.
+        human, scores = paragraph.human_score, paragraph.sentence_scores
+        if not math.isfinite(human):
+            raise ParseError(lineno, f"field human_score must be finite, got {human!r}")
+        expected = aggregate_score(scores, paragraph.score_type)
+        if not math.isclose(human, expected, rel_tol=1e-9, abs_tol=1e-9):
+            if not all(map(math.isfinite, scores)):
+                raise ParseError(lineno, f"field sentence_scores must be finite, "
+                                 f"got {list(scores)!r}")
             raise ParseError(lineno, f"invariant violation for "
-                f"{_PARAGRAPH_KEY.format(*_paragraph_values(obj))}: human_score "
-                f"{paragraph.human_score!r} does not aggregate its "
-                f"sentence_scores (expected {expected!r})")
+                             f"{_PARAGRAPH_KEY.format(*values)}: human_score {human!r} "
+                             f"does not aggregate its sentence_scores (expected {expected!r})")
         paragraphs.append(paragraph)
     return paragraphs
 
@@ -426,11 +402,8 @@ def parse_external_scores(stream: Lines) -> dict[tuple[str, str, int], ScoreTabl
 def score_rows(metric_name: str, lang_pair: str,
                entries: dict[tuple[str, ItemKey], float]) -> list[tuple]:
     """Canonically ordered (metric, lp, system, doc, start, k, score) rows."""
-    rows = []
-    for (system, (doc_id, start_index, k)), score in entries.items():
-        rows.append((metric_name, lang_pair, system, doc_id, start_index, k, score))
-    rows.sort()
-    return rows
+    return sorted((metric_name, lang_pair, system, *item, score)
+                  for (system, item), score in entries.items())
 
 
 def write_scores(rows: Iterable[tuple], stream: IO[str]) -> None:
@@ -446,9 +419,10 @@ def open_input(path: Union[str, Path]) -> IO[str]:
     raw = open(path, "rb")
     magic = raw.read(2)
     raw.seek(0)
-    if magic == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8")
-    return io.TextIOWrapper(raw, encoding="utf-8")
+    if magic != b"\x1f\x8b":
+        return io.TextIOWrapper(raw, encoding="utf-8")
+    raw.close()  # a GzipFile closes only a file that it opened itself
+    return gzip.open(path, "rt", encoding="utf-8")
 
 
 def load_ratings(path: Union[str, Path]) -> list[RatingRecord]:

@@ -185,6 +185,8 @@ class SimConfig:
         for name in ("sigma_quality", "sigma_human", "sigma_metric",
                      "system_mean_spread"):
             value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if not 0 <= self.seed < 2 ** 64:

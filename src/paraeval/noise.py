@@ -18,12 +18,11 @@ matrices with the pairwise core of ``metaeval``, never building items.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from statistics import fmean, pstdev
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .metaeval import PairTable, segment_accuracy
-from .model import EvalItem, SimConfig, SystemEntry
+from .model import SimConfig
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,37 +38,11 @@ class NoiseCurvePoint:
     per_seed: Tuple[float, ...]
 
 
-class SimulatedItems(Sequence[EvalItem]):
-    """The items of one window size, built on first access from the
-    (items, systems) human and metric score matrices."""
+def simulate(config: SimConfig) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    """Simulate paragraph scores for every k in 1..max_k.
 
-    def __init__(self, k: int, human: np.ndarray, metric: np.ndarray):
-        self.k, self.human, self.metric = k, human, metric
-
-    @cached_property
-    def _items(self) -> List[EvalItem]:
-        systems = [f"sys{s:02d}" for s in range(self.human.shape[1])]
-        rows = zip(self.human.tolist(), self.metric.tolist())
-        return [EvalItem(item_key=(f"item{i:04d}", 0, self.k), per_system={
-                    system: SystemEntry(human_score=human, metric_score=metric)
-                    for system, human, metric in zip(systems, humans, metrics)})
-                for i, (humans, metrics) in enumerate(rows)]
-
-    def __len__(self) -> int:
-        return len(self.human)
-
-    def __getitem__(self, index):
-        return self._items[index]
-
-    def __eq__(self, other) -> bool:
-        return list(self) == list(other)
-
-
-def simulate(config: SimConfig) -> Dict[int, SimulatedItems]:
-    """Generate evaluation items for every k in 1..max_k.
-
-    Returns a mapping from window size to items; each item holds every
-    system's simulated human and metric paragraph scores.
+    Returns a mapping from window size to the (human, metric) score
+    matrices, each with one row per item and one column per system.
     """
     import numpy as np
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -84,7 +57,7 @@ def simulate(config: SimConfig) -> Dict[int, SimulatedItems]:
     denominators = np.arange(1, config.max_k + 1, dtype=np.float64)
     human_means = np.cumsum(human, axis=2) / denominators
     metric_means = np.cumsum(metric, axis=2) / denominators
-    return {k: SimulatedItems(k, human_means[:, :, k - 1], metric_means[:, :, k - 1])
+    return {k: (human_means[:, :, k - 1], metric_means[:, :, k - 1])
             for k in range(1, config.max_k + 1)}
 
 
@@ -93,7 +66,7 @@ def noise_curve(config: SimConfig, ks: Sequence[int],
     """Mean and spread of segment accuracy per window size across seeds.
 
     Seed i of the run uses config.seed + i (mod 2**64); each seed's
-    items share their sentence draws across all window sizes, so the
+    matrices share their sentence draws across all window sizes, so the
     per-seed accuracies are paired between ks.
     """
     ks = list(ks)
@@ -106,10 +79,9 @@ def noise_curve(config: SimConfig, ks: Sequence[int],
     accuracies: Dict[int, List[float]] = {k: [] for k in ks}
     for i in range(n_seeds):
         seeded = replace(config, seed=(config.seed + i) % 2 ** 64)
-        items_by_k = simulate(seeded)
+        matrices = simulate(seeded)
         for k in ks:
-            items = items_by_k[k]
-            pairs = PairTable.from_blocks([(items.human, items.metric)])
+            pairs = PairTable.from_blocks([matrices[k]])
             accuracies[k].append(segment_accuracy(pairs, epsilon=0.0))
     return [NoiseCurvePoint(k=k,
                             mean_accuracy=fmean(accuracies[k]),

@@ -118,6 +118,20 @@ def one_system_k2_paragraphs(tmp_path):
 
 
 @pytest.fixture
+def mixed_type_paragraphs(tmp_path):
+    """The tau fixture (MQM) plus a DA_Z doc d3 in the same unit."""
+    records = tau_fixture_records() + [
+        make_rating(0, "B", score, system_id=system, doc_id="d3")
+        for system, score in (("sysA", 0.5), ("sysB", -0.5), ("sysC", 0.0))]
+    path = tmp_path / "mixed.jsonl"
+    with open(path, "w", encoding="utf-8") as stream:
+        for score_type in ScoreType:
+            fileio.write_paragraphs(build_paragraphs(
+                [r for r in records if r.score_type is score_type], 1), stream)
+    return str(path)
+
+
+@pytest.fixture
 def rich_ratings(tmp_path):
     return write_ratings(tmp_path / "rich-ratings.jsonl", rich_records())
 
@@ -377,6 +391,27 @@ class TestMetaeval:
         assert rows["system_pairwise_accuracy"]["value"] == 1.0
         assert rows["system_pairwise_accuracy"]["epsilon"] is None
 
+    def test_system_level_ignores_score_rows_outside_the_unit(self, tmp_path):
+        # The metric equals the human score on every paragraph, so both rank
+        # the systems alike; rows for a doc the paragraphs file lacks rank
+        # them the other way round and must not enter the metric means.
+        human = {"sysA": -1.0, "sysB": -2.0, "sysC": -3.0}
+        records = [mqm(0, score - i, system, f"d{i}")
+                   for i in range(3) for system, score in human.items()]
+        paragraphs = write_paragraph_file(tmp_path / "p.jsonl", records, [1])
+        entries = {(r.system_id, (r.doc_id, 0, 1)): r.score for r in records}
+        entries.update({(system, ("other", start, 1)): -100.0 * score
+                        for system, score in human.items() for start in range(20)})
+        scores = tmp_path / "scores.tsv"
+        with open(scores, "w", encoding="utf-8") as stream:
+            fileio.write_scores(fileio.score_rows("ext", "en-de", entries), stream)
+        for level in ("system", "segment"):
+            base = tmp_path / level
+            assert main(["metaeval", "--paragraphs", paragraphs, "--scores",
+                         str(scores), "--level", level, "--out", str(base)]) == 0
+            [row] = read_report(base)
+            assert row["value"] == 1.0
+
     def test_builtin_metric_source(self, rich_paragraphs, rich_ratings,
                                    tmp_path):
         base = tmp_path / "report"
@@ -456,6 +491,14 @@ class TestMetaeval:
         assert f"error: wmt/en-ru k=2: {message}" in capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
 
+    def test_unit_with_two_score_types_exits_2(self, mixed_type_paragraphs,
+                                               tau_scores, tmp_path, capsys):
+        assert main(["metaeval", "--paragraphs", mixed_type_paragraphs,
+                     "--scores", tau_scores, "--out", str(tmp_path / "r")]) == 2
+        assert "error: wmt/en-de k=1: mixed score types in one unit: DA_Z=3, MQM=6\n" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
     def test_no_leftover_temp_files(self, tau_paragraphs, tau_scores,
                                     tmp_path):
         base = tmp_path / "report"
@@ -500,6 +543,15 @@ class TestTies:
                      "--out", str(tmp_path / "r")]) == 2
         assert "error: wmt/en-ru k=2: no within-item system pairs" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("scores", [False, True])
+    def test_unit_with_two_score_types_exits_2(self, mixed_type_paragraphs,
+                                               tau_scores, scores, tmp_path, capsys):
+        source = ["--scores", tau_scores] if scores else []
+        assert main(["ties", "--paragraphs", mixed_type_paragraphs, *source,
+                     "--out", str(tmp_path / "r")]) == 2
+        assert "error: wmt/en-de k=1: mixed score types in one unit: DA_Z=3, MQM=6\n" \
+            in capsys.readouterr().err
 
     def test_two_score_sources_exit_1(self, tau_paragraphs, tau_scores,
                                       tmp_path, capsys):
@@ -656,6 +708,20 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config_path),
                      "--out", str(tmp_path / "sim")]) == 2
         assert "missing keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"),
+                                              ("1e400", "inf")])
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys, value, shown):
+        config_path = tmp_path / "sim.cfg"
+        config_path.write_text(SIM_CONFIG.replace("sigma_human = 0.5",
+                                                  f"sigma_human = {value}"),
+                               encoding="utf-8")
+        base = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_path),
+                     "--out", str(base)]) == 2
+        assert f"error: sigma_human must be finite, got {shown}\n" in \
+            capsys.readouterr().err
+        assert not base.with_suffix(".tsv").exists()
 
     def test_nonpositive_seeds_exits_1(self, tmp_path, capsys):
         config_path = tmp_path / "sim.cfg"

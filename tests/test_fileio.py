@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import io
 import json
@@ -11,7 +12,7 @@ import oracles
 from helpers import make_rating
 from paraeval import fileio
 from paraeval.fileio import ParseError, ValidationError
-from paraeval.model import ScoreType
+from paraeval.model import ParagraphInstance, RatingRecord, ScoreType
 from paraeval.paragraphs import build_paragraphs
 
 
@@ -303,7 +304,21 @@ class TestScoresFile:
             [("sysA", "doc1", 3), ("sysA", "doc2", 0), ("sysB", "doc1", 0)]
 
 
-class TestGzipInput(object):
+@pytest.mark.parametrize("record_type, fields, write, make", [
+    (RatingRecord, fileio.RATING_FIELDS, fileio.write_ratings, make_rating),
+    (ParagraphInstance, fileio.PARAGRAPH_FIELDS, fileio.write_paragraphs,
+     lambda: TestParagraphsFile.build(k=1, n=1)[0]),
+])
+def test_writer_table_and_record_type_share_one_field_order(record_type, fields, write,
+                                                             make):
+    # The readers build records positionally in the order of their table.
+    buffer = io.StringIO()
+    write([make()], buffer)
+    assert tuple(json.loads(buffer.getvalue())) == fields == \
+        tuple(field.name for field in dataclasses.fields(record_type))
+
+
+class TestGzipInput:
     def test_gzip_detected_by_magic_bytes(self, tmp_path):
         records = [make_rating(sent_index=i) for i in range(4)]
         buffer = io.StringIO()
@@ -318,6 +333,15 @@ class TestGzipInput(object):
         with open(path, "w", encoding="utf-8") as stream:
             fileio.write_ratings(records, stream)
         assert fileio.load_ratings(path) == records
+
+    def test_closing_the_stream_closes_the_file(self, tmp_path):
+        path = tmp_path / "ratings.jsonl.gz"
+        path.write_bytes(gzip.compress(b"{}\n"))
+        stream = fileio.open_input(path)
+        raw = stream.buffer.fileobj
+        assert stream.read() == "{}\n"
+        stream.close()
+        assert raw.closed
 
     def test_gzip_paragraphs(self, tmp_path):
         paragraphs = TestParagraphsFile.build(k=2, n=4)

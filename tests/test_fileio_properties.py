@@ -10,6 +10,8 @@ type (also an unhashable one), or a human score that does not aggregate
 its sentence scores. The readers must return the records the oracles
 return, or raise the same error with the same message.
 
+Valid records written, read and written again give the same bytes.
+
 The line splitter, which scans most lines in place, is checked against
 ``json.loads(line.strip())``, and the scores parser's strict numbers
 against a regular grammar.
@@ -169,6 +171,27 @@ def test_rating_reader_matches_the_field_by_field_oracle(text):
 def test_paragraph_reader_matches_the_field_by_field_oracle(text):
     assert outcome(fileio.read_paragraphs, text) == \
         outcome(oracles.read_paragraphs, text)
+
+
+ROUND_TRIPS = {"ratings": (rating_record, fileio.read_rating_lines, fileio.write_ratings),
+               "paragraphs": (paragraph_record, fileio.read_paragraphs,
+                              fileio.write_paragraphs)}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_TRIPS))
+@PROPERTY
+@given(data=st.data())
+def test_write_read_write_is_byte_identical(kind, data):
+    make_record, read, write = ROUND_TRIPS[kind]
+    count = data.draw(st.integers(1, 4), label="records")
+    records = read(io.StringIO("".join(json.dumps(make_record(data.draw)) + "\n"
+                                       for _ in range(count))))
+    first, second = io.StringIO(), io.StringIO()
+    write(records, first)
+    again = read(io.StringIO(first.getvalue()))
+    write(again, second)
+    assert again == records
+    assert second.getvalue() == first.getvalue()
 
 
 VALID_RATING = {

@@ -154,6 +154,13 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="sigma_metric"):
             self.make(sigma_metric=-0.5)
 
+    @pytest.mark.parametrize("name", ["sigma_quality", "sigma_human", "sigma_metric",
+                                      "system_mean_spread"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_rejects_non_finite_spread(self, name, text):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+            self.make(**{name: float(text)})
+
     def test_seed_must_fit_64_bits(self):
         with pytest.raises(ValueError, match="seed"):
             self.make(seed=2 ** 64)

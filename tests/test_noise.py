@@ -1,7 +1,8 @@
-import math
 import statistics
 
+import numpy as np
 import pytest
+from helpers import make_item
 
 from paraeval.metaeval import segment_accuracy
 from paraeval.model import SimConfig
@@ -16,27 +17,31 @@ def config(**overrides):
     return SimConfig(**base)
 
 
+def items(matrices):
+    """The matrices' rows as EvalItems, so that accuracy takes the item path."""
+    human, metric = matrices
+    return [make_item(dict(enumerate(h)), dict(enumerate(m)), doc_id=f"item{i}")
+            for i, (h, m) in enumerate(zip(human.tolist(), metric.tolist()))]
+
+
 class TestSimulate:
-    def test_shapes_and_ids(self):
+    def test_shapes(self):
         out = simulate(config(n_items=3, n_systems=2, max_k=4))
         assert sorted(out) == [1, 2, 3, 4]
-        for k, items in out.items():
-            assert len(items) == 3
-            assert [item.item_key for item in items] == \
-                [(f"item{i:04d}", 0, k) for i in range(3)]
-            for item in items:
-                assert sorted(item.per_system) == ["sys00", "sys01"]
-                for entry in item.per_system.values():
-                    assert math.isfinite(entry.human_score)
-                    assert math.isfinite(entry.metric_score)
+        for human, metric in out.values():
+            assert human.shape == metric.shape == (3, 2)
+            assert np.isfinite(human).all() and np.isfinite(metric).all()
 
     def test_same_seed_is_bit_identical(self):
         first = simulate(config())
         second = simulate(config())
-        assert first == second
+        for k in first:
+            assert all(np.array_equal(a, b) for a, b in zip(first[k], second[k]))
 
     def test_different_seeds_differ(self):
-        assert simulate(config()) != simulate(config(seed=1235))
+        first, second = simulate(config()), simulate(config(seed=1235))
+        assert not np.array_equal(first[1][0], second[1][0])
+        assert not np.array_equal(first[1][1], second[1][1])
 
     def test_prefix_means_collapse_to_system_mean_when_noiseless(self):
         # With every noise term at zero each sentence scores exactly the
@@ -45,30 +50,23 @@ class TestSimulate:
         out = simulate(config(sigma_quality=0.0, sigma_human=0.0,
                               sigma_metric=0.0, system_mean_spread=2.0,
                               n_items=3, max_k=4))
-        mu = {system: entry.human_score
-              for system, entry in out[1][0].per_system.items()}
-        assert len(set(mu.values())) == len(mu)
-        for items in out.values():
-            for item in items:
-                for system, entry in item.per_system.items():
-                    assert entry.human_score == \
-                        pytest.approx(mu[system], rel=1e-12)
-                    assert entry.metric_score == \
-                        pytest.approx(mu[system], rel=1e-12)
+        mu = out[1][0][0]
+        assert len(set(mu.tolist())) == len(mu)
+        for human, metric in out.values():
+            for row in (*human, *metric):
+                assert row == pytest.approx(mu, rel=1e-12)
 
     def test_noiseless_metric_tracks_human_exactly(self):
         out = simulate(config(sigma_human=0.0, sigma_metric=0.0))
-        for items in out.values():
-            assert segment_accuracy(items, 0.0) == 1.0
-            for item in items:
-                for entry in item.per_system.values():
-                    assert entry.metric_score == entry.human_score
+        for human, metric in out.values():
+            assert np.array_equal(human, metric)
+            assert segment_accuracy(items((human, metric)), 0.0) == 1.0
 
     def test_huge_system_spread_dominates_noise(self):
         # System means are far apart relative to the noise, so orderings
         # agree almost everywhere even at k=1.
         out = simulate(config(system_mean_spread=1000.0, n_items=100))
-        assert segment_accuracy(out[1], 0.0) >= 0.95
+        assert segment_accuracy(items(out[1]), 0.0) >= 0.95
 
     def test_accuracy_noise_shrinks_with_k(self):
         # With iid noise, paragraph scores at k average k sentence draws,
@@ -76,8 +74,8 @@ class TestSimulate:
         out = simulate(config(n_items=400, n_systems=2, max_k=10,
                               sigma_quality=0.0, system_mean_spread=1.0,
                               sigma_human=1.0, sigma_metric=1.0, seed=7))
-        acc1 = segment_accuracy(out[1], 0.0)
-        acc10 = segment_accuracy(out[10], 0.0)
+        acc1 = segment_accuracy(items(out[1]), 0.0)
+        acc10 = segment_accuracy(items(out[10]), 0.0)
         assert acc10 > acc1
 
 
@@ -97,10 +95,10 @@ class TestNoiseCurve:
         points = noise_curve(cfg, ks=[1, 3], n_seeds=4)
         by_k = {p.k: p for p in points}
         for i in range(4):
-            items_by_k = simulate(config(n_items=15, seed=99 + i))
+            matrices = simulate(config(n_items=15, seed=99 + i))
             for k in (1, 3):
                 assert by_k[k].per_seed[i] == \
-                    segment_accuracy(items_by_k[k], 0.0)
+                    segment_accuracy(items(matrices[k]), 0.0)
 
     def test_single_seed_has_zero_spread(self):
         points = noise_curve(config(n_items=10), ks=[1, 2], n_seeds=1)
@@ -137,4 +135,4 @@ class TestNoiseCurve:
         cfg = config(n_items=5, seed=2 ** 64 - 1)
         points = noise_curve(cfg, ks=[1, 2], n_seeds=2)
         wrapped = simulate(config(n_items=5, seed=0))
-        assert points[0].per_seed[1] == segment_accuracy(wrapped[1], 0.0)
+        assert points[0].per_seed[1] == segment_accuracy(items(wrapped[1]), 0.0)
