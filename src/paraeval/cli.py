@@ -183,7 +183,8 @@ def _group_units(paragraphs: Iterable[ParagraphInstance]
                  ) -> dict[UnitKey, list[ParagraphInstance]]:
     """Split paragraphs into canonically ordered (dataset, lang_pair, k) units.
 
-    A unit holds one score type: MQM sums and DA z-scores do not compare.
+    A unit holds one score type: MQM sums and DA z-scores do not compare,
+    and at most one paragraph per (system, item).
     """
     units: dict[UnitKey, list[ParagraphInstance]] = {}
     for p in paragraphs:
@@ -193,8 +194,12 @@ def _group_units(paragraphs: Iterable[ParagraphInstance]
             types = Counter(p.score_type.value for p in group)
             raise ValueError(f"{_unit_name(key)}: mixed score types in one unit: "
                              + ", ".join(f"{t}={n}" for t, n in sorted(types.items())))
-    return {key: sorted(group, key=lambda p: p.sort_key())
-            for key, group in sorted(units.items())}
+        group.sort(key=ParagraphInstance.sort_key)
+        for before, p in zip(group, group[1:]):
+            if before.sort_key() == p.sort_key():
+                raise ValueError(f"{_unit_name(key)}: system {p.system_id} has "
+                                 f"two paragraphs for item {p.item_key}")
+    return dict(sorted(units.items()))
 
 
 def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Optional[list]]:
@@ -330,21 +335,20 @@ def cmd_metaeval(args) -> int:
     units, records = _load_units(args)
     external = _load_external(args.scores, units)
 
+    paired = args.level == "segment" or args.tau_opt or args.ties
+
     def unit_rows(key, unit_paragraphs):
         dataset, lang_pair, k = key
         rows = []
-        items = build_eval_items(unit_paragraphs, k)
+        items = build_eval_items(unit_paragraphs, k) if paired else None
         for label, mode, table in _unit_tables(args, key, unit_paragraphs,
                                                records, external):
             def row(statistic, value, epsilon=None):
                 rows.append(ReportRow(dataset, lang_pair, k, label, mode,
                                       statistic, value, epsilon))
-            attached = metaeval.attach_metric_scores(items, table)
-            # Every system of an attached item is scored, so the pairs
-            # also serve the human tie rate.
-            pairs = (metaeval.pair_table(attached)
-                     if args.level == "segment" or args.tau_opt or args.ties
-                     else None)
+            if paired:
+                pairs = metaeval.pair_table(
+                    metaeval.attach_metric_scores(items, table))
             if args.level == "system":
                 # Both means run over exactly the unit's (system, item) keys.
                 keys = [(p.system_id, p.item_key) for p in unit_paragraphs]
@@ -365,8 +369,8 @@ def cmd_metaeval(args) -> int:
                 xs, ys = _paired_scores(table, unit_paragraphs)
                 row("pearson_no_grouping", metaeval.pearson_no_grouping(xs, ys))
             if args.ties:
-                row("human_tie_rate", metaeval.tie_rates(pairs, metaeval.HUMAN))
-                row("metric_tie_rate", metaeval.tie_rates(pairs, metaeval.METRIC))
+                row("human_tie_rate", metaeval.tie_rates(pairs.human))
+                row("metric_tie_rate", metaeval.tie_rates(pairs.metric))
         return rows
 
     return _report(_per_unit(units, unit_rows), lambda key, rows: f"{_unit_name(key)}: "
@@ -384,14 +388,15 @@ def cmd_ties(args) -> int:
         dataset, lang_pair, k = key
         items = build_eval_items(unit_paragraphs, k)
         rows = [ReportRow(dataset, lang_pair, k, "-", "-", "human_tie_rate",
-                          metaeval.tie_rates(items, metaeval.HUMAN))]
+                          metaeval.tie_rates(metaeval.pair_table(items).human))]
         if external is not None or args.metric is not None:
             for label, mode, table in _unit_tables(args, key, unit_paragraphs,
                                                    records, external):
-                attached = metaeval.attach_metric_scores(items, table)
+                pairs = metaeval.pair_table(
+                    metaeval.attach_metric_scores(items, table))
                 rows.append(ReportRow(dataset, lang_pair, k, label, mode,
                                       "metric_tie_rate",
-                                      metaeval.tie_rates(attached, metaeval.METRIC)))
+                                      metaeval.tie_rates(pairs.metric)))
         return rows
 
     return _report(_per_unit(units, unit_rows), lambda key, rows: "\n".join(

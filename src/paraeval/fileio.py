@@ -417,12 +417,12 @@ def write_scores(rows: Iterable[tuple], stream: IO[str]) -> None:
 def open_input(path: Union[str, Path]) -> IO[str]:
     """Open a text input file, decompressing gzip detected by magic bytes."""
     raw = open(path, "rb")
-    magic = raw.read(2)
-    raw.seek(0)
-    if magic != b"\x1f\x8b":
+    # peek, not seek: the input may be a pipe.
+    if raw.peek(2)[:2] != b"\x1f\x8b":
         return io.TextIOWrapper(raw, encoding="utf-8")
-    raw.close()  # a GzipFile closes only a file that it opened itself
-    return gzip.open(path, "rt", encoding="utf-8")
+    unzipped = gzip.GzipFile(fileobj=raw)
+    unzipped.myfileobj = raw  # so that closing the GzipFile closes the file
+    return io.TextIOWrapper(unzipped, encoding="utf-8")
 
 
 def load_ratings(path: Union[str, Path]) -> list[RatingRecord]:

@@ -15,10 +15,11 @@ pair is predicted tied when the absolute score difference is at most
 prediction and returns the smallest one maximizing segment accuracy.
 
 Every pairwise statistic is a view of one ``PairTable``, the score
-differences of every within-item pair, built once per unit. An item with
-P pairs weighs L / P in an integer numerator over n_items * L (L the lcm
-of the items' pair counts), and one correctly rounded division gives the
-float, so equal ratios compare equal and positive rescaling of scores
+differences of every within-item pair, which ``pair_table`` builds once per
+unit from ``build_eval_items`` and then ``attach_metric_scores``. An item
+with P pairs weighs L / P in an integer numerator over n_items * L (L the
+lcm of the items' pair counts), and one correctly rounded division gives
+the float, so equal ratios compare equal and positive rescaling of scores
 cannot perturb them.
 """
 
@@ -26,17 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .model import EvalItem, ItemKey, ScoreTable, SystemEntry, TauCalibration
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Sentinel for tie_rates: score the human side of the items.
-HUMAN = "human"
-# Sentinel for tie_rates: score the attached metric side of the items.
-METRIC = "metric"
 
 
 def attach_metric_scores(items: Iterable[EvalItem],
@@ -125,52 +121,49 @@ class PairTable:
                    denominator=denominator)
 
 
-def _table(items: Iterable[EvalItem],
-           systems_of: Callable[[EvalItem], list[str]]) -> PairTable:
+def pair_table(items: Iterable[EvalItem]) -> PairTable:
+    """Pairs of every system of every item; items with fewer than 2 are dropped.
+
+    A system without a metric score gives its pairs a NaN metric
+    difference, which the metric statistics reject.
+    """
     import numpy as np
     rows: dict[int, tuple[list, list]] = {}
     for item in items:
-        systems = systems_of(item)
-        if len(systems) >= 2:
-            entries = [item.per_system[s] for s in systems]
-            human, metric = rows.setdefault(len(systems), ([], []))
-            human.append([e.human_score for e in entries])
-            metric.append([e.metric_score for e in entries])
+        if len(item.per_system) >= 2:
+            human, metric = rows.setdefault(len(item.per_system), ([], []))
+            human.append([e.human_score for e in item.per_system.values()])
+            metric.append([e.metric_score for e in item.per_system.values()])
     return PairTable.from_blocks((np.array(human, dtype=float),
                                   np.array(metric, dtype=float))
                                  for human, metric in rows.values())
 
 
-def pair_table(items: Iterable[EvalItem]) -> PairTable:
-    """Pairs of metric-scored systems; items with fewer than 2 are dropped."""
-    table = _table(items, EvalItem.scored_systems)
-    if not table.denominator:
+def _scored(differences: np.ndarray) -> np.ndarray:
+    """Metric differences that exist and all come from metric scores."""
+    import numpy as np
+    if not differences.size or np.isnan(differences).any():
         raise ValueError("no item has 2 or more systems with metric scores")
-    return table
+    return differences
 
 
-Items = Union[Iterable[EvalItem], PairTable]
-
-
-def segment_accuracy(items: Items, epsilon: float) -> float:
+def segment_accuracy(table: PairTable, epsilon: float) -> float:
     """Tie-aware pairwise accuracy, averaged unweighted across items.
 
     Within each item, a pair's predicted relation is a tie when the
     absolute metric difference is <= epsilon and the sign otherwise;
-    the human relation is a tie only on exact equality. Items with
-    fewer than two metric-scored systems are dropped. ``items`` may also
-    be a ``pair_table`` built from them.
+    the human relation is a tie only on exact equality.
     """
     import numpy as np
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    table = items if isinstance(items, PairTable) else pair_table(items)
-    correct = np.where(np.abs(table.metric) <= epsilon, table.human == 0,
-                       table.human == np.sign(table.metric))
+    metric = _scored(table.metric)
+    correct = np.where(np.abs(metric) <= epsilon, table.human == 0,
+                       table.human == np.sign(metric))
     return int(table.weight[correct].sum()) / table.denominator
 
 
-def tau_optimize(items: Items) -> TauCalibration:
+def tau_optimize(table: PairTable) -> TauCalibration:
     """Smallest epsilon maximizing tie-aware segment accuracy.
 
     Accuracy changes only at observed within-item absolute metric
@@ -180,12 +173,12 @@ def tau_optimize(items: Items) -> TauCalibration:
     beats epsilon 0, so ties in accuracy resolve to the smallest epsilon.
     """
     import numpy as np
-    table = items if isinstance(items, PairTable) else pair_table(items)
-    sign_correct = table.human == np.sign(table.metric)
+    metric = _scored(table.metric)
+    sign_correct = table.human == np.sign(metric)
     flips = np.flatnonzero((table.human == 0) != sign_correct)
     epsilon, gain = 0.0, 0
     if len(flips):
-        delta = np.abs(table.metric[flips])
+        delta = np.abs(metric[flips])
         order = np.argsort(delta, kind="stable")
         flips, delta = flips[order], delta[order]
         weights = table.weight[flips]
@@ -215,23 +208,15 @@ def pearson_no_grouping(xs: Sequence[float], ys: Sequence[float]) -> float:
     return math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
 
 
-def tie_rates(items: Items, source: str) -> float:
-    """Fraction of within-item unordered pairs with exactly equal scores.
+def tie_rates(differences: np.ndarray) -> float:
+    """Fraction of a table's pairs whose two scores are exactly equal.
 
-    ``source`` is HUMAN for the human scores (of every system of an item,
-    or of a ``pair_table``'s pairs) or METRIC for the attached metric
-    scores.
+    ``differences`` is one side of a ``PairTable``: ``human`` or ``metric``.
     """
     import numpy as np
-    if source not in (HUMAN, METRIC):
-        raise ValueError(f"unknown score source: {source!r}")
-    if not isinstance(items, PairTable):
-        items = _table(items, EvalItem.scored_systems if source == METRIC
-                       else lambda item: sorted(item.per_system))
-    tied = (items.human if source == HUMAN else items.metric) == 0
-    if not tied.size:
+    if not differences.size:
         raise ValueError("no within-item system pairs")
-    return int(np.count_nonzero(tied)) / tied.size
+    return int(np.count_nonzero(_scored(differences) == 0)) / differences.size
 
 
 def mode_correlation(direct: ScoreTable, aligned: ScoreTable) -> float:

@@ -144,11 +144,6 @@ class EvalItem:
     item_key: ItemKey
     per_system: Mapping[str, SystemEntry]
 
-    def scored_systems(self) -> list[str]:
-        """System ids with both a human and a metric score, sorted."""
-        return sorted(s for s, e in self.per_system.items()
-                      if e.metric_score is not None)
-
 
 @dataclass(frozen=True)
 class TauCalibration:

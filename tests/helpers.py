@@ -1,5 +1,10 @@
 """Small factories shared across test modules."""
 
+import os
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+
 from paraeval.model import EvalItem, RatingRecord, ScoreType, SystemEntry
 
 
@@ -36,3 +41,17 @@ def make_item(human, metric=None, doc_id="doc1", start_index=0, k=1):
         per_system[system] = SystemEntry(human_score=human_score,
                                          metric_score=metric_score)
     return EvalItem(item_key=(doc_id, start_index, k), per_system=per_system)
+
+
+@contextmanager
+def feeding_pipe(path, data):
+    """A named pipe at path; a thread writes data to it once a reader opens it."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=Path(path).write_bytes, args=(data,),
+                              daemon=True)
+    writer.start()
+    try:
+        yield str(path)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive(), f"the writer to {path} did not finish"

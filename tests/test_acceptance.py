@@ -18,7 +18,7 @@ import oracles
 from helpers import make_item, make_rating
 from paraeval import fileio, metaeval
 from paraeval.cli import main
-from paraeval.metaeval import (HUMAN, METRIC, pearson_no_grouping,
+from paraeval.metaeval import (pair_table, pearson_no_grouping,
                                segment_accuracy, system_pairwise_accuracy,
                                system_scores, tau_optimize, tie_rates)
 from paraeval.metrics import (bleu_corpus, bleu_sentence, truncation_stats,
@@ -125,18 +125,19 @@ def test_metaeval_invariance_suite_on_100_random_tables():
     brute_force_checked = 0
     for trial in range(100):
         items = _random_table(rng)
-        scaled = _scaled(items, 2.7)
+        pairs = pair_table(items)
+        scaled = pair_table(_scaled(items, 2.7))
 
         # (a) scaling human scores by 2.7 is bit-equal everywhere
         for epsilon in (0.0, 0.25):
             assert segment_accuracy(scaled, epsilon) == \
-                segment_accuracy(items, epsilon)
-        original_tau = tau_optimize(items)
+                segment_accuracy(pairs, epsilon)
+        original_tau = tau_optimize(pairs)
         scaled_tau = tau_optimize(scaled)
         assert scaled_tau.epsilon == original_tau.epsilon
         assert scaled_tau.accuracy_at_epsilon == original_tau.accuracy_at_epsilon
-        assert tie_rates(scaled, HUMAN) == tie_rates(items, HUMAN)
-        assert tie_rates(scaled, METRIC) == tie_rates(items, METRIC)
+        assert tie_rates(scaled.human) == tie_rates(pairs.human)
+        assert tie_rates(scaled.metric) == tie_rates(pairs.metric)
         table = ScoreTable(
             metric_name="m", k=1,
             entries={(s, item.item_key): item.per_system[s].metric_score
@@ -148,13 +149,13 @@ def test_metaeval_invariance_suite_on_100_random_tables():
                 metric_sys, system_scores(_human_entries(items, 2.7)))
 
         # (b) the tuned threshold never loses to epsilon = 0
-        assert original_tau.accuracy_at_epsilon >= segment_accuracy(items, 0.0)
+        assert original_tau.accuracy_at_epsilon >= segment_accuracy(pairs, 0.0)
 
         # (c) brute-force pair enumeration agrees on small tables
         if len(items[0].per_system) <= 5:
             brute_force_checked += 1
             for epsilon in (0.0, 0.3):
-                assert segment_accuracy(items, epsilon) == \
+                assert segment_accuracy(pairs, epsilon) == \
                     float(oracles.segment_accuracy_exact(items, epsilon))
     assert brute_force_checked >= 10
     elapsed = time.perf_counter() - started
@@ -167,13 +168,13 @@ def test_hand_computed_fixtures_match_pinned_values():
     assert system_pairwise_accuracy(metric_sys, human_sys) == \
         float(Fraction(2, 3))
 
-    items = [make_item({"a": 0.0, "b": 0.0, "c": -5.0},
-                       {"a": 1.0, "b": 1.1, "c": 0.2})]
-    assert segment_accuracy(items, 0.0) == float(Fraction(2, 3))
-    calibration = tau_optimize(items)
+    pairs = pair_table([make_item({"a": 0.0, "b": 0.0, "c": -5.0},
+                                  {"a": 1.0, "b": 1.1, "c": 0.2})])
+    assert segment_accuracy(pairs, 0.0) == float(Fraction(2, 3))
+    calibration = tau_optimize(pairs)
     assert calibration.epsilon == pytest.approx(0.1, abs=1e-12)
     assert calibration.accuracy_at_epsilon == 1.0
-    assert segment_accuracy(items, calibration.epsilon) == 1.0
+    assert segment_accuracy(pairs, calibration.epsilon) == 1.0
 
     assert pearson_no_grouping([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]) == \
         pytest.approx(0.5, abs=1e-12)

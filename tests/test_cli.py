@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import make_rating
+from helpers import feeding_pipe, make_rating
 import paraeval
 from paraeval import fileio, metaeval, noise
 from paraeval.cli import REPORT_HEADER, build_parser, main, parse_k_spec
@@ -193,6 +193,12 @@ class TestValidate:
         gz.write_bytes(gzip.compress(plain.read_bytes()))
         assert main(["validate", "--ratings", str(gz)]) == 0
         assert "0 errors" in capsys.readouterr().out
+
+    def test_ratings_from_a_pipe(self, tau_ratings, tmp_path, capsys):
+        data = Path(tau_ratings).read_bytes()
+        with feeding_pipe(tmp_path / "ratings.pipe", data) as path:
+            assert main(["validate", "--ratings", path]) == 0
+        assert "6 records, 0 errors, 0 warnings" in capsys.readouterr().out
 
     def test_missing_file_exits_2_and_names_path(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.jsonl")
@@ -491,6 +497,20 @@ class TestMetaeval:
         assert f"error: wmt/en-ru k=2: {message}" in capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
 
+    @pytest.mark.parametrize("flags", [["--level", "segment"],
+                                       ["--level", "system"],
+                                       ["--level", "system", "--pearson"]])
+    def test_two_paragraphs_for_one_system_and_item_exit_2(
+            self, tau_paragraphs, tau_scores, flags, tmp_path, capsys):
+        lines = Path(tau_paragraphs).read_text(encoding="utf-8").splitlines()
+        path = tmp_path / "duplicated.jsonl"
+        path.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+        assert main(["metaeval", "--paragraphs", str(path), "--scores", tau_scores,
+                     *flags, "--out", str(tmp_path / "r")]) == 2
+        assert "error: wmt/en-de k=1: system sysA has two paragraphs for item " \
+            "('d1', 0, 1)\n" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
     def test_unit_with_two_score_types_exits_2(self, mixed_type_paragraphs,
                                                tau_scores, tmp_path, capsys):
         assert main(["metaeval", "--paragraphs", mixed_type_paragraphs,
@@ -529,6 +549,17 @@ class TestTies:
         assert rows["human_tie_rate"]["value"] == pytest.approx(1 / 6)
         assert rows["metric_tie_rate"]["value"] == 0.0
         assert rows["metric_tie_rate"]["metric"] == "ext"
+
+    def test_human_row_does_not_depend_on_a_score_source(self, tau_paragraphs,
+                                                         tau_scores, tmp_path):
+        alone, scored = tmp_path / "alone", tmp_path / "scored"
+        assert main(["ties", "--paragraphs", tau_paragraphs,
+                     "--out", str(alone)]) == 0
+        assert main(["ties", "--paragraphs", tau_paragraphs, "--scores", tau_scores,
+                     "--out", str(scored)]) == 0
+        human = read_report(alone)
+        assert [row["statistic"] for row in human] == ["human_tie_rate"]
+        assert read_report(scored)[0] == human[0]
 
     def test_scores_for_a_lang_pair_spanning_two_datasets_exit_2(
             self, two_dataset_paragraphs, tau_scores, tmp_path, capsys):

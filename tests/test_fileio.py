@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 import oracles
-from helpers import make_rating
+from helpers import feeding_pipe, make_rating
 from paraeval import fileio
 from paraeval.fileio import ParseError, ValidationError
 from paraeval.model import ParagraphInstance, RatingRecord, ScoreType
@@ -341,6 +341,20 @@ class TestGzipInput:
         raw = stream.buffer.fileobj
         assert stream.read() == "{}\n"
         stream.close()
+        assert raw.closed
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_reads_a_pipe_and_closing_closes_it(self, compress, tmp_path):
+        records = [make_rating(sent_index=i) for i in range(4)]
+        buffer = io.StringIO()
+        fileio.write_ratings(records, buffer)
+        data = buffer.getvalue().encode("utf-8")
+        with feeding_pipe(tmp_path / "ratings.pipe",
+                          gzip.compress(data) if compress else data) as path:
+            stream = fileio.open_input(path)
+            raw = stream.buffer.fileobj if compress else stream.buffer
+            with stream:
+                assert fileio.read_rating_lines(stream) == records
         assert raw.closed
 
     def test_gzip_paragraphs(self, tmp_path):

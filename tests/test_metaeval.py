@@ -7,8 +7,8 @@ import scipy.stats
 
 import oracles
 from helpers import make_item, make_rating
-from paraeval.metaeval import (HUMAN, METRIC, attach_metric_scores,
-                               mode_correlation, pearson_no_grouping,
+from paraeval.metaeval import (attach_metric_scores, mode_correlation,
+                               pair_table, pearson_no_grouping,
                                segment_accuracy, system_pairwise_accuracy,
                                system_scores, tau_optimize, tie_rates)
 from paraeval.model import EvalItem, ScoreTable, SystemEntry
@@ -129,23 +129,23 @@ class TestSystemPairwiseAccuracy:
                                      {"a": 5.0, "b": 5.0})
 
 
-def fixture_items():
+def fixture_pairs():
     """One item, 3 systems: human (0, 0, -5), metric (1.0, 1.1, 0.2)."""
-    return [make_item({"a": 0.0, "b": 0.0, "c": -5.0},
-                      {"a": 1.0, "b": 1.1, "c": 0.2})]
+    return pair_table([make_item({"a": 0.0, "b": 0.0, "c": -5.0},
+                                 {"a": 1.0, "b": 1.1, "c": 0.2})])
 
 
 class TestSegmentAccuracy:
     def test_identical_scores_everywhere_give_exactly_1(self):
         items = [make_item({"a": 1.0, "b": 1.0}, {"a": 4.0, "b": 4.0},
                            doc_id=f"d{i}") for i in range(3)]
-        assert segment_accuracy(items, 0.0) == 1.0
+        assert segment_accuracy(pair_table(items), 0.0) == 1.0
 
     def test_hand_fixture_at_epsilon_0(self):
-        assert segment_accuracy(fixture_items(), 0.0) == float(Fraction(2, 3))
+        assert segment_accuracy(fixture_pairs(), 0.0) == float(Fraction(2, 3))
 
     def test_hand_fixture_at_epsilon_015(self):
-        assert segment_accuracy(fixture_items(), 0.15) == 1.0
+        assert segment_accuracy(fixture_pairs(), 0.15) == 1.0
 
     def test_items_are_averaged_unweighted(self):
         # Item 1: one pair, correct. Item 2: three pairs, one correct.
@@ -156,33 +156,33 @@ class TestSegmentAccuracy:
                                 {"a": 0.0, "b": 1.0, "c": 2.0},
                                 doc_id="d2")
         # d2 pairs: (a,b) human + vs metric −; (a,c) + vs −; (b,c) + vs −…
-        assert segment_accuracy([one_pair, three_pairs], 0.0) == \
+        assert segment_accuracy(pair_table([one_pair, three_pairs]), 0.0) == \
             float((Fraction(1) + Fraction(0, 3)) / 2)
-        assert segment_accuracy([one_pair], 0.0) == 1.0
+        assert segment_accuracy(pair_table([one_pair]), 0.0) == 1.0
 
-    def test_unscored_items_are_dropped(self):
+    def test_unscored_item_among_scored_rejected(self):
         scored = make_item({"a": 1.0, "b": 0.0}, {"a": 2.0, "b": 1.0},
                            doc_id="d1")
         unscored = make_item({"a": 1.0, "b": 0.0}, doc_id="d2")
-        partially = EvalItem(item_key=("d3", 0, 1), per_system={
-            "a": SystemEntry(human_score=1.0, metric_score=5.0),
-            "b": SystemEntry(human_score=0.0, metric_score=None),
-        })
-        assert segment_accuracy([scored, unscored, partially], 0.0) == 1.0
+        assert segment_accuracy(pair_table([scored]), 0.0) == 1.0
+        with pytest.raises(ValueError, match="2 or more systems"):
+            segment_accuracy(pair_table([scored, unscored]), 0.0)
+        with pytest.raises(ValueError, match="2 or more systems"):
+            tau_optimize(pair_table([scored, unscored]))
 
     def test_all_items_dropped_rejected(self):
         with pytest.raises(ValueError, match="2 or more systems"):
-            segment_accuracy([make_item({"a": 1.0, "b": 0.0})], 0.0)
+            segment_accuracy(pair_table([make_item({"a": 1.0, "b": 0.0})]), 0.0)
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
-            segment_accuracy(fixture_items(), -0.1)
+            segment_accuracy(fixture_pairs(), -0.1)
 
     def test_huge_epsilon_predicts_all_ties(self):
         # Everything becomes a predicted tie, so accuracy equals the
         # human tie rate of the fixture (1 tied pair of 3).
-        assert segment_accuracy(fixture_items(), 100.0) == \
-            tie_rates(fixture_items(), HUMAN)
+        assert segment_accuracy(fixture_pairs(), 100.0) == \
+            tie_rates(fixture_pairs().human)
 
     def test_matches_exact_fraction_oracle(self):
         rng = random.Random(41)
@@ -191,7 +191,8 @@ class TestSegmentAccuracy:
                                  n_systems=rng.randint(2, 5))
             epsilon = rng.choice([0.0, 0.05, 0.1, 0.5])
             expected = oracles.segment_accuracy_exact(items, epsilon)
-            assert segment_accuracy(items, epsilon) == float(expected)
+            assert segment_accuracy(pair_table(items), epsilon) == \
+                float(expected)
 
 
 def random_items(rng, n_items, n_systems, human_grid=(0, 1, 2),
@@ -208,24 +209,24 @@ def random_items(rng, n_items, n_systems, human_grid=(0, 1, 2),
 
 class TestTauOptimize:
     def test_hand_fixture_reaches_perfect_accuracy(self):
-        calibration = tau_optimize(fixture_items())
+        calibration = tau_optimize(fixture_pairs())
         # The winning threshold is the observed |1.1 − 1.0| difference.
         assert calibration.epsilon == 1.1 - 1.0
         assert calibration.epsilon == pytest.approx(0.1, abs=1e-12)
         assert calibration.accuracy_at_epsilon == 1.0
-        assert segment_accuracy(fixture_items(), calibration.epsilon) == 1.0
+        assert segment_accuracy(fixture_pairs(), calibration.epsilon) == 1.0
 
     def test_metric_matching_tie_structure_keeps_epsilon_0(self):
         items = [make_item({"a": 1.0, "b": 1.0, "c": 0.0},
                            {"a": 3.0, "b": 3.0, "c": 1.0})]
-        calibration = tau_optimize(items)
+        calibration = tau_optimize(pair_table(items))
         assert calibration.epsilon == 0.0
         assert calibration.accuracy_at_epsilon == 1.0
 
     def test_no_human_ties_and_agreeing_signs_keep_epsilon_0(self):
         items = [make_item({"a": 2.0, "b": 1.0, "c": 0.0},
                            {"a": 30.0, "b": 20.0, "c": 10.0})]
-        calibration = tau_optimize(items)
+        calibration = tau_optimize(pair_table(items))
         assert calibration.epsilon == 0.0
         assert calibration.accuracy_at_epsilon == 1.0
 
@@ -234,28 +235,28 @@ class TestTauOptimize:
         # accuracy curve is flat and the smallest maximizer is 0.
         items = [make_item({"a": 0.0, "b": 0.0, "c": 1.0},
                            {"a": 0.0, "b": 0.25, "c": 0.5})]
-        calibration = tau_optimize(items)
+        calibration = tau_optimize(pair_table(items))
         assert calibration.epsilon == 0.0
         assert calibration.accuracy_at_epsilon == \
-            segment_accuracy(items, 0.0)
+            segment_accuracy(pair_table(items), 0.0)
 
     def test_never_below_epsilon_0_accuracy(self):
         rng = random.Random(43)
         for trial in range(60):
             items = random_items(rng, n_items=rng.randint(1, 8),
                                  n_systems=rng.randint(2, 6))
-            calibration = tau_optimize(items)
+            calibration = tau_optimize(pair_table(items))
             assert calibration.accuracy_at_epsilon >= \
-                segment_accuracy(items, 0.0)
+                segment_accuracy(pair_table(items), 0.0)
             assert calibration.accuracy_at_epsilon == \
-                segment_accuracy(items, calibration.epsilon)
+                segment_accuracy(pair_table(items), calibration.epsilon)
 
     def test_matches_brute_force_sweep(self):
         rng = random.Random(47)
         for trial in range(40):
             items = random_items(rng, n_items=rng.randint(1, 5),
                                  n_systems=rng.randint(2, 4))
-            calibration = tau_optimize(items)
+            calibration = tau_optimize(pair_table(items))
             oracle_eps, oracle_acc = oracles.tau_sweep_exact(items)
             assert calibration.epsilon == oracle_eps
             assert calibration.accuracy_at_epsilon == float(oracle_acc)
@@ -302,50 +303,43 @@ class TestPearsonNoGrouping:
 class TestTieRates:
     def test_all_distinct_is_0(self):
         items = [make_item({"a": 1.0, "b": 2.0, "c": 3.0})]
-        assert tie_rates(items, HUMAN) == 0.0
+        assert tie_rates(pair_table(items).human) == 0.0
 
     def test_all_equal_is_1(self):
         items = [make_item({"a": 1.0, "b": 1.0}, doc_id=f"d{i}")
                  for i in range(2)]
-        assert tie_rates(items, HUMAN) == 1.0
+        assert tie_rates(pair_table(items).human) == 1.0
 
     def test_hand_case_one_third(self):
         items = [make_item({"a": 0.0, "b": 0.0, "c": 1.0})]
-        assert tie_rates(items, HUMAN) == float(Fraction(1, 3))
+        assert tie_rates(pair_table(items).human) == float(Fraction(1, 3))
 
     def test_metric_source_uses_attached_scores(self):
         items = [make_item({"a": 0.0, "b": 1.0, "c": 2.0},
                            {"a": 5.0, "b": 5.0, "c": 5.0})]
-        assert tie_rates(items, HUMAN) == 0.0
-        assert tie_rates(items, METRIC) == 1.0
-
-    def test_metric_source_skips_unscored_systems(self):
-        item = EvalItem(item_key=KEY, per_system={
-            "a": SystemEntry(human_score=0.0, metric_score=1.0),
-            "b": SystemEntry(human_score=0.0, metric_score=1.0),
-            "c": SystemEntry(human_score=0.0, metric_score=None),
-        })
-        assert tie_rates([item], METRIC) == 1.0
-        assert tie_rates([item], HUMAN) == 1.0
+        assert tie_rates(pair_table(items).human) == 0.0
+        assert tie_rates(pair_table(items).metric) == 1.0
 
     def test_score_table_source(self):
         items = [make_item({"a": 0.0, "b": 1.0})]
         table = score_table({("a", KEY): 3.0, ("b", KEY): 3.0})
-        assert tie_rates(attach_metric_scores(items, table), METRIC) == 1.0
+        assert tie_rates(pair_table(attach_metric_scores(items, table)).metric) == 1.0
 
     def test_score_table_missing_entry_rejected(self):
         items = [make_item({"a": 0.0, "b": 1.0})]
         table = score_table({("a", KEY): 3.0})
         with pytest.raises(ValueError, match="no entry"):
-            tie_rates(attach_metric_scores(items, table), METRIC)
+            tie_rates(pair_table(attach_metric_scores(items, table)).metric)
 
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError, match="unknown score source"):
-            tie_rates([make_item({"a": 0.0, "b": 1.0})], "oracle")
+    def test_unscored_metric_side_rejected(self):
+        pairs = pair_table([make_item({"a": 0.0, "b": 1.0})])
+        assert tie_rates(pairs.human) == 0.0
+        with pytest.raises(ValueError, match="2 or more systems"):
+            tie_rates(pairs.metric)
 
     def test_no_pairs_rejected(self):
         with pytest.raises(ValueError, match="no within-item"):
-            tie_rates([make_item({"a": 0.0})], HUMAN)
+            tie_rates(pair_table([make_item({"a": 0.0})]).human)
 
 
 class TestModeCorrelation:
@@ -403,11 +397,12 @@ class TestInvariances:
                                  human_grid=range(-5, 6))
             rescaled = scaled_items(items, human_factor=2.7)
             for epsilon in (0.0, 0.1, 0.5):
-                assert segment_accuracy(rescaled, epsilon) == \
-                    segment_accuracy(items, epsilon)
-            assert tie_rates(rescaled, HUMAN) == tie_rates(items, HUMAN)
-            original = tau_optimize(items)
-            scaled = tau_optimize(rescaled)
+                assert segment_accuracy(pair_table(rescaled), epsilon) == \
+                    segment_accuracy(pair_table(items), epsilon)
+            assert tie_rates(pair_table(rescaled).human) == \
+                tie_rates(pair_table(items).human)
+            original = tau_optimize(pair_table(items))
+            scaled = tau_optimize(pair_table(rescaled))
             assert scaled.epsilon == original.epsilon
             assert scaled.accuracy_at_epsilon == original.accuracy_at_epsilon
 
@@ -418,10 +413,10 @@ class TestInvariances:
                                  n_systems=rng.randint(2, 5))
             doubled = scaled_items(items, metric_factor=2.0)
             for epsilon in (0.0, 0.05, 0.1, 0.35):
-                assert segment_accuracy(doubled, 2 * epsilon) == \
-                    segment_accuracy(items, epsilon)
-            original = tau_optimize(items)
-            scaled = tau_optimize(doubled)
+                assert segment_accuracy(pair_table(doubled), 2 * epsilon) == \
+                    segment_accuracy(pair_table(items), epsilon)
+            original = tau_optimize(pair_table(items))
+            scaled = tau_optimize(pair_table(doubled))
             assert scaled.epsilon == 2 * original.epsilon
             assert scaled.accuracy_at_epsilon == original.accuracy_at_epsilon
 
@@ -431,19 +426,23 @@ class TestInvariances:
         renamed = []
         mapping = {"s0": "zulu", "s1": "alpha", "s2": "mike", "s3": "kilo"}
         for item in items:
-            per_system = {mapping[s]: entry
-                          for s, entry in item.per_system.items()}
+            # Sorted by the new names, as build_eval_items orders them, so
+            # the pairs come in another order and some swap their sides.
+            per_system = dict(sorted((mapping[s], entry)
+                                     for s, entry in item.per_system.items()))
             renamed.append(EvalItem(item_key=item.item_key,
                                     per_system=per_system))
+        renamed, items = pair_table(renamed), pair_table(items)
         for epsilon in (0.0, 0.1):
             assert segment_accuracy(renamed, epsilon) == \
                 segment_accuracy(items, epsilon)
         assert tau_optimize(renamed) == tau_optimize(items)
-        assert tie_rates(renamed, HUMAN) == tie_rates(items, HUMAN)
+        assert tie_rates(renamed.human) == tie_rates(items.human)
+        assert tie_rates(renamed.metric) == tie_rates(items.metric)
 
     def test_item_order_changes_nothing(self):
         rng = random.Random(71)
         items = random_items(rng, n_items=6, n_systems=3)
-        shuffled = items[::-1]
-        assert segment_accuracy(shuffled, 0.1) == segment_accuracy(items, 0.1)
-        assert tau_optimize(shuffled) == tau_optimize(items)
+        shuffled, pairs = pair_table(items[::-1]), pair_table(items)
+        assert segment_accuracy(shuffled, 0.1) == segment_accuracy(pairs, 0.1)
+        assert tau_optimize(shuffled) == tau_optimize(pairs)

@@ -3,7 +3,9 @@
 Scores come from small grids, so both sides are heavily tied and the
 metric differences include distinct floats that print alike (0.3 - 0.1
 is not 0.2). Items have from 2 to 20 systems, so their pair counts and
-hence their weights differ, and some systems carry no metric score.
+hence their weights differ. Every system is metric-scored: either the
+items carry the scores, or human-only items get them from a score table
+through ``attach_metric_scores``, as the CLI does.
 """
 
 import random
@@ -13,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from paraeval.metaeval import (HUMAN, METRIC, attach_metric_scores,
-                               pair_table, pearson_no_grouping,
-                               segment_accuracy, system_pairwise_accuracy,
-                               tau_optimize, tie_rates)
+from paraeval.metaeval import (attach_metric_scores, pair_table,
+                               pearson_no_grouping, segment_accuracy,
+                               system_pairwise_accuracy, tau_optimize,
+                               tie_rates)
 from paraeval.model import EvalItem, ScoreTable, SimConfig, SystemEntry
 from paraeval.noise import noise_curve
 
@@ -29,62 +31,66 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
 
 
+def human_only(items):
+    return [EvalItem(item_key=item.item_key, per_system={
+        s: SystemEntry(human_score=e.human_score) for s, e in item.per_system.items()})
+        for item in items]
+
+
+def metric_table(items):
+    return ScoreTable(metric_name="m", k=1, entries={
+        (s, item.item_key): e.metric_score
+        for item in items for s, e in item.per_system.items()})
+
+
 @st.composite
 def unit_items(draw):
-    metric = st.sampled_from(METRIC_GRID + [None])
     items = []
     for index, width in enumerate(draw(st.lists(st.integers(2, 20),
                                                 min_size=1, max_size=6))):
         systems = draw(st.permutations(SYSTEMS))[:width]
         per_system = {s: SystemEntry(human_score=draw(st.sampled_from(HUMAN_GRID)),
-                                     metric_score=draw(metric))
+                                     metric_score=draw(st.sampled_from(METRIC_GRID)))
                       for s in systems}
         items.append(EvalItem(item_key=(f"doc{index}", 0, 1), per_system=per_system))
+    if draw(st.booleans()):
+        items = attach_metric_scores(human_only(items), metric_table(items))
     return items
 
 
 def observed_deltas(items):
-    deltas = set()
-    for item in items:
-        scored = [e.metric_score for e in item.per_system.values()
-                  if e.metric_score is not None]
-        deltas.update(abs(a - b) for a in scored for b in scored)
-    return sorted(deltas)
-
-
-def has_scored_pair(items):
-    return any(sum(e.metric_score is not None for e in item.per_system.values()) >= 2
-               for item in items)
+    return sorted({abs(a.metric_score - b.metric_score) for item in items
+                   for a in item.per_system.values()
+                   for b in item.per_system.values()})
 
 
 def assert_matches_oracles(items, epsilons):
+    pairs = pair_table(items)
     for epsilon in epsilons:
         expected = oracles.segment_accuracy_exact(items, epsilon)
-        assert segment_accuracy(items, epsilon) == float(expected)
+        assert segment_accuracy(pairs, epsilon) == float(expected)
     best_eps, best_acc = oracles.tau_sweep_exact(items)
-    calibration = tau_optimize(items)
+    calibration = tau_optimize(pairs)
     assert calibration.epsilon == best_eps
     assert calibration.accuracy_at_epsilon == float(best_acc)
+    assert tie_rates(pairs.human) == float(oracles.tie_rate_exact(items, "human"))
+    assert tie_rates(pairs.metric) == float(oracles.tie_rate_exact(items, "metric"))
 
 
 @PROPERTY
 @given(items=unit_items(), data=st.data())
 def test_core_matches_oracles_on_small_tied_units(items, data):
-    assert tie_rates(items, HUMAN) == float(oracles.tie_rate_exact(items, "human"))
-    if not has_scored_pair(items):
-        with pytest.raises(ValueError, match="no item has 2 or more"):
-            tau_optimize(items)
-        return
-    assert tie_rates(items, METRIC) == float(oracles.tie_rate_exact(items, "metric"))
-    deltas = observed_deltas(items)
     # An epsilon equal to an observed difference predicts that pair tied.
-    epsilon = data.draw(st.sampled_from(deltas))
+    epsilon = data.draw(st.sampled_from(observed_deltas(items)))
     assert_matches_oracles(items, [0.0, epsilon, 0.25])
-    # Every statistic is one view of the same table.
-    table = pair_table(items)
-    assert segment_accuracy(table, epsilon) == segment_accuracy(items, epsilon)
-    assert tau_optimize(table) == tau_optimize(items)
-    assert tie_rates(table, METRIC) == tie_rates(items, METRIC)
+    # Human-only items give the same human side; their metric side is refused.
+    unscored = pair_table(human_only(items))
+    assert tie_rates(unscored.human) == tie_rates(pair_table(items).human)
+    for statistic in (lambda: segment_accuracy(unscored, 0.0),
+                      lambda: tau_optimize(unscored),
+                      lambda: tie_rates(unscored.metric)):
+        with pytest.raises(ValueError, match="no item has 2 or more"):
+            statistic()
 
 
 @settings(PROPERTY, max_examples=3)
@@ -97,7 +103,6 @@ def test_core_stays_exact_when_the_denominator_exceeds_int64(seed):
         for s in rng.sample(SYSTEMS, m)}) for m in range(2, 61)]
     assert pair_table(items).denominator >= 2 ** 63
     assert_matches_oracles(items, [0.0, 0.1])
-    assert tie_rates(items, METRIC) == float(oracles.tie_rate_exact(items, "metric"))
 
 
 def test_reported_statistics_are_builtin_floats():
@@ -110,22 +115,20 @@ def test_reported_statistics_are_builtin_floats():
         for m in range(2, 61)]
     assert pair_table(wide).denominator >= 2 ** 63
     for items in (narrow, wide):
-        calibration = tau_optimize(items)
-        table = ScoreTable(metric_name="m", k=1, entries={
-            (s, item.item_key): e.metric_score
-            for item in items for s, e in item.per_system.items()})
-        values = [segment_accuracy(items, 0.0), segment_accuracy(items, 0.1),
-                  segment_accuracy(pair_table(items), 0.0),
+        pairs = pair_table(items)
+        calibration = tau_optimize(pairs)
+        attached = pair_table(attach_metric_scores(human_only(items),
+                                                   metric_table(items)))
+        values = [segment_accuracy(pairs, 0.0), segment_accuracy(pairs, 0.1),
                   calibration.epsilon, calibration.accuracy_at_epsilon,
-                  tie_rates(items, HUMAN), tie_rates(items, METRIC),
-                  tie_rates(attach_metric_scores(items, table), METRIC),
-                  tie_rates(pair_table(items), HUMAN)]
+                  tie_rates(pairs.human), tie_rates(pairs.metric),
+                  tie_rates(attached.metric)]
         assert calibration.epsilon > 0
         assert all(type(value) is float for value in values), values
     agreeing = [EvalItem(item_key=("d", 0, 1), per_system={
         "a": SystemEntry(1.0, 1.0), "b": SystemEntry(0.0, 0.0)})]
-    assert tau_optimize(agreeing).epsilon == 0
-    assert type(tau_optimize(agreeing).epsilon) is float
+    assert tau_optimize(pair_table(agreeing)).epsilon == 0
+    assert type(tau_optimize(pair_table(agreeing)).epsilon) is float
     config = SimConfig(n_items=5, n_systems=3, max_k=2, sigma_quality=1.0,
                        sigma_human=1.0, sigma_metric=1.0, system_mean_spread=0.5,
                        seed=3)

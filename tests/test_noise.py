@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import make_item
 
-from paraeval.metaeval import segment_accuracy
+from paraeval.metaeval import pair_table, segment_accuracy
 from paraeval.model import SimConfig
 from paraeval.noise import noise_curve, simulate
 
@@ -17,11 +17,12 @@ def config(**overrides):
     return SimConfig(**base)
 
 
-def items(matrices):
-    """The matrices' rows as EvalItems, so that accuracy takes the item path."""
+def pairs(matrices):
+    """The matrices' rows as EvalItems, paired as the CLI pairs them."""
     human, metric = matrices
-    return [make_item(dict(enumerate(h)), dict(enumerate(m)), doc_id=f"item{i}")
-            for i, (h, m) in enumerate(zip(human.tolist(), metric.tolist()))]
+    return pair_table(
+        make_item(dict(enumerate(h)), dict(enumerate(m)), doc_id=f"item{i}")
+        for i, (h, m) in enumerate(zip(human.tolist(), metric.tolist())))
 
 
 class TestSimulate:
@@ -60,13 +61,13 @@ class TestSimulate:
         out = simulate(config(sigma_human=0.0, sigma_metric=0.0))
         for human, metric in out.values():
             assert np.array_equal(human, metric)
-            assert segment_accuracy(items((human, metric)), 0.0) == 1.0
+            assert segment_accuracy(pairs((human, metric)), 0.0) == 1.0
 
     def test_huge_system_spread_dominates_noise(self):
         # System means are far apart relative to the noise, so orderings
         # agree almost everywhere even at k=1.
         out = simulate(config(system_mean_spread=1000.0, n_items=100))
-        assert segment_accuracy(items(out[1]), 0.0) >= 0.95
+        assert segment_accuracy(pairs(out[1]), 0.0) >= 0.95
 
     def test_accuracy_noise_shrinks_with_k(self):
         # With iid noise, paragraph scores at k average k sentence draws,
@@ -74,8 +75,8 @@ class TestSimulate:
         out = simulate(config(n_items=400, n_systems=2, max_k=10,
                               sigma_quality=0.0, system_mean_spread=1.0,
                               sigma_human=1.0, sigma_metric=1.0, seed=7))
-        acc1 = segment_accuracy(items(out[1]), 0.0)
-        acc10 = segment_accuracy(items(out[10]), 0.0)
+        acc1 = segment_accuracy(pairs(out[1]), 0.0)
+        acc10 = segment_accuracy(pairs(out[10]), 0.0)
         assert acc10 > acc1
 
 
@@ -98,7 +99,7 @@ class TestNoiseCurve:
             matrices = simulate(config(n_items=15, seed=99 + i))
             for k in (1, 3):
                 assert by_k[k].per_seed[i] == \
-                    segment_accuracy(items(matrices[k]), 0.0)
+                    segment_accuracy(pairs(matrices[k]), 0.0)
 
     def test_single_seed_has_zero_spread(self):
         points = noise_curve(config(n_items=10), ks=[1, 2], n_seeds=1)
@@ -135,4 +136,4 @@ class TestNoiseCurve:
         cfg = config(n_items=5, seed=2 ** 64 - 1)
         points = noise_curve(cfg, ks=[1, 2], n_seeds=2)
         wrapped = simulate(config(n_items=5, seed=0))
-        assert points[0].per_seed[1] == segment_accuracy(items(wrapped[1]), 0.0)
+        assert points[0].per_seed[1] == segment_accuracy(pairs(wrapped[1]), 0.0)
