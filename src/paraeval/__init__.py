@@ -8,7 +8,7 @@ from .metaeval import (PairTable, attach_metric_scores, mode_correlation,
                        pair_table, pearson_no_grouping, segment_accuracy,
                        system_pairwise_accuracy, system_scores, tau_optimize,
                        tie_rates)
-from .metrics import (BUILTIN_METRICS, BleuMetric, bleu_corpus, bleu_sentence,
+from .metrics import (BUILTIN_METRICS, bleu_corpus, bleu_sentence,
                       char_token_count, length_percentiles, score_aligned_avg,
                       score_direct, tokenize, truncation_stats,
                       whitespace_token_count)
@@ -22,7 +22,7 @@ from .sampling import sample_stratified, sample_uniform
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTIN_METRICS", "BleuMetric", "EvalItem", "NoiseCurvePoint",
+    "BUILTIN_METRICS", "EvalItem", "NoiseCurvePoint",
     "PairTable", "ParagraphInstance", "ParseError", "RatingRecord",
     "ScoreTable", "ScoreType", "SimConfig", "SystemEntry", "TauCalibration",
     "ValidationError", "ValidationReport", "aggregate_score",

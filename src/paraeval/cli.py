@@ -232,10 +232,9 @@ def _load_external(path: Optional[str], units: Iterable[UnitKey]):
 
 def _builtin_table(args, unit_paragraphs: list[ParagraphInstance],
                    records) -> ScoreTable:
-    metric = metrics.BUILTIN_METRICS[args.metric]
     if args.mode == "direct":
-        return metrics.score_direct(metric, unit_paragraphs)
-    return metrics.score_aligned_avg(metric, unit_paragraphs, records)
+        return metrics.score_direct(unit_paragraphs)
+    return metrics.score_aligned_avg(unit_paragraphs, records)
 
 
 def _unit_tables(args, key: UnitKey, unit_paragraphs: list[ParagraphInstance],
@@ -407,11 +406,10 @@ def cmd_ties(args) -> int:
 def cmd_compare_modes(args) -> int:
     units = _group_units(_load_paragraphs(args.paragraphs))
     records = fileio.load_ratings(args.ratings)
-    metric = metrics.BUILTIN_METRICS[args.metric]
 
     def unit_rows(key, unit_paragraphs):
-        direct = metrics.score_direct(metric, unit_paragraphs)
-        aligned = metrics.score_aligned_avg(metric, unit_paragraphs, records)
+        direct = metrics.score_direct(unit_paragraphs)
+        aligned = metrics.score_aligned_avg(unit_paragraphs, records)
         return [ReportRow(*key, args.metric, "direct_vs_aligned", "mode_pearson",
                           metaeval.mode_correlation(direct, aligned))]
 
@@ -544,7 +542,7 @@ def build_parser() -> _Parser:
 
     sub = add("score", cmd_score, "Score paragraphs with a built-in metric.")
     sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")
-    sub.add_argument("--metric", choices=sorted(metrics.BUILTIN_METRICS),
+    sub.add_argument("--metric", choices=metrics.BUILTIN_METRICS,
                      default="bleu")
     sub.add_argument("--mode", choices=("direct", "aligned"), default="direct",
                      help="whole-paragraph scoring or mean over aligned "
@@ -558,7 +556,7 @@ def build_parser() -> _Parser:
               "Measure metric-human agreement per evaluation unit.")
     sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")
     sub.add_argument("--scores", help="external scores .tsv[.gz]")
-    sub.add_argument("--metric", choices=sorted(metrics.BUILTIN_METRICS),
+    sub.add_argument("--metric", choices=metrics.BUILTIN_METRICS,
                      help="score with a built-in metric instead of --scores")
     sub.add_argument("--mode", choices=("direct", "aligned"), default="direct")
     sub.add_argument("--ratings", help="ratings file (for aligned mode)")
@@ -576,7 +574,7 @@ def build_parser() -> _Parser:
     sub = add("ties", cmd_ties, "Report exact-tie rates per evaluation unit.")
     sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")
     sub.add_argument("--scores", help="external scores .tsv[.gz]")
-    sub.add_argument("--metric", choices=sorted(metrics.BUILTIN_METRICS),
+    sub.add_argument("--metric", choices=metrics.BUILTIN_METRICS,
                      help="also rate ties of a built-in metric")
     sub.add_argument("--mode", choices=("direct", "aligned"), default="direct")
     sub.add_argument("--ratings", help="ratings file (for aligned mode)")
@@ -586,7 +584,7 @@ def build_parser() -> _Parser:
               "Correlate direct vs aligned-average scoring of one metric.")
     sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")
     sub.add_argument("--ratings", required=True, help="ratings .jsonl[.gz]")
-    sub.add_argument("--metric", choices=sorted(metrics.BUILTIN_METRICS),
+    sub.add_argument("--metric", choices=metrics.BUILTIN_METRICS,
                      default="bleu")
     sub.add_argument("--out", required=True, help="report base path")
 

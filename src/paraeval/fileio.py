@@ -393,8 +393,7 @@ def parse_external_scores(stream: Lines) -> dict[tuple[str, str, int], ScoreTabl
         entries[entry_key] = score
 
     return {
-        group_key: ScoreTable(metric_name=group_key[0], k=group_key[2],
-                              entries=entries)
+        group_key: ScoreTable(metric_name=group_key[0], entries=entries)
         for group_key, entries in sorted(groups.items())
     }
 

@@ -17,11 +17,12 @@ smoothing to the remaining zero precisions (each is replaced by
 and direct-mode scoring are unsmoothed, with any zero pooled precision
 collapsing the score to 0.
 
-The paragraph scorers visit one item (a window position in a document)
-at a time and tokenize and count each distinct reference text of the item
-once, since every system of an item usually shares one reference. Those
-counts live in a dict local to the item, so the memory they take is
-bounded by one item's references, not by the input.
+``score_direct`` and ``score_aligned_avg`` differ only in how they score
+one paragraph; one loop serves both. It visits one item (a window position
+in a document) at a time and tokenizes and counts each distinct reference
+text of the item once, since every system of an item usually shares one
+reference. Those counts live in a dict local to the item, so the memory
+they take is bounded by one item's references, not by the input.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import unicodedata
 from collections import Counter, defaultdict
 from itertools import groupby, repeat
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .model import ItemKey, ParagraphInstance, RatingRecord, ScoreTable
 
@@ -144,116 +145,75 @@ def bleu_corpus(pairs: Iterable[Tuple[str, str]]) -> float:
                              smooth=False)
 
 
-class BleuMetric:
-    """Built-in lexical overlap metric with sentence and direct variants.
-
-    The paragraph scorers call ``count`` once per distinct text and score
-    the counts with ``direct`` or ``sentence``; ``direct_score`` and
-    ``sentence_score`` do the same for one (hypothesis, reference) pair.
-    """
-
-    name = "bleu"
-
-    def count(self, text: str) -> NgramCounts:
-        """Token count and n-gram counts of a text, reusable across pairs."""
-        return _count_ngrams(text)
-
-    def sentence(self, hyp: NgramCounts, ref: NgramCounts) -> float:
-        """Smoothed sentence BLEU of counted texts."""
-        return _bleu(hyp, ref, smooth=True)
-
-    def direct(self, hyp: NgramCounts, ref: NgramCounts) -> float:
-        """One long segment, counted the corpus way (no smoothing)."""
-        return _bleu(hyp, ref, smooth=False)
-
-    def sentence_score(self, hypothesis: str, reference: str) -> float:
-        return bleu_sentence(hypothesis, reference)
-
-    def direct_score(self, hypothesis: str, reference: str) -> float:
-        return self.direct(self.count(hypothesis), self.count(reference))
+BUILTIN_METRICS = ("bleu",)
 
 
-BUILTIN_METRICS = {BleuMetric.name: BleuMetric()}
-
-
-def _check_unit(paragraphs: list[ParagraphInstance]) -> int:
+def _check_unit(paragraphs: list[ParagraphInstance]) -> None:
     if not paragraphs:
         raise ValueError("no paragraphs to score")
     units = {(p.dataset_id, p.lang_pair, p.k) for p in paragraphs}
     if len(units) > 1:
         raise ValueError(f"paragraphs span multiple (dataset, lang_pair, k) "
                          f"units: {sorted(units)}")
-    return paragraphs[0].k
-
-
-def _items(paragraphs: list[ParagraphInstance]) -> Iterator[Iterator[ParagraphInstance]]:
-    """One unit's paragraphs grouped by item, in (doc_id, start_index, system_id) order."""
-    ordered = sorted(paragraphs, key=lambda p: (p.doc_id, p.start_index, p.system_id))
-    return (item for _, item in groupby(ordered, key=lambda p: (p.doc_id, p.start_index)))
 
 
 class _Counted(dict):
-    """Text -> the metric's counts of it, each text counted on first use."""
-
-    def __init__(self, metric):
-        super().__init__()
-        self.metric = metric
+    """Text -> its n-gram counts, each text counted on first use."""
 
     def __missing__(self, text: str) -> NgramCounts:
-        counts = self[text] = self.metric.count(text)
+        counts = self[text] = _count_ngrams(text)
         return counts
 
 
-def score_direct(metric, paragraphs: Iterable[ParagraphInstance]) -> ScoreTable:
-    """Score each paragraph as one long segment."""
+def _score(paragraphs: Iterable[ParagraphInstance],
+           score: Callable[[ParagraphInstance, _Counted], float]) -> ScoreTable:
+    """One unit's BLEU table of score(paragraph, its item's reference counts)."""
     paragraphs = list(paragraphs)
-    k = _check_unit(paragraphs)
+    _check_unit(paragraphs)
+    ordered = sorted(paragraphs, key=lambda p: (p.doc_id, p.start_index, p.system_id))
     entries: dict[tuple[str, ItemKey], float] = {}
-    for item in _items(paragraphs):
-        references = _Counted(metric)
+    for _, item in groupby(ordered, key=lambda p: (p.doc_id, p.start_index)):
+        references = _Counted()
         for p in item:
             key = (p.system_id, p.item_key)
             if key in entries:
                 raise ValueError(f"duplicate paragraph for {key}")
-            entries[key] = metric.direct(metric.count(p.hypothesis_text),
-                                         references[p.reference_text])
-    return ScoreTable(metric_name=metric.name, k=k, entries=dict(sorted(entries.items())))
+            entries[key] = score(p, references)
+    return ScoreTable(metric_name="bleu", entries=dict(sorted(entries.items())))
 
 
-def score_aligned_avg(metric, paragraphs: Iterable[ParagraphInstance],
+def score_direct(paragraphs: Iterable[ParagraphInstance]) -> ScoreTable:
+    """Score each paragraph as one long segment, counted the corpus way."""
+    return _score(paragraphs, lambda p, references: _bleu(
+        _count_ngrams(p.hypothesis_text), references[p.reference_text], smooth=False))
+
+
+def score_aligned_avg(paragraphs: Iterable[ParagraphInstance],
                       records: Iterable[RatingRecord]) -> ScoreTable:
     """Score each paragraph as the mean of its k aligned sentence scores.
 
-    The k (hypothesis, reference) sentence pairs are reconstructed from
-    the rating records the paragraph was built from, so this mode is only
-    available for built-in metrics; externally scored metrics have no
-    sentence alignment to average over.
+    The k sentence pairs come from the rating records the paragraph was
+    built from; their texts, joined by one space, must be the paragraph's.
     """
-    if not hasattr(metric, "sentence"):
-        raise ValueError(f"aligned-average mode is unsupported for "
-                         f"{getattr(metric, 'name', metric)!r}: no sentence-level "
-                         f"scores are available")
-    paragraphs = list(paragraphs)
-    k = _check_unit(paragraphs)
     by_key = {r.key: r for r in records}
-    entries: dict[tuple[str, ItemKey], float] = {}
-    for item in _items(paragraphs):
-        references = _Counted(metric)
-        for p in item:
-            sentence_scores = []
-            for i in range(p.start_index, p.start_index + p.k):
-                record = by_key.get((p.dataset_id, p.lang_pair, p.system_id, p.doc_id, i))
-                if record is None:
-                    raise ValueError(f"missing rating record for sentence {i} of "
-                                     f"paragraph {p.sort_key()}")
-                sentence_scores.append(metric.sentence(
-                    metric.count(record.hypothesis_text),
-                    references[record.reference_text]))
-            key = (p.system_id, p.item_key)
-            if key in entries:
-                raise ValueError(f"duplicate paragraph for {key}")
-            entries[key] = math.fsum(sentence_scores) / len(sentence_scores)
-    return ScoreTable(metric_name=metric.name, k=k, entries=dict(sorted(entries.items())))
+
+    def score(p: ParagraphInstance, references: _Counted) -> float:
+        sentences = []
+        for i in range(p.start_index, p.start_index + p.k):
+            record = by_key.get((p.dataset_id, p.lang_pair, p.system_id, p.doc_id, i))
+            if record is None:
+                raise ValueError(f"missing rating record for sentence {i} of "
+                                 f"paragraph {p.sort_key()}")
+            sentences.append(record)
+        for field in ("hypothesis_text", "reference_text"):
+            if " ".join([getattr(r, field) for r in sentences]) != getattr(p, field):
+                raise ValueError(f"the rating records of paragraph {p.sort_key()} "
+                                 f"do not join to its {field}")
+        return math.fsum(_bleu(_count_ngrams(r.hypothesis_text),
+                               references[r.reference_text], smooth=True)
+                         for r in sentences) / len(sentences)
+
+    return _score(paragraphs, score)
 
 
 def _hyp_count(p: ParagraphInstance, counter: TokenCounter) -> int:

@@ -115,18 +115,12 @@ class ScoreTable:
     """Metric scores for one evaluation unit, keyed by (system, item)."""
 
     metric_name: str
-    k: int
     entries: Mapping[Tuple[str, ItemKey], float]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
         for key, score in self.entries.items():
             if not math.isfinite(score):
                 raise ValueError(f"non-finite score for {key}: {score!r}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)

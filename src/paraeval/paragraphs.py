@@ -11,6 +11,7 @@ it without being skipped.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import Iterable, Optional, Sequence
 
@@ -57,7 +58,8 @@ def build_paragraphs(records: Iterable[RatingRecord], k: int) -> list[ParagraphI
     Returns:
         Paragraphs sorted by (dataset, lang_pair, system, doc, start).
         Documents with fewer than k rated positions simply contribute
-        nothing. Sentence texts are joined with a single space.
+        nothing. Sentence texts are joined with a single space. A window
+        whose scores aggregate to a non-finite human_score is an error.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -82,6 +84,12 @@ def build_paragraphs(records: Iterable[RatingRecord], k: int) -> list[ParagraphI
                 continue
             first = window[0]
             scores = tuple(r.score for r in window)
+            human_score = aggregate_score(scores, first.score_type)
+            if not math.isfinite(human_score):
+                raise ValueError(
+                    f"window dataset={first.dataset_id} lang_pair={first.lang_pair} "
+                    f"system={first.system_id} doc={first.doc_id} start_index={i} "
+                    f"k={k}: human_score aggregates to non-finite {human_score!r}")
             paragraphs.append(ParagraphInstance(
                 dataset_id=first.dataset_id,
                 lang_pair=first.lang_pair,
@@ -91,7 +99,7 @@ def build_paragraphs(records: Iterable[RatingRecord], k: int) -> list[ParagraphI
                 k=k,
                 score_type=first.score_type,
                 rater_id=first.rater_id,
-                human_score=aggregate_score(scores, first.score_type),
+                human_score=human_score,
                 sentence_scores=scores,
                 source_text=" ".join(r.source_text for r in window),
                 reference_text=" ".join(r.reference_text for r in window),

@@ -139,7 +139,7 @@ def test_metaeval_invariance_suite_on_100_random_tables():
         assert tie_rates(scaled.human) == tie_rates(pairs.human)
         assert tie_rates(scaled.metric) == tie_rates(pairs.metric)
         table = ScoreTable(
-            metric_name="m", k=1,
+            metric_name="m",
             entries={(s, item.item_key): item.per_system[s].metric_score
                      for item in items for s in item.per_system})
         metric_sys = system_scores(table.entries)

@@ -248,6 +248,20 @@ class TestBuildParagraphs:
         by_system = {(p.system_id, p.doc_id): p.human_score for p in k2}
         assert by_system[("sysC", "d1")] == -11.0
 
+    def test_window_with_a_non_finite_score_exits_2(self, tmp_path, capsys):
+        records = [make_rating(sent_index=i, rater_id="A", score=8.98846567431158e+307)
+                   for i in range(2)]
+        ratings = write_ratings(tmp_path / "huge.jsonl", records)
+        assert main(["validate", "--ratings", ratings]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "built"
+        assert main(["build-paragraphs", "--ratings", ratings,
+                     "--k", "1,2", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "error: window dataset=wmt lang_pair=en-de system=sysA doc=doc1 "
+            "start_index=0 k=2: human_score aggregates to non-finite inf\n")
+        assert not (out_dir / "paragraphs-k2.jsonl").exists()
+
     def test_bad_k_spec_exits_1(self, tau_ratings, tmp_path, capsys):
         for spec in ("0", "5-2", "x"):
             with pytest.raises(SystemExit) as excinfo:
@@ -675,6 +689,31 @@ def test_empty_paragraphs_file_exits_2(command, tau_ratings, tmp_path, capsys):
             for arg in PARAGRAPH_COMMANDS[command]]
     assert main([command, "--paragraphs", str(empty), *argv]) == 2
     assert f"error: no paragraphs in {empty}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+# Every command that scores paragraphs in aligned mode, with its other arguments.
+ALIGNED_COMMANDS = {
+    "score": ["--metric", "bleu", "--mode", "aligned", "--out", "{out}.tsv"],
+    "metaeval": ["--metric", "bleu", "--mode", "aligned", "--out", "{out}"],
+    "compare-modes": ["--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ALIGNED_COMMANDS))
+def test_ratings_with_other_texts_exit_2_in_aligned_mode(command, tmp_path, capsys):
+    # Same keys as the ratings the paragraphs were built from, other texts.
+    records = [r for r in rich_records() if r.system_id != "sysC"]
+    paragraphs = write_paragraph_file(tmp_path / "p.jsonl", records, [2])
+    ratings = write_ratings(tmp_path / "other.jsonl", [
+        replace(r, hypothesis_text=f"other {r.hypothesis_text}",
+                reference_text=f"other {r.reference_text}") for r in records])
+    argv = [arg.format(out=tmp_path / "out") for arg in ALIGNED_COMMANDS[command]]
+    assert main([command, "--paragraphs", paragraphs, "--ratings", ratings,
+                 *argv]) == 2
+    assert capsys.readouterr().err == (
+        "error: wmt/en-de k=2: the rating records of paragraph ('wmt', 'en-de', "
+        "'sysA', 'd1', 0, 2) do not join to its hypothesis_text\n")
     assert not list(tmp_path.glob("out*"))
 
 

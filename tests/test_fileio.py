@@ -217,7 +217,7 @@ class TestScoresFile:
         assert set(tables) == {("bleu", "en-de", 2)}
         table = tables[("bleu", "en-de", 2)]
         assert table.entries[("sysA", ("doc1", 0, 2))] == 41.5
-        assert len(table) == 2
+        assert len(table.entries) == 2
 
     def test_rows_with_different_k_split_into_tables(self):
         text = (f"{self.HEADER}\n"

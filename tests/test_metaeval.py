@@ -17,8 +17,8 @@ from paraeval.paragraphs import build_paragraphs
 KEY = ("doc1", 0, 1)
 
 
-def score_table(entries, k=1, name="m"):
-    return ScoreTable(metric_name=name, k=k, entries=entries)
+def score_table(entries, name="m"):
+    return ScoreTable(metric_name=name, entries=entries)
 
 
 class TestAttachMetricScores:
@@ -346,9 +346,9 @@ class TestModeCorrelation:
     @staticmethod
     def tables(direct_values, aligned_values):
         keys = [(f"s{i}", (f"d{i}", 0, 2)) for i in range(len(direct_values))]
-        direct = ScoreTable(metric_name="bleu", k=2,
+        direct = ScoreTable(metric_name="bleu",
                             entries=dict(zip(keys, direct_values)))
-        aligned = ScoreTable(metric_name="bleu", k=2,
+        aligned = ScoreTable(metric_name="bleu",
                              entries=dict(zip(keys, aligned_values)))
         return direct, aligned
 
@@ -364,7 +364,7 @@ class TestModeCorrelation:
 
     def test_key_mismatch_rejected_and_lists_keys(self):
         direct, _ = self.tables([1.0, 2.0], [1.0, 2.0])
-        aligned = ScoreTable(metric_name="bleu", k=2,
+        aligned = ScoreTable(metric_name="bleu",
                              entries={("sX", ("dX", 0, 2)): 1.0,
                                       ("s0", ("d0", 0, 2)): 1.0})
         with pytest.raises(ValueError, match=r"different.*sX"):

@@ -38,7 +38,7 @@ def human_only(items):
 
 
 def metric_table(items):
-    return ScoreTable(metric_name="m", k=1, entries={
+    return ScoreTable(metric_name="m", entries={
         (s, item.item_key): e.metric_score
         for item in items for s, e in item.per_system.items()})
 

@@ -1,12 +1,13 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 import oracles
 from helpers import make_rating
 from paraeval import metrics
-from paraeval.metrics import (BleuMetric, bleu_corpus, bleu_sentence,
+from paraeval.metrics import (bleu_corpus, bleu_sentence,
                               char_token_count, length_percentiles,
                               nearest_rank_percentile, score_aligned_avg,
                               score_direct, tokenize, truncation_stats,
@@ -155,19 +156,19 @@ class TestScoreDirect:
     def test_table_shape_and_mode(self):
         _, paragraphs = paragraphs_from(
             {"sysA": [("a b", "a b"), ("c d", "c d")]}, k=2)
-        table = score_direct(BleuMetric(), paragraphs)
-        assert table.k == 2
+        table = score_direct(paragraphs)
+        assert table.metric_name == "bleu"
         assert set(table.entries) == {("sysA", ("doc1", 0, 2))}
 
     def test_identical_paragraph_scores_100(self):
         _, paragraphs = paragraphs_from({"sysA": [("x y z", "x y z")]}, k=1)
-        table = score_direct(BleuMetric(), paragraphs)
+        table = score_direct(paragraphs)
         assert table.entries[("sysA", ("doc1", 0, 1))] == 100.0
 
     def test_k1_direct_equals_unsmoothed_sentence_scoring(self):
         pairs = [("a b c d e f", "a b c d e e"), ("p q r s", "p q r s t")]
         _, paragraphs = paragraphs_from({"sysA": [pairs[0]], }, k=1)
-        table = score_direct(BleuMetric(), paragraphs)
+        table = score_direct(paragraphs)
         assert table.entries[("sysA", ("doc1", 0, 1))] == pytest.approx(
             oracles.bleu_corpus([pairs[0]]), abs=1e-9)
 
@@ -177,7 +178,7 @@ class TestScoreDirect:
         sentence_pairs = [("a b c d e", "a b c d e"),
                           ("p q r s t", "k l m n o")]
         _, paragraphs = paragraphs_from({"sysA": sentence_pairs}, k=2)
-        direct = score_direct(BleuMetric(), paragraphs)
+        direct = score_direct(paragraphs)
         score = direct.entries[("sysA", ("doc1", 0, 2))]
         assert 0.0 < score < 100.0
         joined_hyp = "a b c d e p q r s t"
@@ -200,11 +201,11 @@ class TestScoreDirect:
         _, second = paragraphs_from({"sysA": [("b", "b")]}, k=1,
                                     lang_pair="en-ru")
         with pytest.raises(ValueError, match="multiple"):
-            score_direct(BleuMetric(), first + second)
+            score_direct(first + second)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="no paragraphs"):
-            score_direct(BleuMetric(), [])
+            score_direct([])
 
 
 class TestScoreAlignedAvg:
@@ -212,7 +213,7 @@ class TestScoreAlignedAvg:
         _, paragraphs = paragraphs_from(
             {"sysA": [("a b c d e", "a b c d f")]}, k=1)
         records, _ = paragraphs_from({"sysA": [("a b c d e", "a b c d f")]}, k=1)
-        aligned = score_aligned_avg(BleuMetric(), paragraphs, records)
+        aligned = score_aligned_avg(paragraphs, records)
         key = ("sysA", ("doc1", 0, 1))
         assert aligned.entries[key] == pytest.approx(
             bleu_sentence("a b c d e", "a b c d f"), abs=1e-12)
@@ -221,7 +222,7 @@ class TestScoreAlignedAvg:
         sentence_pairs = [("a b c d e", "a b c d e"),
                           ("p q r s t", "k l m n o")]
         records, paragraphs = paragraphs_from({"sysA": sentence_pairs}, k=2)
-        aligned = score_aligned_avg(BleuMetric(), paragraphs, records)
+        aligned = score_aligned_avg(paragraphs, records)
         score = aligned.entries[("sysA", ("doc1", 0, 2))]
         smoothed_zero = bleu_sentence("p q r s t", "k l m n o")
         assert score == pytest.approx((100.0 + smoothed_zero) / 2, abs=1e-12)
@@ -230,10 +231,10 @@ class TestScoreAlignedAvg:
         sentence_pairs = [("a b c", "a b d"), ("e f g", "e f h"),
                           ("i j k", "i j l")]
         records, paragraphs = paragraphs_from({"sysA": sentence_pairs}, k=3)
-        forward = score_aligned_avg(BleuMetric(), paragraphs, records)
+        forward = score_aligned_avg(paragraphs, records)
         reversed_records, reversed_paragraphs = paragraphs_from(
             {"sysA": sentence_pairs[::-1]}, k=3)
-        backward = score_aligned_avg(BleuMetric(), reversed_paragraphs,
+        backward = score_aligned_avg(reversed_paragraphs,
                                      reversed_records)
         assert list(forward.entries.values()) == list(backward.entries.values())
 
@@ -241,18 +242,17 @@ class TestScoreAlignedAvg:
         records, paragraphs = paragraphs_from(
             {"sysA": [("a b", "a b"), ("c d", "c d")]}, k=2)
         with pytest.raises(ValueError, match="missing rating record"):
-            score_aligned_avg(BleuMetric(), paragraphs, records[:1])
+            score_aligned_avg(paragraphs, records[:1])
 
-    def test_metric_without_sentence_scores_rejected(self):
-        class OpaqueMetric:
-            name = "opaque"
-
-            def direct_score(self, hypothesis, reference):
-                return 0.0
-
-        records, paragraphs = paragraphs_from({"sysA": [("a", "a")]}, k=1)
-        with pytest.raises(ValueError, match="aligned-average.*unsupported"):
-            score_aligned_avg(OpaqueMetric(), paragraphs, records)
+    @pytest.mark.parametrize("field", ["hypothesis_text", "reference_text"])
+    def test_records_with_other_texts_rejected(self, field):
+        records, paragraphs = paragraphs_from(
+            {"sysA": [("a b", "a b"), ("c d", "c d")],
+             "sysB": [("a c", "a b"), ("c e", "c d")]}, k=2)
+        records[3] = replace(records[3], **{field: "x y"})
+        with pytest.raises(ValueError, match=rf"paragraph \('wmt', 'en-de', "
+                           rf"'sysB', 'doc1', 0, 2\) do not join to its {field}"):
+            score_aligned_avg(paragraphs, records)
 
 
 class TestTokenCounters:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import make_rating
-from paraeval.metrics import (BleuMetric, bleu_sentence, score_aligned_avg,
+from paraeval.metrics import (bleu_corpus, bleu_sentence, score_aligned_avg,
                               score_direct, tokenize)
 from paraeval.paragraphs import build_paragraphs
 
@@ -92,17 +92,16 @@ def oracle_direct(hypothesis, reference):
 @given(scored_unit())
 def test_scorers_match_scoring_each_paragraph_alone(unit):
     records, k, paragraphs = unit
-    metric = BleuMetric()
     by_key = {r.key: r for r in records}
-    direct = score_direct(metric, paragraphs)
-    aligned = score_aligned_avg(metric, paragraphs, records)
+    direct = score_direct(paragraphs)
+    aligned = score_aligned_avg(paragraphs, records)
     assert len(direct.entries) == len(aligned.entries) == len(paragraphs)
     assert list(direct.entries) == sorted(direct.entries)
     assert list(aligned.entries) == sorted(aligned.entries)
     for p in paragraphs:
         key = (p.system_id, p.item_key)
         score = direct.entries[key]
-        assert score == metric.direct_score(p.hypothesis_text, p.reference_text)
+        assert score == bleu_corpus([(p.hypothesis_text, p.reference_text)])
         assert math.isclose(score, oracle_direct(p.hypothesis_text, p.reference_text),
                             rel_tol=1e-9, abs_tol=1e-9)
         sentences = [by_key[(p.dataset_id, p.lang_pair, p.system_id, p.doc_id, i)]
@@ -119,6 +118,6 @@ def test_a_duplicated_paragraph_is_rejected(unit, data):
     position = data.draw(st.integers(0, len(paragraphs)))
     paragraphs = paragraphs[:position] + [twice] + paragraphs[position:]
     with pytest.raises(ValueError, match="duplicate paragraph for"):
-        score_direct(BleuMetric(), paragraphs)
+        score_direct(paragraphs)
     with pytest.raises(ValueError, match="duplicate paragraph for"):
-        score_aligned_avg(BleuMetric(), paragraphs, records)
+        score_aligned_avg(paragraphs, records)

@@ -119,14 +119,8 @@ class TestParagraphInstance:
 class TestScoreTable:
     def test_rejects_non_finite_scores(self):
         with pytest.raises(ValueError, match="non-finite"):
-            ScoreTable(metric_name="bleu", k=1,
+            ScoreTable(metric_name="bleu",
                        entries={("sysA", ("d", 0, 1)): math.nan})
-
-    def test_len_counts_entries(self):
-        table = ScoreTable(metric_name="bleu", k=1,
-                           entries={("sysA", ("d", 0, 1)): 1.0,
-                                    ("sysB", ("d", 0, 1)): 2.0})
-        assert len(table) == 2
 
 
 def test_tau_calibration_rejects_negative_epsilon():

@@ -92,6 +92,17 @@ class TestBuildParagraphs:
         (paragraph,) = build_paragraphs(records, 2)
         assert paragraph.human_score == 3.0
 
+    @pytest.mark.parametrize("score_type", list(ScoreType))
+    def test_non_finite_paragraph_score_rejected_naming_the_window(self, score_type):
+        # Each score is finite, but their sum overflows to inf.
+        records = [make_rating(sent_index=i, rater_id="A", score=8.98846567431158e+307,
+                               score_type=score_type, doc_id="d7") for i in range(3)]
+        with pytest.raises(ValueError) as excinfo:
+            build_paragraphs(records, 2)
+        assert str(excinfo.value) == (
+            "window dataset=wmt lang_pair=en-de system=sysA doc=d7 start_index=0 "
+            "k=2: human_score aggregates to non-finite inf")
+
     def test_token_counts_summed_when_all_present(self):
         records = [make_rating(sent_index=i, rater_id="A",
                                token_count_ref=10 + i, token_count_hyp=20 + i)
