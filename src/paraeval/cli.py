@@ -8,8 +8,9 @@ and ``BASE.jsonl`` with identical rows; every row carries the full
 evaluation-unit key (dataset, lang_pair, k, metric, mode) plus the
 statistic name, its value, and the epsilon it was computed at (``-`` /
 null when not applicable). All files are written atomically (temp file
-in the target directory, then rename), so a crashed run never leaves a
-half-written output. Evaluation units are processed one at a time in
+in the target directory, then rename), and a command renames its files only
+once all of them are written, so a failed run leaves no output, whole or
+half-written. Evaluation units are processed one at a time in
 canonical (dataset, lang_pair, k) order, so a report does not depend on
 the order of the input lines.
 """
@@ -18,21 +19,19 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import math
 import os
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, get_type_hints
 
 from . import fileio, metaeval, metrics, noise, sampling
 from .model import (ParagraphInstance, ScoreTable, SimConfig, validate_ratings)
 from .paragraphs import build_eval_items, build_paragraphs
-
-REPORT_HEADER = ("dataset", "lang_pair", "k", "metric", "mode", "statistic",
-                 "value", "epsilon")
 
 UnitKey = tuple  # (dataset_id, lang_pair, k)
 
@@ -91,16 +90,22 @@ def _parse_percentiles(spec: str) -> list[float]:
     return values
 
 
-def _atomic_write(path: Path, write: Callable) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+def _atomic_write(*outputs: tuple[Path, Callable]) -> None:
+    """Write each (path, write) output of a command to a temp file beside it,
+    in turn; rename them only after every write succeeded, else delete them."""
+    temps = []
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as stream:
-            write(stream)
-        os.replace(tmp, path)
+        for path, write in outputs:
+            path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temps.append((path.with_name(f"{path.name}.tmp{os.getpid()}"), path))
+            with open(temps[-1][0], "w", encoding="utf-8", newline="") as stream:
+                write(stream)
+        for tmp, path in temps:
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in temps:
+            tmp.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)
@@ -115,33 +120,22 @@ class ReportRow:
     epsilon: Optional[float] = None
 
 
+REPORT_HEADER = tuple(field.name for field in fields(ReportRow))
+
+
 def _write_report(rows: Sequence[ReportRow], out_base: str) -> str:
     tsv_path = Path(f"{out_base}.tsv")
     jsonl_path = Path(f"{out_base}.jsonl")
-
-    def write_tsv(stream):
-        stream.write("\t".join(REPORT_HEADER) + "\n")
-        for row in rows:
-            epsilon = "-" if row.epsilon is None else repr(row.epsilon)
-            stream.write(f"{row.dataset}\t{row.lang_pair}\t{row.k}\t{row.metric}"
-                         f"\t{row.mode}\t{row.statistic}\t{row.value!r}"
-                         f"\t{epsilon}\n")
-
-    def write_jsonl(stream):
-        for row in rows:
-            stream.write(fileio.dump_json(
-                {"dataset": row.dataset, "lang_pair": row.lang_pair, "k": row.k,
-                 "metric": row.metric, "mode": row.mode,
-                 "statistic": row.statistic, "value": row.value,
-                 "epsilon": row.epsilon}) + "\n")
-
-    _atomic_write(tsv_path, write_tsv)
-    _atomic_write(jsonl_path, write_jsonl)
+    _atomic_write(
+        (tsv_path, lambda stream: fileio.write_tsv(
+            REPORT_HEADER, (vars(row).values() for row in rows), stream)),
+        (jsonl_path, lambda stream: stream.writelines(
+            fileio.dump_json(vars(row)) + "\n" for row in rows)))
     return f"{tsv_path}, {jsonl_path}"
 
 
 def _write_scores(rows: Sequence[tuple], path: str) -> str:
-    _atomic_write(Path(path), lambda stream: fileio.write_scores(rows, stream))
+    _atomic_write((path, lambda stream: fileio.write_scores(rows, stream)))
     return path
 
 
@@ -285,16 +279,21 @@ def cmd_validate(args) -> int:
 
 def cmd_build_paragraphs(args) -> int:
     records = fileio.load_ratings(args.ratings)
-    out_dir = Path(args.out)
-    for k in args.k:
+    lines = []
+
+    def write(k, path, stream):
+        # Each k is built while its file is written, so one k is in memory.
         built = build_paragraphs(records, k)
-        path = out_dir / f"paragraphs-k{k}.jsonl"
-        _atomic_write(path, lambda stream: fileio.write_paragraphs(built, stream))
+        fileio.write_paragraphs(built, stream)
         counts = Counter((p.dataset_id, p.lang_pair) for p in built)
         if not counts:
-            print(f"k={k}: 0 paragraphs -> {path}")
+            lines.append(f"k={k}: 0 paragraphs -> {path}")
         for (dataset, lang_pair), n in sorted(counts.items()):
-            print(f"{dataset}/{lang_pair} k={k}: {n} paragraphs -> {path}")
+            lines.append(f"{dataset}/{lang_pair} k={k}: {n} paragraphs -> {path}")
+
+    paths = {k: Path(args.out) / f"paragraphs-k{k}.jsonl" for k in args.k}
+    _atomic_write(*((path, partial(write, k, path)) for k, path in paths.items()))
+    print("\n".join(lines))
     return 0
 
 
@@ -309,8 +308,7 @@ def cmd_export_training(args) -> int:
         sample = sampling.sample_stratified(pool, args.size, ks, args.seed)
     else:
         sample = sampling.sample_uniform(pool, args.size, args.seed)
-    _atomic_write(Path(args.out),
-                  lambda stream: fileio.write_paragraphs(sample, stream))
+    _atomic_write((args.out, lambda stream: fileio.write_paragraphs(sample, stream)))
     print(f"sampled {len(sample)} of {len(pool)} paragraphs -> {args.out}")
     return 0
 
@@ -329,8 +327,8 @@ def cmd_metaeval(args) -> int:
     if (args.scores is None) == (args.metric is None):
         raise UsageError("exactly one score source is required: "
                          "--scores FILE or --metric NAME")
-    if args.epsilon < 0:
-        raise UsageError(f"--epsilon must be >= 0, got {args.epsilon}")
+    if not (math.isfinite(args.epsilon) and args.epsilon >= 0):
+        raise UsageError(f"--epsilon must be a finite number >= 0, got {args.epsilon}")
     units, records = _load_units(args)
     external = _load_external(args.scores, units)
 
@@ -451,11 +449,7 @@ def cmd_stats(args) -> int:
         args.out)
 
 
-_SIM_FIELDS = {
-    "n_items": int, "n_systems": int, "max_k": int, "seed": int,
-    "sigma_quality": float, "sigma_human": float, "sigma_metric": float,
-    "system_mean_spread": float,
-}
+_SIM_FIELDS = get_type_hints(SimConfig)
 
 
 def _parse_sim_config(path: str) -> SimConfig:

@@ -5,10 +5,13 @@ line, UTF-8, fixed field order, unknown fields rejected) so that free
 text with tabs or newlines survives round-trips. Each format is one table
 of fields and getters: a record whose values have their exact JSON types
 passes one test, any other goes through the getters, which convert what
-they accept and name the first bad field. Metric scores are a tab-separated
-table whose start_index and k are unsigned ASCII decimal integers and whose
-score is an ASCII decimal number, optionally signed and with an exponent.
-Path-based loaders accept gzip-compressed files, detected by magic bytes.
+they accept and name the first bad field. The writers write each record's
+dataclass fields in declaration order, which is the table's. Metric scores
+are a tab-separated table whose start_index and k are unsigned ASCII decimal
+integers and whose score is an ASCII decimal number, optionally signed and
+with an exponent; one TSV writer, shared with the CLI's reports, refuses a
+value holding a tab or line break. Path-based loaders accept
+gzip-compressed files, detected by magic bytes.
 
 Every system translates the same documents, so ids, source and reference
 texts repeat once per system. Each reader call keeps one copy of each such
@@ -23,7 +26,7 @@ import json
 import math
 import operator
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 from .model import (
     ItemKey,
@@ -256,52 +259,33 @@ def parse_ratings(stream: Lines) -> list[RatingRecord]:
     return records
 
 
+def _score_type_value(value):
+    if isinstance(value, ScoreType):
+        return value.value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 # One encoder for every record; json.dumps would build one per call.
-dump_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+dump_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"),
+                             default=_score_type_value).encode
+
+
+def _write_jsonl(records: Iterable, stream: IO[str]) -> None:
+    """One line per record: a frozen dataclass's instance dict holds its
+    fields in declaration order, which is the table's and the file's."""
+    for record in records:
+        stream.write(dump_json(vars(record)))
+        stream.write("\n")
 
 
 def write_ratings(records: Iterable[RatingRecord], stream: IO[str]) -> None:
     """Serialize records one per line, fields in fixed order."""
-    for r in records:
-        stream.write(dump_json({
-            "dataset_id": r.dataset_id,
-            "lang_pair": r.lang_pair,
-            "system_id": r.system_id,
-            "doc_id": r.doc_id,
-            "sent_index": r.sent_index,
-            "rater_id": r.rater_id,
-            "score": r.score,
-            "score_type": r.score_type.value,
-            "source_text": r.source_text,
-            "reference_text": r.reference_text,
-            "hypothesis_text": r.hypothesis_text,
-            "token_count_ref": r.token_count_ref,
-            "token_count_hyp": r.token_count_hyp,
-        }))
-        stream.write("\n")
+    _write_jsonl(records, stream)
 
 
 def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -> None:
     """Serialize paragraphs one per line, fields in fixed order."""
-    for p in paragraphs:
-        stream.write(dump_json({
-            "dataset_id": p.dataset_id,
-            "lang_pair": p.lang_pair,
-            "system_id": p.system_id,
-            "doc_id": p.doc_id,
-            "start_index": p.start_index,
-            "k": p.k,
-            "score_type": p.score_type.value,
-            "rater_id": p.rater_id,
-            "human_score": p.human_score,
-            "sentence_scores": list(p.sentence_scores),
-            "source_text": p.source_text,
-            "reference_text": p.reference_text,
-            "hypothesis_text": p.hypothesis_text,
-            "token_count_ref": p.token_count_ref,
-            "token_count_hyp": p.token_count_hyp,
-        }))
-        stream.write("\n")
+    _write_jsonl(paragraphs, stream)
 
 
 def read_paragraphs(stream: Lines) -> list[ParagraphInstance]:
@@ -334,9 +318,9 @@ def read_paragraphs(stream: Lines) -> list[ParagraphInstance]:
 def parse_external_scores(stream: Lines) -> dict[tuple[str, str, int], ScoreTable]:
     """Parse a tab-separated score file into one table per (metric, lang_pair, k).
 
-    All tables are tagged mode EXTERNAL; duplicate (system, item) keys,
-    numbers outside the strict grammar (see the module docstring) and
-    non-finite scores are rejected with their line number.
+    Duplicate (system, item) keys, numbers outside the strict grammar (see
+    the module docstring) and non-finite scores are rejected with their line
+    number.
     """
     lines = iter(enumerate(stream, start=1))
     try:
@@ -405,12 +389,26 @@ def score_rows(metric_name: str, lang_pair: str,
                   for (system, item), score in entries.items())
 
 
+def write_tsv(header: Sequence[str], rows: Iterable[Iterable], stream: IO[str]) -> None:
+    """Write a header and rows as tab-separated lines: None as ``-``, any other
+    value as ``str`` (the shortest round-trip form for a float). A value that
+    holds a tab, CR or LF would shift the columns, so it is refused."""
+    stream.write("\t".join(header) + "\n")
+    for rowno, row in enumerate(rows, start=1):
+        values = ["-" if v is None else str(v) for v in row]
+        line = "\t".join(values)
+        if line.count("\t") != len(header) - 1 or "\n" in line or "\r" in line:
+            for name, value in zip(header, values):
+                if "\t" in value or "\n" in value or "\r" in value:
+                    raise ValueError(f"row {rowno}: {name} {value!r} holds a tab or "
+                                     f"line break, which a TSV field cannot hold")
+            raise ValueError(f"row {rowno}: {len(values)} values for {len(header)} columns")
+        stream.write(line + "\n")
+
+
 def write_scores(rows: Iterable[tuple], stream: IO[str]) -> None:
     """Write score rows as the tab-separated ScoresFile format."""
-    stream.write("\t".join(SCORES_HEADER) + "\n")
-    for metric, lang_pair, system, doc_id, start_index, k, score in rows:
-        stream.write(f"{metric}\t{lang_pair}\t{system}\t{doc_id}"
-                     f"\t{start_index}\t{k}\t{score!r}\n")
+    write_tsv(SCORES_HEADER, rows, stream)
 
 
 def open_input(path: Union[str, Path]) -> IO[str]:

@@ -155,8 +155,8 @@ def segment_accuracy(table: PairTable, epsilon: float) -> float:
     the human relation is a tie only on exact equality.
     """
     import numpy as np
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     metric = _scored(table.metric)
     correct = np.where(np.abs(metric) <= epsilon, table.human == 0,
                        table.human == np.sign(metric))

@@ -257,10 +257,14 @@ class TestBuildParagraphs:
         out_dir = tmp_path / "built"
         assert main(["build-paragraphs", "--ratings", ratings,
                      "--k", "1,2", "--out", str(out_dir)]) == 2
-        assert capsys.readouterr().err == (
+        captured = capsys.readouterr()
+        assert captured.err == (
             "error: window dataset=wmt lang_pair=en-de system=sysA doc=doc1 "
             "start_index=0 k=2: human_score aggregates to non-finite inf\n")
-        assert not (out_dir / "paragraphs-k2.jsonl").exists()
+        # The k=1 file was written, but a run that fails commits no output,
+        # and its temp files are gone.
+        assert captured.out == ""
+        assert list(out_dir.iterdir()) == []
 
     def test_bad_k_spec_exits_1(self, tau_ratings, tmp_path, capsys):
         for spec in ("0", "5-2", "x"):
@@ -351,6 +355,25 @@ class TestScore:
         expected = (bleu_sentence(HYPOTHESES["sysB"][0], REFERENCES[0])
                     + bleu_sentence(HYPOTHESES["sysB"][1], REFERENCES[1])) / 2
         assert k2.entries[("sysB", ("d1", 0, 2))] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("doc, argv, field, value", [
+        ("d\t1", [], "doc_id", "d\t1"),
+        ("d1", ["--label", "a\nb"], "metric", "a\nb"),
+        ("d1", ["--label", "a\rb"], "metric", "a\rb"),
+    ])
+    def test_a_value_the_tsv_cannot_hold_exits_2_and_writes_nothing(
+            self, doc, argv, field, value, tmp_path, capsys):
+        # Such a file would be refused by metaeval --scores ("expected 7
+        # columns"), so score refuses to write it.
+        records = [replace(r, doc_id=doc) if r.doc_id == "d1" else r
+                   for r in tau_fixture_records()]
+        paragraphs = write_paragraph_file(tmp_path / "p.jsonl", records, [1])
+        out = tmp_path / "scores.tsv"
+        assert main(["score", "--paragraphs", paragraphs, *argv,
+                     "--out", str(out)]) == 2
+        assert f"error: row 1: {field} {value!r} holds a tab or line break" \
+            in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.jsonl"]
 
     def test_label_overrides_metric_column(self, rich_paragraphs, tmp_path):
         out = tmp_path / "scores.tsv"
@@ -460,6 +483,27 @@ class TestMetaeval:
                      "--scores", tau_scores, "--epsilon", "-0.5",
                      "--out", str(tmp_path / "r")]) == 1
         assert "--epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_1(self, value, tau_paragraphs, tau_scores,
+                                        tmp_path, capsys):
+        # A NaN epsilon would be written as "epsilon":NaN, which is not JSON.
+        assert main(["metaeval", "--paragraphs", tau_paragraphs,
+                     "--scores", tau_scores, "--epsilon", value,
+                     "--out", str(tmp_path / "r")]) == 1
+        assert "--epsilon must be a finite number >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_report_value_with_a_tab_exits_2_and_writes_neither_file(
+            self, tau_scores, tmp_path, capsys):
+        records = [replace(r, dataset_id="wmt\tA") for r in tau_fixture_records()]
+        paragraphs = write_paragraph_file(tmp_path / "p.jsonl", records, [1])
+        base = tmp_path / "r"
+        assert main(["metaeval", "--paragraphs", paragraphs, "--scores", tau_scores,
+                     "--out", str(base)]) == 2
+        assert "error: row 1: dataset 'wmt\\tA' holds a tab or line break" \
+            in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.jsonl", "scores.tsv"]
 
     def test_scores_missing_unit_exits_2(self, tau_scores, tmp_path, capsys):
         # The external file only covers k=1; a k=2 unit has no scores.

@@ -295,6 +295,20 @@ class TestScoresFile:
         tables = fileio.parse_external_scores(io.StringIO(buffer.getvalue()))
         assert tables[("toy", "en-de", 2)].entries == entries
 
+    @pytest.mark.parametrize("doc_id", ["doc\t1", "doc\n1", "doc\r1"])
+    def test_a_value_with_a_tab_or_line_break_is_refused_naming_the_row(self, doc_id):
+        rows = fileio.score_rows("m", "en-de", {("sysA", ("a", 0, 1)): 1.0,
+                                                ("sysA", (doc_id, 0, 1)): 2.0})
+        with pytest.raises(ValueError, match=re.escape(
+                f"row 2: doc_id {doc_id!r} holds a tab or line break")):
+            fileio.write_scores(rows, io.StringIO())
+
+    def test_tsv_writes_none_as_dash_and_floats_round_trip(self):
+        buffer = io.StringIO()
+        fileio.write_tsv(("a", "b", "c"), [("x", None, 0.1 + 0.2), (1, 2.5, "-")],
+                         buffer)
+        assert buffer.getvalue() == "a\tb\tc\nx\t-\t0.30000000000000004\n1\t2.5\t-\n"
+
     def test_score_rows_are_canonically_sorted(self):
         entries = {("sysB", ("doc1", 0, 1)): 1.0,
                    ("sysA", ("doc2", 0, 1)): 2.0,
@@ -304,18 +318,42 @@ class TestScoresFile:
             [("sysA", "doc1", 3), ("sysA", "doc2", 0), ("sysB", "doc1", 0)]
 
 
+def _paragraph_with_list_scores():
+    built = TestParagraphsFile.build(k=2, n=2)[0]
+    return ParagraphInstance(**dict(vars(built), sentence_scores=list(built.sentence_scores)))
+
+
 @pytest.mark.parametrize("record_type, fields, write, make", [
     (RatingRecord, fileio.RATING_FIELDS, fileio.write_ratings, make_rating),
+    (RatingRecord, fileio.RATING_FIELDS, fileio.write_ratings,
+     lambda: replace(make_rating(), token_count_ref=3, rater_id="B", dataset_id="d")),
     (ParagraphInstance, fileio.PARAGRAPH_FIELDS, fileio.write_paragraphs,
      lambda: TestParagraphsFile.build(k=1, n=1)[0]),
+    (ParagraphInstance, fileio.PARAGRAPH_FIELDS, fileio.write_paragraphs,
+     _paragraph_with_list_scores),
+    (ParagraphInstance, fileio.PARAGRAPH_FIELDS, fileio.write_paragraphs,
+     lambda: replace(TestParagraphsFile.build(k=1, n=1)[0], sentence_scores=[0.5],
+                     human_score=0.5, dataset_id="d")),
 ])
 def test_writer_table_and_record_type_share_one_field_order(record_type, fields, write,
                                                              make):
-    # The readers build records positionally in the order of their table.
+    # The readers build records positionally in the order of their table;
+    # the writers write a record's fields in their declaration order.
+    record = make()
     buffer = io.StringIO()
-    write([make()], buffer)
+    write([record], buffer)
     assert tuple(json.loads(buffer.getvalue())) == fields == \
         tuple(field.name for field in dataclasses.fields(record_type))
+    read = fileio.read_rating_lines if record_type is RatingRecord else fileio.read_paragraphs
+    assert read(io.StringIO(buffer.getvalue())) == [record]
+
+
+def test_dump_json_refuses_other_types():
+    assert fileio.dump_json({"t": ScoreType.MQM}) == '{"t":"MQM"}'
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        fileio.dump_json(object())
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        fileio.dump_json({"x": {1, 2}})
 
 
 class TestGzipInput:

@@ -10,7 +10,8 @@ type (also an unhashable one), or a human score that does not aggregate
 its sentence scores. The readers must return the records the oracles
 return, or raise the same error with the same message.
 
-Valid records written, read and written again give the same bytes.
+Valid records written, read and written again give the same bytes; so do
+valid score rows, through the scores parser and ``score_rows``.
 
 The line splitter, which scans most lines in place, is checked against
 ``json.loads(line.strip())``, and the scores parser's strict numbers
@@ -199,6 +200,30 @@ def test_write_read_write_is_byte_identical(kind, data):
     again = read(io.StringIO(first.getvalue()))
     write(again, second)
     assert again == records
+    assert second.getvalue() == first.getvalue()
+
+
+# Any text a TSV field can hold: no tab, CR or LF.
+TSV_TEXT = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\t\r\n"),
+                   max_size=4)
+SCORE_KEY = st.tuples(TSV_TEXT, TSV_TEXT, TSV_TEXT, TSV_TEXT, st.integers(0, 30),
+                      st.integers(1, 10))
+
+
+@PROPERTY
+@given(st.dictionaries(SCORE_KEY, SCORE, min_size=1, max_size=8))
+def test_score_rows_write_read_write_is_byte_identical(scores):
+    # (metric, lang_pair, system, doc_id, start_index, k) -> score
+    rows = sorted((*key, score) for key, score in scores.items())
+    first, second = io.StringIO(), io.StringIO()
+    fileio.write_scores(rows, first)
+    # Read as open_input reads a file: UTF-8, universal newlines.
+    tables = fileio.parse_external_scores(
+        io.TextIOWrapper(io.BytesIO(first.getvalue().encode("utf-8")), encoding="utf-8"))
+    again = sorted(row for (metric, lang_pair, _), table in tables.items()
+                   for row in fileio.score_rows(metric, lang_pair, table.entries))
+    fileio.write_scores(again, second)
+    assert again == rows
     assert second.getvalue() == first.getvalue()
 
 

@@ -178,6 +178,13 @@ class TestSegmentAccuracy:
         with pytest.raises(ValueError, match="epsilon"):
             segment_accuracy(fixture_pairs(), -0.1)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        # `epsilon < 0` is False for NaN, so that test alone would accept it.
+        with pytest.raises(ValueError, match=f"epsilon must be a finite number >= 0, "
+                                             f"got {epsilon}"):
+            segment_accuracy(fixture_pairs(), epsilon)
+
     def test_huge_epsilon_predicts_all_ties(self):
         # Everything becomes a predicted tie, so accuracy equals the
         # human tie rate of the fixture (1 tied pair of 3).
