@@ -156,12 +156,13 @@ def _unit_name(key: UnitKey) -> str:
 
 
 def _per_unit(units: dict, unit_rows: Callable[[UnitKey, list], list]) -> dict:
-    """Each unit's rows; a unit that cannot be evaluated is named in the error."""
+    """Each unit's rows; a unit that cannot be evaluated is named in the error,
+    as is one whose scores overflow a float sum (exit 2, not a traceback)."""
     per_unit = {}
     for key, unit_paragraphs in units.items():
         try:
             per_unit[key] = unit_rows(key, unit_paragraphs)
-        except ValueError as exc:
+        except (ArithmeticError, ValueError) as exc:
             raise ValueError(f"{_unit_name(key)}: {exc}") from None
     return per_unit
 

@@ -265,9 +265,10 @@ def _score_type_value(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-# One encoder for every record; json.dumps would build one per call.
+# One encoder for every record; json.dumps would build one per call. NaN and
+# Infinity are not JSON, so a record holding one fails instead of being written.
 dump_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"),
-                             default=_score_type_value).encode
+                             allow_nan=False, default=_score_type_value).encode
 
 
 def _write_jsonl(records: Iterable, stream: IO[str]) -> None:

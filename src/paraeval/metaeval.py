@@ -18,21 +18,19 @@ Every pairwise statistic is a view of one ``PairTable``, the score
 differences of every within-item pair, which ``pair_table`` builds once per
 unit from ``build_eval_items`` and then ``attach_metric_scores``. An item
 with P pairs weighs L / P in an integer numerator over n_items * L (L the
-lcm of the items' pair counts), and one correctly rounded division gives
-the float, so equal ratios compare equal and positive rescaling of scores
-cannot perturb them.
+lcm of the items' pair counts). Both are Python ints, exact at any size,
+and one correctly rounded division gives the float, so equal ratios compare
+equal and positive rescaling of scores cannot perturb them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from itertools import accumulate, combinations
+from typing import Iterable, Mapping, Sequence
 
 from .model import EvalItem, ItemKey, ScoreTable, SystemEntry, TauCalibration
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def attach_metric_scores(items: Iterable[EvalItem],
@@ -75,50 +73,51 @@ def system_pairwise_accuracy(metric_sys: Mapping[str, float],
     Pairs with exactly equal human scores are excluded; a metric
     difference of exactly zero on a counted pair is a disagreement.
     """
-    import numpy as np
     if set(metric_sys) != set(human_sys):
         raise ValueError(f"system key sets differ: "
                          f"{sorted(set(metric_sys) ^ set(human_sys))}")
     systems = sorted(metric_sys)
     if len(systems) < 2:
         raise ValueError(f"need at least 2 systems, got {len(systems)}")
-    table = PairTable.from_blocks([(np.array([[human_sys[s] for s in systems]]),
-                                    np.array([[metric_sys[s] for s in systems]]))])
-    counted = table.human != 0
-    if not counted.any():
+    table = PairTable.from_blocks([([[human_sys[s] for s in systems]],
+                                    [[metric_sys[s] for s in systems]])])
+    counted = [(h, d) for h, d in zip(table.human, table.metric) if h]
+    if not counted:
         raise ValueError("all system pairs are human-tied; accuracy undefined")
-    agreeing = counted & (table.human == np.sign(table.metric))
-    return int(np.count_nonzero(agreeing)) / int(np.count_nonzero(counted))
+    return sum(h == _sign(d) for h, d in counted) / len(counted)
+
+
+def _sign(x: float) -> int:
+    return (x > 0) - (x < 0)
 
 
 @dataclass(frozen=True)
 class PairTable:
-    """Every within-item system pair of one unit, as flat arrays."""
+    """Every within-item system pair of one unit, as flat lists."""
 
-    human: np.ndarray  # sign of each pair's human score difference
-    metric: np.ndarray  # each pair's metric score difference
-    # L / P for a pair of an item with P pairs. Partial sums of weights lie
-    # within +-denominator, so int64 serves unless that needs more bits.
-    weight: np.ndarray
+    human: list[int]  # sign of each pair's human score difference
+    metric: list[float]  # each pair's metric score difference
+    weight: list[int]  # L / P for a pair of an item with P pairs
     denominator: int  # n_items * L, L the lcm of the items' pair counts
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[tuple[np.ndarray, ...]]) -> PairTable:
-        """Build from (human, metric) score matrices of shape (items, systems)."""
-        import numpy as np
-        humans, metrics, shapes = [np.empty(0)], [np.empty(0)], []
-        for human, metric in blocks:
-            first, second = np.triu_indices(human.shape[1], 1)
-            humans.append(np.sign(human[:, first] - human[:, second]).ravel())
-            metrics.append((metric[:, first] - metric[:, second]).ravel())
-            shapes.append((human.shape[0], len(first)))
+    def from_blocks(cls, blocks: Iterable[tuple[Sequence, Sequence]]) -> PairTable:
+        """Build from (human rows, metric rows) blocks: one row of scores per
+        item, every row of a block one score per system, in the same order.
+        Each row's pairs are its (i, j) positions with i < j, in order."""
+        human, metric, shapes = [], [], []
+        for human_rows, metric_rows in blocks:
+            for row in human_rows:
+                human += [(a > b) - (a < b) for a, b in combinations(row, 2)]
+            for row in metric_rows:
+                metric += [a - b for a, b in combinations(row, 2)]
+            shapes.append((len(human_rows), math.comb(len(human_rows[0]), 2)))
         common = math.lcm(*(pairs for _, pairs in shapes))
-        denominator = sum(n for n, _ in shapes) * common
-        weights = np.array([common // pairs for _, pairs in shapes],
-                           dtype=np.int64 if denominator < 2 ** 63 else object)
-        return cls(human=np.concatenate(humans), metric=np.concatenate(metrics),
-                   weight=np.repeat(weights, [n * pairs for n, pairs in shapes]),
-                   denominator=denominator)
+        weight = []
+        for n, pairs in shapes:
+            weight += [common // pairs] * (n * pairs)
+        return cls(human=human, metric=metric, weight=weight,
+                   denominator=sum(n for n, _ in shapes) * common)
 
 
 def pair_table(items: Iterable[EvalItem]) -> PairTable:
@@ -127,22 +126,19 @@ def pair_table(items: Iterable[EvalItem]) -> PairTable:
     A system without a metric score gives its pairs a NaN metric
     difference, which the metric statistics reject.
     """
-    import numpy as np
     rows: dict[int, tuple[list, list]] = {}
     for item in items:
         if len(item.per_system) >= 2:
             human, metric = rows.setdefault(len(item.per_system), ([], []))
             human.append([e.human_score for e in item.per_system.values()])
-            metric.append([e.metric_score for e in item.per_system.values()])
-    return PairTable.from_blocks((np.array(human, dtype=float),
-                                  np.array(metric, dtype=float))
-                                 for human, metric in rows.values())
+            metric.append([math.nan if e.metric_score is None else e.metric_score
+                           for e in item.per_system.values()])
+    return PairTable.from_blocks(rows.values())
 
 
-def _scored(differences: np.ndarray) -> np.ndarray:
+def _scored(differences: list[float]) -> list[float]:
     """Metric differences that exist and all come from metric scores."""
-    import numpy as np
-    if not differences.size or np.isnan(differences).any():
+    if not differences or any(map(math.isnan, differences)):
         raise ValueError("no item has 2 or more systems with metric scores")
     return differences
 
@@ -154,13 +150,11 @@ def segment_accuracy(table: PairTable, epsilon: float) -> float:
     absolute metric difference is <= epsilon and the sign otherwise;
     the human relation is a tie only on exact equality.
     """
-    import numpy as np
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     metric = _scored(table.metric)
-    correct = np.where(np.abs(metric) <= epsilon, table.human == 0,
-                       table.human == np.sign(metric))
-    return int(table.weight[correct].sum()) / table.denominator
+    return sum(w for h, d, w in zip(table.human, metric, table.weight)
+               if h == (0 if abs(d) <= epsilon else _sign(d))) / table.denominator
 
 
 def tau_optimize(table: PairTable) -> TauCalibration:
@@ -172,23 +166,24 @@ def tau_optimize(table: PairTable) -> TauCalibration:
     first maximum at the end of a run of equal differences wins if it
     beats epsilon 0, so ties in accuracy resolve to the smallest epsilon.
     """
-    import numpy as np
     metric = _scored(table.metric)
-    sign_correct = table.human == np.sign(metric)
-    flips = np.flatnonzero((table.human == 0) != sign_correct)
+    correct = [h == _sign(d) for h, d in zip(table.human, metric)]
+    flips = sorted((i for i, (h, c) in enumerate(zip(table.human, correct))
+                    if (h == 0) != c), key=lambda i: abs(metric[i]))
+    # NaN equals no difference, so the last flip ends a run.
+    delta = [abs(metric[i]) for i in flips] + [math.nan]
+    gains = accumulate(-table.weight[i] if correct[i] else table.weight[i]
+                       for i in flips)
     epsilon, gain = 0.0, 0
-    if len(flips):
-        delta = np.abs(metric[flips])
-        order = np.argsort(delta, kind="stable")
-        flips, delta = flips[order], delta[order]
-        weights = table.weight[flips]
-        gains = np.cumsum(np.where(sign_correct[flips], -weights, weights))
-        ends = np.flatnonzero(np.append(delta[1:] != delta[:-1], True))
-        best = ends[np.argmax(gains[ends])]
-        if gains[best] > 0:
-            epsilon, gain = float(delta[best]), int(gains[best])
-    accuracy = (int(table.weight[sign_correct].sum()) + gain) / table.denominator
-    return TauCalibration(epsilon=epsilon, accuracy_at_epsilon=accuracy)
+    for j, running in enumerate(gains):
+        if running > gain and delta[j] != delta[j + 1]:
+            epsilon, gain = float(delta[j]), running
+    if not math.isfinite(epsilon):
+        raise ValueError("the optimal epsilon is beyond the float range: "
+                         "metric score differences overflow")
+    accuracy = sum(w for w, c in zip(table.weight, correct) if c) + gain
+    return TauCalibration(epsilon=epsilon,
+                          accuracy_at_epsilon=accuracy / table.denominator)
 
 
 def pearson_no_grouping(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -203,20 +198,33 @@ def pearson_no_grouping(xs: Sequence[float], ys: Sequence[float]) -> float:
     dy = [y - mean_y for y in ys]
     var_x = math.fsum(d * d for d in dx)
     var_y = math.fsum(d * d for d in dy)
+    if not 0 < var_x * var_y < math.inf:
+        # The squares overflow or underflow: scale each side by the exact
+        # power of two that brings its largest deviation below 1, which
+        # leaves r unchanged.
+        dx, dy = _scaled(dx), _scaled(dy)
+        var_x = math.fsum(d * d for d in dx)
+        var_y = math.fsum(d * d for d in dy)
     if var_x == 0 or var_y == 0:
         raise ValueError("correlation undefined: at least one side has zero variance")
+    if math.isinf(var_x * var_y):
+        raise ValueError("correlation undefined: score deviations overflow")
     return math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
 
 
-def tie_rates(differences: np.ndarray) -> float:
+def _scaled(deviations: list[float]) -> list[float]:
+    exponent = math.frexp(max(map(abs, deviations)))[1]
+    return [math.ldexp(d, -exponent) for d in deviations]
+
+
+def tie_rates(differences: list[float]) -> float:
     """Fraction of a table's pairs whose two scores are exactly equal.
 
     ``differences`` is one side of a ``PairTable``: ``human`` or ``metric``.
     """
-    import numpy as np
-    if not differences.size:
+    if not differences:
         raise ValueError("no within-item system pairs")
-    return int(np.count_nonzero(_scored(differences) == 0)) / differences.size
+    return _scored(differences).count(0) / len(differences)
 
 
 def mode_correlation(direct: ScoreTable, aligned: ScoreTable) -> float:

@@ -12,7 +12,10 @@ independent per-sentence noise while the shared quality signal remains.
 All draws come from one PCG64 generator in a fixed order (system means,
 quality noise, human noise, metric noise), making every output
 bit-identical for a given config. ``noise_curve`` scores each k's score
-matrices with the pairwise core of ``metaeval``, never building items.
+matrices itself, never building items: every item of a matrix has every
+system, so every pair weighs the same and segment accuracy at epsilon 0 is
+the share of pairs whose signs agree, the same int / int that the pairwise
+core of ``metaeval`` computes. A test pins the two to each other.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass, replace
 from statistics import fmean, pstdev
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from .metaeval import PairTable, segment_accuracy
 from .model import SimConfig
 
 if TYPE_CHECKING:
@@ -61,6 +63,15 @@ def simulate(config: SimConfig) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
             for k in range(1, config.max_k + 1)}
 
 
+def _agreement(human: np.ndarray, metric: np.ndarray) -> float:
+    """Share of within-row column pairs whose two differences agree in sign."""
+    import numpy as np
+    first, second = np.triu_indices(human.shape[1], 1)
+    agree = (np.sign(human[:, first] - human[:, second])
+             == np.sign(metric[:, first] - metric[:, second]))
+    return int(np.count_nonzero(agree)) / agree.size
+
+
 def noise_curve(config: SimConfig, ks: Sequence[int],
                 n_seeds: int) -> List[NoiseCurvePoint]:
     """Mean and spread of segment accuracy per window size across seeds.
@@ -81,8 +92,7 @@ def noise_curve(config: SimConfig, ks: Sequence[int],
         seeded = replace(config, seed=(config.seed + i) % 2 ** 64)
         matrices = simulate(seeded)
         for k in ks:
-            pairs = PairTable.from_blocks([matrices[k]])
-            accuracies[k].append(segment_accuracy(pairs, epsilon=0.0))
+            accuracies[k].append(_agreement(*matrices[k]))
     return [NoiseCurvePoint(k=k,
                             mean_accuracy=fmean(accuracies[k]),
                             std_accuracy=pstdev(accuracies[k]),

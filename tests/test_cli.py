@@ -577,6 +577,44 @@ class TestMetaeval:
             in capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
 
+    @staticmethod
+    def huge_score_unit(tmp_path, metric):
+        """3 systems x 2 one-sentence MQM docs; d2 is human-tied."""
+        human = {"sysA": -1.0, "sysB": -2.0, "sysC": -3.0}
+        records = [mqm(0, score if doc == "d1" else 0.0, system, doc)
+                   for doc in ("d1", "d2") for system, score in human.items()]
+        entries = {(system, (doc, 0, 1)): score
+                   for (system, doc), score in metric.items()}
+        scores = tmp_path / "scores.tsv"
+        with open(scores, "w", encoding="utf-8") as stream:
+            fileio.write_scores(fileio.score_rows("ext", "en-de", entries), stream)
+        return write_paragraph_file(tmp_path / "p.jsonl", records, [1]), str(scores)
+
+    def test_tau_opt_epsilon_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        # d2's metric differences overflow to +-inf on human-tied pairs, so
+        # predicting them tied pays off only at epsilon = inf, not JSON.
+        paragraphs, scores = self.huge_score_unit(tmp_path, {
+            ("sysA", "d1"): -1.0, ("sysB", "d1"): 0.0, ("sysC", "d1"): 1.0,
+            ("sysA", "d2"): 1.7e308, ("sysB", "d2"): -1.7e308,
+            ("sysC", "d2"): 1.7e308})
+        assert main(["metaeval", "--paragraphs", paragraphs, "--scores", scores,
+                     "--tau-opt", "--out", str(tmp_path / "r")]) == 2
+        assert "error: wmt/en-de k=1: the optimal epsilon is beyond the float " \
+            "range" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("flags", [["--level", "system"], ["--pearson"]])
+    def test_scores_whose_sum_overflows_exit_2(self, flags, tmp_path, capsys):
+        paragraphs, scores = self.huge_score_unit(tmp_path, {
+            (system, doc): score for doc in ("d1", "d2")
+            for system, score in (("sysA", 1e308), ("sysB", 1e308),
+                                  ("sysC", -1e308))})
+        assert main(["metaeval", "--paragraphs", paragraphs, "--scores", scores,
+                     *flags, "--out", str(tmp_path / "r")]) == 2
+        assert "error: wmt/en-de k=1: intermediate overflow in fsum\n" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
     def test_no_leftover_temp_files(self, tau_paragraphs, tau_scores,
                                     tmp_path):
         base = tmp_path / "report"
@@ -938,6 +976,7 @@ except SystemExit as exc:
     print(exc.code, "numpy" in sys.modules)
 """
 
+SCORES = ["--paragraphs", "{paragraphs}", "--scores", "{scores}", "--out", "{out}"]
 IMPORT_CASES = {
     "validate": (["--ratings", "{ratings}"], False),
     "build-paragraphs": (["--ratings", "{ratings}", "--k", "1,2", "--out", "{out}"], False),
@@ -946,23 +985,31 @@ IMPORT_CASES = {
                        "--out", "{out}"], False),
     "stats": (["--paragraphs", "{paragraphs}", "--out", "{out}"], False),
     "metaeval": (["--paragraphs", "{paragraphs}", "--metric", "bleu", "--out", "{out}"],
-                 True),
+                 False),
+    "metaeval --scores --level system": (SCORES + ["--level", "system"], False),
+    "metaeval --scores --tau-opt --pearson --ties": (
+        SCORES + ["--tau-opt", "--pearson", "--ties"], False),
+    "ties --scores": (SCORES, False),
+    "export-training": (["--paragraphs", "{paragraphs}", "--size", "2",
+                         "--strategy", "stratified", "--out", "{out}.jsonl"], True),
     "simulate": (["--config", "{config}", "--ks", "1,4", "--seeds", "2", "--out", "{out}"],
                  True),
 }
 
 
-@pytest.mark.parametrize("command", list(IMPORT_CASES))
-def test_only_the_statistics_commands_import_numpy(command, rich_ratings, rich_paragraphs,
-                                                   tmp_path):
+@pytest.mark.parametrize("case", list(IMPORT_CASES))
+def test_only_the_statistics_commands_import_numpy(
+        case, rich_ratings, rich_paragraphs, tmp_path):
     config = tmp_path / "sim.cfg"
     config.write_text(SIM_CONFIG, encoding="utf-8")
-    args, loads_numpy = IMPORT_CASES[command]
+    scores = tmp_path / "scores.tsv"
+    assert main(["score", "--paragraphs", rich_paragraphs, "--out", str(scores)]) == 0
+    args, loads_numpy = IMPORT_CASES[case]
     argv = [arg.format(ratings=rich_ratings, paragraphs=rich_paragraphs, config=config,
-                       out=tmp_path / "out") for arg in args]
+                       scores=scores, out=tmp_path / "out") for arg in args]
     source = str(Path(paraeval.__file__).parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, command, *argv],
+    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, case.split()[0], *argv],
                             capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr

@@ -356,6 +356,13 @@ def test_dump_json_refuses_other_types():
         fileio.dump_json({"x": {1, 2}})
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_dump_json_refuses_non_finite_floats(value):
+    # json.dumps would write Infinity or NaN, which strict JSON readers refuse.
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        fileio.dump_json({"value": value})
+
+
 class TestGzipInput:
     def test_gzip_detected_by_magic_bytes(self, tmp_path):
         records = [make_rating(sent_index=i) for i in range(4)]

@@ -296,6 +296,28 @@ class TestPearsonNoGrouping:
         with pytest.raises(ValueError, match="at least 2"):
             pearson_no_grouping([1.0], [1.0])
 
+    def test_scores_whose_squares_overflow_are_scaled(self):
+        # 3 systems x 2 docs near 1e200: the squared deviations overflow, and
+        # unscaled they gave var_x = inf and r = -0.0.
+        metric = [-1e200, 1e200, 1e200, -2e200, 2e200, 2e200]
+        human = [0.0, -1.0, -2.0, 0.0, -1.0, -2.0]
+        assert pearson_no_grouping(metric, human) == \
+            pytest.approx(-0.8164965809277261)
+
+    @pytest.mark.parametrize("scale", [2.0 ** 660, 2.0 ** -600],
+                             ids=["2**660", "2**-600"])
+    def test_power_of_two_scaling_leaves_r_bit_equal(self, scale):
+        rng = random.Random(59)
+        xs = [rng.uniform(-5, 5) for _ in range(20)]
+        ys = [rng.uniform(-5, 5) for _ in range(20)]
+        assert pearson_no_grouping([x * scale for x in xs], ys) == \
+            pearson_no_grouping(xs, [y * scale for y in ys]) == \
+            pearson_no_grouping(xs, ys)
+
+    def test_deviations_beyond_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="deviations overflow"):
+            pearson_no_grouping([1.7e308, -1.7e308, 1.7e308], [0.0, 1.0, 2.0])
+
     def test_matches_scipy(self):
         rng = random.Random(53)
         for trial in range(50):

@@ -3,7 +3,10 @@ import statistics
 import numpy as np
 import pytest
 from helpers import make_item
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from paraeval import noise
 from paraeval.metaeval import pair_table, segment_accuracy
 from paraeval.model import SimConfig
 from paraeval.noise import noise_curve, simulate
@@ -131,6 +134,19 @@ class TestNoiseCurve:
     def test_nonpositive_seed_count_rejected(self):
         with pytest.raises(ValueError, match="n_seeds"):
             noise_curve(config(), ks=[1, 2], n_seeds=0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n_items=st.integers(1, 12), n_systems=st.integers(2, 8),
+           seed=st.integers(0, 2 ** 64 - 1), k=st.integers(1, 3))
+    def test_agreement_matches_the_core_on_heavily_tied_matrices(
+            self, n_items, n_systems, seed, k):
+        # Rounded to integers of spread about 1, both sides tie often, so the
+        # sign rule meets every tie case that the core's epsilon-0 rule has.
+        matrices = simulate(config(n_items=n_items, n_systems=n_systems, max_k=3,
+                                   seed=seed))[k]
+        human, metric = (np.rint(matrix) for matrix in matrices)
+        assert noise._agreement(human, metric) == \
+            segment_accuracy(pairs((human, metric)), 0.0)
 
     def test_seed_wraps_around_the_64_bit_boundary(self):
         cfg = config(n_items=5, seed=2 ** 64 - 1)
