@@ -167,8 +167,8 @@ def _per_unit(units: dict, unit_rows: Callable[[UnitKey, list], list]) -> dict:
     return per_unit
 
 
-def _load_paragraphs(path: str) -> list[ParagraphInstance]:
-    paragraphs = fileio.load_paragraphs(path)
+def _load_paragraphs(path: str, texts: bool = True) -> list[ParagraphInstance]:
+    paragraphs = fileio.load_paragraphs(path, texts)
     if not paragraphs:
         raise ValueError(f"no paragraphs in {path}")
     return paragraphs
@@ -198,11 +198,12 @@ def _group_units(paragraphs: Iterable[ParagraphInstance]
 
 
 def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Optional[list]]:
-    """The paragraphs grouped into units, and the ratings if --ratings is given."""
+    """The paragraphs grouped into units, and the ratings if --ratings is given.
+    The paragraphs keep their texts only if a built-in metric scores them."""
     if args.metric is not None and args.mode == "aligned" and args.ratings is None:
         raise UsageError("aligned mode needs --ratings to recover the "
                          "sentence pairs")
-    units = _group_units(_load_paragraphs(args.paragraphs))
+    units = _group_units(_load_paragraphs(args.paragraphs, texts=args.metric is not None))
     return units, (fileio.load_ratings(args.ratings) if args.ratings else None)
 
 

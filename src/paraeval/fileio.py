@@ -16,6 +16,9 @@ gzip-compressed files, detected by magic bytes.
 Every system translates the same documents, so ids, source and reference
 texts repeat once per system. Each reader call keeps one copy of each such
 string (a dict local to the call), so memory grows with distinct text.
+``read_paragraphs(stream, texts=False)`` checks the three texts of every
+paragraph as usual but keeps none of them (they read as None): ``metaeval``
+and ``ties`` with ``--scores`` read no text.
 """
 
 from __future__ import annotations
@@ -156,6 +159,7 @@ _PARAGRAPH_TABLE = (
 )
 RATING_FIELDS = tuple(name for name, _ in _RATING_TABLE)
 PARAGRAPH_FIELDS = tuple(name for name, _ in _PARAGRAPH_TABLE)
+_TEXTS = ("source_text", "reference_text", "hypothesis_text")
 # The exact JSON type of each getter's field in a record that passes one test.
 _JSON_TYPES = {_get_str: str, _get_shared: str, _get_int: int, _get_index: int,
                _get_float: float, _get_floats: list, _get_score_type: str}
@@ -164,14 +168,16 @@ _JSON_TYPES = {_get_str: str, _get_shared: str, _get_int: int, _get_index: int,
 def _derive(table: tuple, fast_check) -> tuple:
     """The table, required and known field names, the required values' getter
     and exact JSON types, score_type's position, the two trailing token count
-    fields, the shared strings' positions and the format's own fast test."""
+    fields, the shared strings' and the texts' positions and the format's own
+    fast test."""
     fields = [name for name, _ in table]
     required = [name for name, get in table if get is not _get_count]
     ref, hyp = fields[len(required):]
     return (table, frozenset(required), frozenset(fields), operator.itemgetter(*required),
             [_JSON_TYPES[get] for _, get in table[:len(required)]],
             fields.index("score_type"), ref, hyp,
-            [i for i, (_, get) in enumerate(table) if get is _get_shared], fast_check)
+            [i for i, (_, get) in enumerate(table) if get is _get_shared],
+            [fields.index(name) for name in _TEXTS], fast_check)
 
 
 _RATINGS = _derive(_RATING_TABLE, lambda obj: obj["sent_index"] >= 0)
@@ -219,10 +225,13 @@ def _parse_lines(stream: Lines) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
-def _record_values(stream: Lines, derived: tuple) -> Iterator[tuple[int, list]]:
-    """Each record's line number and values, in the record type's field order."""
+def _record_values(stream: Lines, derived: tuple,
+                   texts: bool = True) -> Iterator[tuple[int, list]]:
+    """Each record's line number and values, in the record type's field order;
+    with texts=False the checked texts are replaced by None."""
     share = {}.setdefault  # one copy of each repeated string
-    _, required, known, values_of, types, kind, ref, hyp, shared, fast_check = derived
+    _, required, known, values_of, types, kind, ref, hyp, shared, dropped, fast_check = derived
+    dropped = () if texts else dropped
     for lineno, obj in _parse_lines(stream):
         # A record whose required values have exactly their JSON types is taken
         # as it is; any other goes through the getters, which word the error.
@@ -235,6 +244,8 @@ def _record_values(stream: Lines, derived: tuple) -> Iterator[tuple[int, list]]:
             values += counts
         else:
             values = _checked_values(obj, derived, lineno)
+        for i in dropped:
+            values[i] = None
         for i in shared:
             values[i] = share(values[i], values[i])
         yield lineno, values
@@ -289,10 +300,11 @@ def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -
     _write_jsonl(paragraphs, stream)
 
 
-def read_paragraphs(stream: Lines) -> list[ParagraphInstance]:
-    """Parse a paragraph stream, checking per-paragraph invariants."""
+def read_paragraphs(stream: Lines, texts: bool = True) -> list[ParagraphInstance]:
+    """Parse a paragraph stream, checking per-paragraph invariants. With
+    texts=False every text is checked but none is kept: each reads as None."""
     paragraphs = []
-    for lineno, values in _record_values(stream, _PARAGRAPHS):
+    for lineno, values in _record_values(stream, _PARAGRAPHS, texts):
         try:
             paragraph = ParagraphInstance(*values)
         except ValueError as exc:  # k, start_index and the number of scores
@@ -428,9 +440,9 @@ def load_ratings(path: Union[str, Path]) -> list[RatingRecord]:
         return parse_ratings(stream)
 
 
-def load_paragraphs(path: Union[str, Path]) -> list[ParagraphInstance]:
+def load_paragraphs(path: Union[str, Path], texts: bool = True) -> list[ParagraphInstance]:
     with open_input(path) as stream:
-        return read_paragraphs(stream)
+        return read_paragraphs(stream, texts)
 
 
 def load_external_scores(path: Union[str, Path]) -> dict[tuple[str, str, int], ScoreTable]:

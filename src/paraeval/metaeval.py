@@ -84,11 +84,7 @@ def system_pairwise_accuracy(metric_sys: Mapping[str, float],
     counted = [(h, d) for h, d in zip(table.human, table.metric) if h]
     if not counted:
         raise ValueError("all system pairs are human-tied; accuracy undefined")
-    return sum(h == _sign(d) for h, d in counted) / len(counted)
-
-
-def _sign(x: float) -> int:
-    return (x > 0) - (x < 0)
+    return sum(h == (d > 0) - (d < 0) for h, d in counted) / len(counted)
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,7 @@ def segment_accuracy(table: PairTable, epsilon: float) -> float:
         raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     metric = _scored(table.metric)
     return sum(w for h, d, w in zip(table.human, metric, table.weight)
-               if h == (0 if abs(d) <= epsilon else _sign(d))) / table.denominator
+               if h == (0 if abs(d) <= epsilon else (d > 0) - (d < 0))) / table.denominator
 
 
 def tau_optimize(table: PairTable) -> TauCalibration:
@@ -167,7 +163,7 @@ def tau_optimize(table: PairTable) -> TauCalibration:
     beats epsilon 0, so ties in accuracy resolve to the smallest epsilon.
     """
     metric = _scored(table.metric)
-    correct = [h == _sign(d) for h, d in zip(table.human, metric)]
+    correct = [h == (d > 0) - (d < 0) for h, d in zip(table.human, metric)]
     flips = sorted((i for i, (h, c) in enumerate(zip(table.human, correct))
                     if (h == 0) != c), key=lambda i: abs(metric[i]))
     # NaN equals no difference, so the last flip ends a run.

@@ -69,7 +69,8 @@ class ParagraphInstance:
     ``human_score`` is the mean of ``sentence_scores`` for DA_Z data and
     their sum for MQM data; the list order follows ascending sentence
     position. Token counts are the sums of the per-sentence counts when
-    every underlying record carried one, else None.
+    every underlying record carried one, else None. The three texts are
+    None only in paragraphs read with ``texts=False``.
     """
 
     dataset_id: str
@@ -82,9 +83,9 @@ class ParagraphInstance:
     rater_id: str
     human_score: float
     sentence_scores: Tuple[float, ...]
-    source_text: str
-    reference_text: str
-    hypothesis_text: str
+    source_text: Optional[str]
+    reference_text: Optional[str]
+    hypothesis_text: Optional[str]
     token_count_ref: Optional[int] = None
     token_count_hyp: Optional[int] = None
 

@@ -774,6 +774,31 @@ def test_empty_paragraphs_file_exits_2(command, tau_ratings, tmp_path, capsys):
     assert not list(tmp_path.glob("out*"))
 
 
+# Commands that read no paragraph text, and score, which reads them all.
+TEXT_FREE_COMMANDS = {
+    "metaeval-segment": ["metaeval", "--scores", "{scores}", "--out", "{out}"],
+    "metaeval-system": ["metaeval", "--scores", "{scores}", "--level", "system",
+                        "--out", "{out}"],
+    "ties": ["ties", "--scores", "{scores}", "--out", "{out}"],
+    "score": ["score", "--metric", "bleu", "--out", "{out}.tsv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_FREE_COMMANDS))
+def test_a_text_of_the_wrong_type_exits_2_without_a_report(
+        command, tau_paragraphs, tau_scores, tmp_path, capsys):
+    lines = Path(tau_paragraphs).read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), "hypothesis_text": 3}) + "\n"
+    path = tmp_path / "bad-text.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    argv = [arg.format(out=tmp_path / "out", scores=tau_scores)
+            for arg in TEXT_FREE_COMMANDS[command]]
+    assert main([argv[0], "--paragraphs", str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 2: field hypothesis_text must be a string, got 3\n"
+    assert not list(tmp_path.glob("out*"))
+
+
 # Every command that scores paragraphs in aligned mode, with its other arguments.
 ALIGNED_COMMANDS = {
     "score": ["--metric", "bleu", "--mode", "aligned", "--out", "{out}.tsv"],

@@ -8,7 +8,9 @@ an integer where a float is expected, a non-finite or out-of-range
 number, an inconsistent k, a negative index or count, an unknown score
 type (also an unhashable one), or a human score that does not aggregate
 its sentence scores. The readers must return the records the oracles
-return, or raise the same error with the same message.
+return, or raise the same error with the same message. The paragraph
+reader without texts must accept and refuse the same lines, and return the
+oracle's records with their three texts set to None.
 
 Valid records written, read and written again give the same bytes; so do
 valid score rows, through the scores parser and ``score_rows``.
@@ -18,6 +20,7 @@ The line splitter, which scans most lines in place, is checked against
 against a regular grammar.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -160,6 +163,16 @@ def stream_text(draw, make_record, fields, index_field, float_field):
     return serialize(draw, records, mutated, literal)
 
 
+def read_without_texts(stream):
+    return fileio.read_paragraphs(stream, texts=False)
+
+
+def oracle_without_texts(stream):
+    return [dataclasses.replace(p, source_text=None, reference_text=None,
+                                hypothesis_text=None)
+            for p in oracles.read_paragraphs(stream)]
+
+
 def outcome(read, text):
     try:
         return [repr(record) for record in read(io.StringIO(text))]
@@ -180,6 +193,7 @@ def test_rating_reader_matches_the_field_by_field_oracle(text):
 def test_paragraph_reader_matches_the_field_by_field_oracle(text):
     assert outcome(fileio.read_paragraphs, text) == \
         outcome(oracles.read_paragraphs, text)
+    assert outcome(read_without_texts, text) == outcome(oracle_without_texts, text)
 
 
 ROUND_TRIPS = {"ratings": (rating_record, fileio.read_rating_lines, fileio.write_ratings),
@@ -251,11 +265,14 @@ READERS = {"rating": (VALID_RATING, fileio.read_rating_lines, oracles.read_ratin
     ("paragraph", "sentence_scores", [True, 1.0]), ("paragraph", "sentence_scores", [-1, -2]),
     ("paragraph", "sentence_scores", "-1.0"), ("paragraph", "token_count_ref", True),
     ("paragraph", "token_count_hyp", 1.0), ("paragraph", "token_count_ref", 0),
+    ("paragraph", "hypothesis_text", 3), ("paragraph", "source_text", None),
 ])
 def test_a_field_of_another_type_is_read_as_the_oracle_reads_it(reader, field, value):
     valid, read, oracle = READERS[reader]
     text = json.dumps({**valid, field: value})
     assert outcome(read, text) == outcome(oracle, text)
+    if reader == "paragraph":
+        assert outcome(read_without_texts, text) == outcome(oracle_without_texts, text)
 
 
 # str.isspace() is true for each of these, so strip() removes them.
