@@ -281,6 +281,8 @@ def cmd_validate(args) -> int:
 
 def cmd_build_paragraphs(args) -> int:
     records = fileio.load_ratings(args.ratings)
+    if not records:
+        raise ValueError(f"no ratings in {args.ratings}")
     lines = []
 
     def write(k, path, stream):
@@ -302,6 +304,8 @@ def cmd_build_paragraphs(args) -> int:
 def cmd_export_training(args) -> int:
     if args.size < 1:
         raise UsageError(f"--size must be >= 1, got {args.size}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.ks is not None and args.strategy != "stratified":
         raise UsageError("--ks applies only to --strategy stratified")
     pool = _load_paragraphs(args.paragraphs)

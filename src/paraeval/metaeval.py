@@ -16,16 +16,18 @@ prediction and returns the smallest one maximizing segment accuracy.
 
 Every pairwise statistic is a view of one ``PairTable``, the score
 differences of every within-item pair, which ``pair_table`` builds once per
-unit from ``build_eval_items`` and then ``attach_metric_scores``. An item
-with P pairs weighs L / P in an integer numerator over n_items * L (L the
-lcm of the items' pair counts). Both are Python ints, exact at any size,
-and one correctly rounded division gives the float, so equal ratios compare
-equal and positive rescaling of scores cannot perturb them.
+unit, item by item, from ``build_eval_items`` and ``attach_metric_scores``;
+no statistic depends on the pairs' order. An item with P pairs weighs L / P
+in an integer numerator over n_items * L (L the lcm of the items' pair
+counts). Both are Python ints, exact at any size, and one correctly rounded
+division gives the float, so equal ratios compare equal and positive
+rescaling of scores cannot perturb them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import Iterable, Mapping, Sequence
@@ -62,8 +64,23 @@ def system_scores(entries: Mapping[tuple[str, ItemKey], float]) -> dict[str, flo
     totals: dict[str, list[float]] = {}
     for (system, _), score in entries.items():
         totals.setdefault(system, []).append(score)
-    return {system: math.fsum(scores) / len(scores)
-            for system, scores in sorted(totals.items())}
+    return {system: _mean(scores) for system, scores in sorted(totals.items())}
+
+
+def _mean(values: Sequence[float]) -> float:
+    """fsum / n, or where the sum overflows, that of the ``_scaled`` values
+    scaled back, so finite values have a finite mean."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        scaled, exponent = _scaled(values)
+        return math.ldexp(math.fsum(scaled) / len(values), exponent)
+
+
+def _scaled(values: Sequence[float]) -> tuple[list[float], int]:
+    """The values times 2**-e, e the ``frexp`` exponent of the largest magnitude."""
+    exponent = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -exponent) for v in values], exponent
 
 
 def system_pairwise_accuracy(metric_sys: Mapping[str, float],
@@ -79,9 +96,9 @@ def system_pairwise_accuracy(metric_sys: Mapping[str, float],
     systems = sorted(metric_sys)
     if len(systems) < 2:
         raise ValueError(f"need at least 2 systems, got {len(systems)}")
-    table = PairTable.from_blocks([([[human_sys[s] for s in systems]],
-                                    [[metric_sys[s] for s in systems]])])
-    counted = [(h, d) for h, d in zip(table.human, table.metric) if h]
+    signs = [((human_sys[a] > human_sys[b]) - (human_sys[a] < human_sys[b]),
+              metric_sys[a] - metric_sys[b]) for a, b in combinations(systems, 2)]
+    counted = [(h, d) for h, d in signs if h]
     if not counted:
         raise ValueError("all system pairs are human-tied; accuracy undefined")
     return sum(h == (d > 0) - (d < 0) for h, d in counted) / len(counted)
@@ -96,40 +113,30 @@ class PairTable:
     weight: list[int]  # L / P for a pair of an item with P pairs
     denominator: int  # n_items * L, L the lcm of the items' pair counts
 
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[tuple[Sequence, Sequence]]) -> PairTable:
-        """Build from (human rows, metric rows) blocks: one row of scores per
-        item, every row of a block one score per system, in the same order.
-        Each row's pairs are its (i, j) positions with i < j, in order."""
-        human, metric, shapes = [], [], []
-        for human_rows, metric_rows in blocks:
-            for row in human_rows:
-                human += [(a > b) - (a < b) for a, b in combinations(row, 2)]
-            for row in metric_rows:
-                metric += [a - b for a, b in combinations(row, 2)]
-            shapes.append((len(human_rows), math.comb(len(human_rows[0]), 2)))
-        common = math.lcm(*(pairs for _, pairs in shapes))
-        weight = []
-        for n, pairs in shapes:
-            weight += [common // pairs] * (n * pairs)
-        return cls(human=human, metric=metric, weight=weight,
-                   denominator=sum(n for n, _ in shapes) * common)
-
 
 def pair_table(items: Iterable[EvalItem]) -> PairTable:
     """Pairs of every system of every item; items with fewer than 2 are dropped.
 
-    A system without a metric score gives its pairs a NaN metric
-    difference, which the metric statistics reject.
+    An item's pairs are its (i, j) systems with i < j in ``per_system`` order.
+    A system without a metric score gives its pairs a NaN metric difference,
+    which the metric statistics reject.
     """
-    rows: dict[int, tuple[list, list]] = {}
+    human, metric, counts = [], [], []
     for item in items:
         if len(item.per_system) >= 2:
-            human, metric = rows.setdefault(len(item.per_system), ([], []))
-            human.append([e.human_score for e in item.per_system.values()])
-            metric.append([math.nan if e.metric_score is None else e.metric_score
-                           for e in item.per_system.values()])
-    return PairTable.from_blocks(rows.values())
+            entries = item.per_system.values()
+            human += [(a > b) - (a < b) for a, b in
+                      combinations([e.human_score for e in entries], 2)]
+            metric += [a - b for a, b in combinations(
+                [math.nan if e.metric_score is None else e.metric_score
+                 for e in entries], 2)]
+            counts.append(math.comb(len(entries), 2))
+    common = math.lcm(*counts)
+    weight = []
+    for pairs in counts:
+        weight += [common // pairs] * pairs
+    return PairTable(human=human, metric=metric, weight=weight,
+                     denominator=len(counts) * common)
 
 
 def _scored(differences: list[float]) -> list[float]:
@@ -188,29 +195,27 @@ def pearson_no_grouping(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise ValueError(f"need at least 2 points, got {len(xs)}")
-    mean_x = math.fsum(xs) / len(xs)
-    mean_y = math.fsum(ys) / len(ys)
-    dx = [x - mean_x for x in xs]
-    dy = [y - mean_y for y in ys]
-    var_x = math.fsum(d * d for d in dx)
-    var_y = math.fsum(d * d for d in dy)
-    if not 0 < var_x * var_y < math.inf:
-        # The squares overflow or underflow: scale each side by the exact
-        # power of two that brings its largest deviation below 1, which
-        # leaves r unchanged.
-        dx, dy = _scaled(dx), _scaled(dy)
-        var_x = math.fsum(d * d for d in dx)
-        var_y = math.fsum(d * d for d in dy)
-    if var_x == 0 or var_y == 0:
+    if min(xs) == max(xs) or min(ys) == max(ys):
         raise ValueError("correlation undefined: at least one side has zero variance")
-    if math.isinf(var_x * var_y):
-        raise ValueError("correlation undefined: score deviations overflow")
+    try:
+        dx, dy, var_x, var_y = _centred(xs, ys)
+    except OverflowError:  # finite squares whose sum overflows
+        var_x = var_y = math.inf
+    if not all(sys.float_info.min <= v < math.inf
+               for v in (var_x, var_y, var_x * var_y)):
+        # A deviation, a square or a sum over- or underflows: redo the sums on
+        # each side ``_scaled`` below 1, which leaves r unchanged.
+        dx, dy, var_x, var_y = _centred(_scaled(xs)[0], _scaled(ys)[0])
     return math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
 
 
-def _scaled(deviations: list[float]) -> list[float]:
-    exponent = math.frexp(max(map(abs, deviations)))[1]
-    return [math.ldexp(d, -exponent) for d in deviations]
+def _centred(xs: Sequence[float], ys: Sequence[float]
+             ) -> tuple[list[float], list[float], float, float]:
+    """Both sides' deviations from their means, and their sums of squares."""
+    mean_x, mean_y = _mean(xs), _mean(ys)
+    dx = [x - mean_x for x in xs]
+    dy = [y - mean_y for y in ys]
+    return dx, dy, math.fsum(d * d for d in dx), math.fsum(d * d for d in dy)
 
 
 def tie_rates(differences: list[float]) -> float:

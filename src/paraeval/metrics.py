@@ -18,11 +18,12 @@ and direct-mode scoring are unsmoothed, with any zero pooled precision
 collapsing the score to 0.
 
 ``score_direct`` and ``score_aligned_avg`` differ only in how they score
-one paragraph; one loop serves both. It visits one item (a window position
-in a document) at a time and tokenizes and counts each distinct reference
-text of the item once, since every system of an item usually shares one
-reference. Those counts live in a dict local to the item, so the memory
-they take is bounded by one item's references, not by the input.
+one paragraph; one loop serves both. It visits the items of
+``paragraphs.group_items`` (window positions in a document) one at a time
+and tokenizes and counts each distinct reference text of the item once,
+since every system of an item usually shares one reference. Those counts
+live in a dict local to the item, so the memory they take is bounded by
+one item's references, not by the input.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter, defaultdict
-from itertools import groupby, repeat
+from itertools import repeat
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .model import ItemKey, ParagraphInstance, RatingRecord, ScoreTable
+from .paragraphs import group_items
 
 MAX_NGRAM_ORDER = 4
 
@@ -148,15 +150,6 @@ def bleu_corpus(pairs: Iterable[Tuple[str, str]]) -> float:
 BUILTIN_METRICS = ("bleu",)
 
 
-def _check_unit(paragraphs: list[ParagraphInstance]) -> None:
-    if not paragraphs:
-        raise ValueError("no paragraphs to score")
-    units = {(p.dataset_id, p.lang_pair, p.k) for p in paragraphs}
-    if len(units) > 1:
-        raise ValueError(f"paragraphs span multiple (dataset, lang_pair, k) "
-                         f"units: {sorted(units)}")
-
-
 class _Counted(dict):
     """Text -> its n-gram counts, each text counted on first use."""
 
@@ -168,17 +161,13 @@ class _Counted(dict):
 def _score(paragraphs: Iterable[ParagraphInstance],
            score: Callable[[ParagraphInstance, _Counted], float]) -> ScoreTable:
     """One unit's BLEU table of score(paragraph, its item's reference counts)."""
-    paragraphs = list(paragraphs)
-    _check_unit(paragraphs)
-    ordered = sorted(paragraphs, key=lambda p: (p.doc_id, p.start_index, p.system_id))
     entries: dict[tuple[str, ItemKey], float] = {}
-    for _, item in groupby(ordered, key=lambda p: (p.doc_id, p.start_index)):
+    for item in group_items(paragraphs):
         references = _Counted()
         for p in item:
-            key = (p.system_id, p.item_key)
-            if key in entries:
-                raise ValueError(f"duplicate paragraph for {key}")
-            entries[key] = score(p, references)
+            entries[(p.system_id, p.item_key)] = score(p, references)
+    if not entries:
+        raise ValueError("no paragraphs to score")
     return ScoreTable(metric_name="bleu", entries=dict(sorted(entries.items())))
 
 

@@ -6,13 +6,15 @@ k positions are rated and share one rater, the window is emitted as a
 paragraph and the window jumps k positions ahead; otherwise it shifts by
 one. Emitted windows therefore never overlap, and a position left unrated
 (or rated by a different rater mid-window) blocks the windows that cross
-it without being skipped.
+it without being skipped. ``group_items`` groups one unit's paragraphs by
+item; the BLEU scorers and ``build_eval_items`` read their items from it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .model import (
@@ -113,30 +115,39 @@ def build_paragraphs(records: Iterable[RatingRecord], k: int) -> list[ParagraphI
     return paragraphs
 
 
-def build_eval_items(paragraphs: Iterable[ParagraphInstance], k: int) -> list[EvalItem]:
-    """Group competing systems' paragraphs into per-slot evaluation items.
+def group_items(paragraphs: Iterable[ParagraphInstance]) -> list[list[ParagraphInstance]]:
+    """One unit's paragraphs grouped by item, in (doc, start, system) order.
 
-    Paragraphs must all belong to one (dataset, lang_pair) unit and have
-    the given k. Slots covered by fewer than two systems are dropped;
-    the surviving items may have different system sets.
+    The paragraphs must form one (dataset, lang_pair, k) unit and hold at
+    most one paragraph per (system, item).
     """
-    paragraphs = list(paragraphs)
-    units = {(p.dataset_id, p.lang_pair) for p in paragraphs}
+    units, items = set(), {}
+    for p in paragraphs:
+        units.add((p.dataset_id, p.lang_pair, p.k))
+        items.setdefault((p.doc_id, p.start_index), []).append(p)
     if len(units) > 1:
-        raise ValueError(f"paragraphs span multiple (dataset, lang_pair) units: "
-                         f"{sorted(units)}")
-    for p in paragraphs:
-        if p.k != k:
-            raise ValueError(f"paragraph {p.sort_key()} has k={p.k}, expected {k}")
+        raise ValueError(f"paragraphs span multiple (dataset, lang_pair, k) "
+                         f"units: {sorted(units)}")
+    grouped = [sorted(items[key], key=attrgetter("system_id")) for key in sorted(items)]
+    for item in grouped:
+        for before, p in zip(item, item[1:]):
+            if before.system_id == p.system_id:
+                raise ValueError(f"system {p.system_id} has two paragraphs for "
+                                 f"item {p.item_key}")
+    return grouped
 
-    slots: dict[tuple, dict[str, SystemEntry]] = defaultdict(dict)
-    for p in paragraphs:
-        per_system = slots[p.item_key]
-        if p.system_id in per_system:
-            raise ValueError(f"system {p.system_id} has two paragraphs for "
-                             f"item {p.item_key}")
-        per_system[p.system_id] = SystemEntry(human_score=p.human_score)
 
-    return [EvalItem(item_key=item_key, per_system=dict(sorted(per_system.items())))
-            for item_key, per_system in sorted(slots.items())
-            if len(per_system) >= 2]
+def build_eval_items(paragraphs: Iterable[ParagraphInstance], k: int) -> list[EvalItem]:
+    """The ``group_items`` items of one unit of the given k, as evaluation items.
+
+    Items covered by fewer than two systems are dropped; the surviving items
+    may have different system sets.
+    """
+    items = group_items(paragraphs)
+    if items and items[0][0].k != k:
+        p = items[0][0]
+        raise ValueError(f"paragraph {p.sort_key()} has k={p.k}, expected {k}")
+    return [EvalItem(item_key=item[0].item_key,
+                     per_system={p.system_id: SystemEntry(human_score=p.human_score)
+                                 for p in item})
+            for item in items if len(item) >= 2]

@@ -221,6 +221,20 @@ def tie_rate_exact(items, side):
     return Fraction(tied, count)
 
 
+def mean_exact(values):
+    """Arithmetic mean of floats as an exact Fraction."""
+    return sum(map(Fraction, values), Fraction(0)) / len(values)
+
+
+def pearson_sums_exact(xs, ys):
+    """Pearson's covariance sum and the two variance sums, as exact Fractions."""
+    mean_x, mean_y = mean_exact(xs), mean_exact(ys)
+    dx = [Fraction(x) - mean_x for x in xs]
+    dy = [Fraction(y) - mean_y for y in ys]
+    return (sum((a * b for a, b in zip(dx, dy)), Fraction(0)),
+            sum((d * d for d in dx), Fraction(0)), sum((d * d for d in dy), Fraction(0)))
+
+
 # --- JSONL record readers ---------------------------------------------------
 # The package's ratings and paragraphs readers as they were before their
 # one-pass record check: each field goes through its own getter. They build

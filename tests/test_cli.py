@@ -266,6 +266,18 @@ class TestBuildParagraphs:
         assert captured.out == ""
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_ratings_file_without_records_exits_2(self, content, tmp_path, capsys):
+        ratings = tmp_path / "none.jsonl"
+        ratings.write_text(content, encoding="utf-8")
+        out_dir = tmp_path / "built"
+        assert main(["build-paragraphs", "--ratings", str(ratings),
+                     "--k", "1,2", "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no ratings in {ratings}\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_bad_k_spec_exits_1(self, tau_ratings, tmp_path, capsys):
         for spec in ("0", "5-2", "x"):
             with pytest.raises(SystemExit) as excinfo:
@@ -322,6 +334,16 @@ class TestExportTraining:
                      "--strategy", "uniform", "--size", "0",
                      "--out", str(tmp_path / "s.jsonl")]) == 1
         assert "--size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", ["uniform", "stratified"])
+    def test_negative_seed_exits_1(self, tau_paragraphs, strategy, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        assert main(["export-training", "--paragraphs", tau_paragraphs,
+                     "--strategy", strategy, "--size", "2", "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert "paraeval: error: --seed must be >= 0, got -1\n" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestScore:
@@ -603,17 +625,30 @@ class TestMetaeval:
             "range" in capsys.readouterr().err
         assert not (tmp_path / "r.jsonl").exists()
 
-    @pytest.mark.parametrize("flags", [["--level", "system"], ["--pearson"]])
-    def test_scores_whose_sum_overflows_exit_2(self, flags, tmp_path, capsys):
+    def test_system_means_of_scores_whose_sum_overflows(self, tmp_path):
+        # sysA's two scores of 1e308 sum past the float range; their mean is 1e308.
         paragraphs, scores = self.huge_score_unit(tmp_path, {
             (system, doc): score for doc in ("d1", "d2")
-            for system, score in (("sysA", 1e308), ("sysB", 1e308),
-                                  ("sysC", -1e308))})
+            for system, score in (("sysA", 1e308), ("sysB", 1.0), ("sysC", -1e308))})
+        base = tmp_path / "r"
         assert main(["metaeval", "--paragraphs", paragraphs, "--scores", scores,
-                     *flags, "--out", str(tmp_path / "r")]) == 2
-        assert "error: wmt/en-de k=1: intermediate overflow in fsum\n" \
-            in capsys.readouterr().err
-        assert not (tmp_path / "r.tsv").exists()
+                     "--level", "system", "--out", str(base)]) == 0
+        (row,) = read_report(base)
+        assert (row["statistic"], row["value"]) == ("system_pairwise_accuracy", 1.0)
+
+    def test_pearson_of_scores_whose_sum_overflows(self, tmp_path):
+        metric = {"sysA": 1.7e308, "sysB": 1.7e308, "sysC": 1.6e308}
+        paragraphs, scores = self.huge_score_unit(tmp_path, {
+            (system, doc): score for doc in ("d1", "d2")
+            for system, score in metric.items()})
+        base = tmp_path / "r"
+        assert main(["metaeval", "--paragraphs", paragraphs, "--scores", scores,
+                     "--pearson", "--out", str(base)]) == 0
+        rows = {row["statistic"]: row["value"] for row in read_report(base)}
+        # r does not depend on the scale: the same scores divided by 1e308.
+        # Paragraphs go in (system, doc) order; d2 is human-tied at 0.
+        assert rows["pearson_no_grouping"] == pytest.approx(metaeval.pearson_no_grouping(
+            [1.7, 1.7, 1.7, 1.7, 1.6, 1.6], [-1.0, 0.0, -2.0, 0.0, -3.0, 0.0]))
 
     def test_no_leftover_temp_files(self, tau_paragraphs, tau_scores,
                                     tmp_path):

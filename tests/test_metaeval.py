@@ -63,6 +63,11 @@ class TestSystemScores:
                              ("sysB", ("d1", 0, 1)): 4.0})
         assert system_scores(table.entries) == {"sysA": 3.0, "sysB": 4.0}
 
+    def test_mean_of_scores_whose_sum_overflows_is_finite(self):
+        table = score_table({("sysA", ("d1", 0, 1)): 1e308,
+                             ("sysA", ("d2", 0, 1)): 1e308})
+        assert system_scores(table.entries) == {"sysA": 1e308}
+
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             system_scores(score_table({}).entries)
@@ -314,9 +319,20 @@ class TestPearsonNoGrouping:
             pearson_no_grouping(xs, [y * scale for y in ys]) == \
             pearson_no_grouping(xs, ys)
 
-    def test_deviations_beyond_the_float_range_rejected(self):
-        with pytest.raises(ValueError, match="deviations overflow"):
-            pearson_no_grouping([1.7e308, -1.7e308, 1.7e308], [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("xs, ys, r", [
+        ([1.7e308, 1.7e308, 1.6e308], [1.0, 2.0, 3.0], -math.sqrt(3) / 2),
+        # The mean is finite, but 1.7e308 lies more than the float range from it.
+        ([1.7e308, -1.7e308, 1.7e308], [0.0, 1.0, 3.0], 6 / math.sqrt(1008)),
+        ([1.3e154, -1.3e154, 1.3e154, -1.3e154, 0.0], [1.0, 2.0, 3.0, 4.0, 6.0],
+         -1 / math.sqrt(14.8)),
+    ], ids=["the-sum", "a-deviation", "the-sum-of-squares"])
+    def test_scores_whose_sums_overflow_are_scaled(self, xs, ys, r):
+        assert pearson_no_grouping(xs, ys) == pytest.approx(r)
+
+    def test_a_constant_side_is_rejected_though_its_mean_is_inexact(self):
+        # fsum([0.1] * 3) / 3 is not 0.1, so the computed deviations are not 0.
+        with pytest.raises(ValueError, match="zero variance"):
+            pearson_no_grouping([0.1, 0.1, 0.1], [1.0, 2.0, 4.0])
 
     def test_matches_scipy(self):
         rng = random.Random(53)
@@ -471,7 +487,18 @@ class TestInvariances:
 
     def test_item_order_changes_nothing(self):
         rng = random.Random(71)
-        items = random_items(rng, n_items=6, n_systems=3)
-        shuffled, pairs = pair_table(items[::-1]), pair_table(items)
-        assert segment_accuracy(shuffled, 0.1) == segment_accuracy(pairs, 0.1)
-        assert tau_optimize(shuffled) == tau_optimize(pairs)
+        for trial in range(20):
+            # Items of 2 to 6 systems: reordering them reorders the pairs
+            # across items of different pair counts.
+            items = [item for n_systems in range(2, 7)
+                     for item in random_items(rng, n_items=rng.randint(1, 3),
+                                              n_systems=n_systems)]
+            shuffled = rng.sample(items, len(items))
+            pairs = pair_table(items)
+            for other in (pair_table(items[::-1]), pair_table(shuffled)):
+                for epsilon in (0.0, 0.1, 0.35):
+                    assert segment_accuracy(other, epsilon) == \
+                        segment_accuracy(pairs, epsilon)
+                assert tau_optimize(other) == tau_optimize(pairs)
+                assert tie_rates(other.human) == tie_rates(pairs.human)
+                assert tie_rates(other.metric) == tie_rates(pairs.metric)

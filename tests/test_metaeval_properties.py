@@ -6,19 +6,24 @@ is not 0.2). Items have from 2 to 20 systems, so their pair counts and
 hence their weights differ. Every system is metric-scored: either the
 items carry the scores, or human-only items get them from a score table
 through ``attach_metric_scores``, as the CLI does.
+
+System means and Pearson are checked against exact ``Fraction`` sums on
+scores drawn from every finite float, where a plain float sum can overflow.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from paraeval.metaeval import (attach_metric_scores, pair_table,
                                pearson_no_grouping, segment_accuracy,
-                               system_pairwise_accuracy, tau_optimize,
-                               tie_rates)
+                               system_pairwise_accuracy, system_scores,
+                               tau_optimize, tie_rates)
 from paraeval.model import EvalItem, ScoreTable, SimConfig, SystemEntry
 from paraeval.noise import noise_curve
 
@@ -83,6 +88,8 @@ def test_core_matches_oracles_on_small_tied_units(items, data):
     # An epsilon equal to an observed difference predicts that pair tied.
     epsilon = data.draw(st.sampled_from(observed_deltas(items)))
     assert_matches_oracles(items, [0.0, epsilon, 0.25])
+    # The pairs follow the items, so a permutation reorders them; no value moves.
+    assert_matches_oracles(data.draw(st.permutations(items)), [0.0, epsilon, 0.25])
     # Human-only items give the same human side; their metric side is refused.
     unscored = pair_table(human_only(items))
     assert tie_rates(unscored.human) == tie_rates(pair_table(items).human)
@@ -140,3 +147,40 @@ def test_reported_statistics_are_builtin_floats():
                                          {"a": 2.0, "b": 1.0})) is float
     assert type(pearson_no_grouping([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])) is float
 
+
+# Every finite float: subnormals, values near the largest float, both signs.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.sampled_from(["a", "b"]), FINITE), min_size=1, max_size=8))
+def test_system_means_match_the_exact_oracle_over_the_finite_range(scores):
+    entries = {(system, (f"d{i}", 0, 1)): score
+               for i, (system, score) in enumerate(scores)}
+    means = system_scores(entries)
+    for system, mean in means.items():
+        values = [score for s, score in scores if s == system]
+        # A subnormal mean is exact to one step of the subnormal grid.
+        assert math.isclose(mean, float(oracles.mean_exact(values)),
+                            rel_tol=1e-15, abs_tol=2 ** -1074)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(FINITE, FINITE), min_size=2, max_size=8))
+def test_pearson_matches_the_exact_oracle_over_the_finite_range(points):
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    covariance, var_x, var_y = oracles.pearson_sums_exact(xs, ys)
+    if var_x * var_y == 0:
+        with pytest.raises(ValueError, match="zero variance"):
+            pearson_no_grouping(xs, ys)
+        return
+    # Sides whose spread is at least 2**-10 of their size: a spread near one
+    # ulp of the scores leaves no correct digit in any float two-pass sum.
+    assume(all(var * 2 ** 20 >= sum(Fraction(v) ** 2 for v in side)
+               for var, side in ((var_x, xs), (var_y, ys))))
+    r_squared = covariance ** 2 / (var_x * var_y)
+    expected = math.sqrt(r_squared) if covariance > 0 else -math.sqrt(r_squared)
+    # Relative tolerance, and an absolute one for r near 0, where the sums'
+    # rounding (about 2**-40 of the variances here) is all that is left.
+    assert math.isclose(pearson_no_grouping(xs, ys), expected,
+                        rel_tol=1e-9, abs_tol=1e-9)

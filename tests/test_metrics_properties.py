@@ -18,7 +18,7 @@ import oracles
 from helpers import make_rating
 from paraeval.metrics import (bleu_corpus, bleu_sentence, score_aligned_avg,
                               score_direct, tokenize)
-from paraeval.paragraphs import build_paragraphs
+from paraeval.paragraphs import build_eval_items, build_paragraphs
 
 # Fixed examples: a tier-1 gate must not pass on one run and fail on the next.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
@@ -113,11 +113,29 @@ def test_scorers_match_scoring_each_paragraph_alone(unit):
 @PROPERTY
 @given(scored_unit(), st.data())
 def test_a_duplicated_paragraph_is_rejected(unit, data):
-    records, _, paragraphs = unit
+    records, k, paragraphs = unit
     twice = data.draw(st.sampled_from(paragraphs))
     position = data.draw(st.integers(0, len(paragraphs)))
     paragraphs = paragraphs[:position] + [twice] + paragraphs[position:]
-    with pytest.raises(ValueError, match="duplicate paragraph for"):
+    # One check, paragraphs.group_items, serves every consumer of a unit.
+    message = f"system {twice.system_id} has two paragraphs for item"
+    with pytest.raises(ValueError, match=message):
         score_direct(paragraphs)
-    with pytest.raises(ValueError, match="duplicate paragraph for"):
+    with pytest.raises(ValueError, match=message):
         score_aligned_avg(paragraphs, records)
+    with pytest.raises(ValueError, match=message):
+        build_eval_items(paragraphs, k)
+
+
+@pytest.mark.parametrize("consume", [
+    lambda paragraphs, records: score_direct(paragraphs),
+    lambda paragraphs, records: score_aligned_avg(paragraphs, records),
+    lambda paragraphs, records: build_eval_items(paragraphs, 1),
+], ids=["score_direct", "score_aligned_avg", "build_eval_items"])
+def test_paragraphs_of_two_ks_are_rejected(consume):
+    records = [make_rating(index, system_id=system)
+               for system in ("sysA", "sysB") for index in range(2)]
+    paragraphs = build_paragraphs(records, 1) + build_paragraphs(records, 2)
+    with pytest.raises(ValueError,
+                       match=r"span multiple \(dataset, lang_pair, k\) units"):
+        consume(paragraphs, records)
