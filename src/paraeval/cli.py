@@ -13,6 +13,12 @@ once all of them are written, so a failed run leaves no output, whole or
 half-written. Evaluation units are processed one at a time in
 canonical (dataset, lang_pair, k) order, so a report does not depend on
 the order of the input lines.
+
+``score``, ``metaeval`` and ``ties`` take each unit's score tables from
+``_load_units``: the built-in ``--metric`` scores the unit's paragraphs
+whole (direct mode) or as the mean of their aligned sentences, or the
+``--scores`` file gives the tables of the unit's lang_pair and k, one per
+metric in metric order. Tables for units without paragraphs go unused.
 """
 
 from __future__ import annotations
@@ -197,55 +203,42 @@ def _group_units(paragraphs: Iterable[ParagraphInstance]
     return dict(sorted(units.items()))
 
 
-def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Optional[list]]:
-    """The paragraphs grouped into units, and the ratings if --ratings is given.
-    The paragraphs keep their texts only if a built-in metric scores them."""
-    if args.metric is not None and args.mode == "aligned" and args.ratings is None:
-        raise UsageError("aligned mode needs --ratings to recover the "
-                         "sentence pairs")
-    units = _group_units(_load_paragraphs(args.paragraphs, texts=args.metric is not None))
-    return units, (fileio.load_ratings(args.ratings) if args.ratings else None)
-
-
-def _load_external(path: Optional[str], units: Iterable[UnitKey]):
-    """External score tables keyed by (metric, lang_pair, k), or None.
+def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Callable]:
+    """The paragraphs grouped into units, and a function giving a unit's
+    (metric label, mode label, table) triples: the built-in --metric's
+    scores, else the --scores tables of the unit's lang_pair and k in metric
+    order, else none. The paragraphs keep their texts only if a built-in
+    metric scores them.
 
     The scores file has no dataset column, so a lang_pair that spans two
     datasets would have one dataset's scores applied to the other's units.
     """
-    if path is None:
-        return None
-    datasets: dict[str, set[str]] = {}
-    for dataset, lang_pair, _ in units:
-        datasets.setdefault(lang_pair, set()).add(dataset)
-    for lang_pair, names in sorted(datasets.items()):
+    if args.metric is not None and args.mode == "aligned" and args.ratings is None:
+        raise UsageError("aligned mode needs --ratings to recover the "
+                         "sentence pairs")
+    units = _group_units(_load_paragraphs(args.paragraphs, texts=args.metric is not None))
+    records = fileio.load_ratings(args.ratings) if args.ratings else None
+    if args.metric is not None:
+        score = (metrics.score_direct if args.mode == "direct"
+                 else partial(metrics.score_aligned_avg, records=records))
+        return units, lambda key, unit_paragraphs: [
+            (args.metric, args.mode, score(unit_paragraphs))]
+    if args.scores is None:  # ties rates the human scores alone
+        return units, lambda key, unit_paragraphs: []
+    for lang_pair in sorted({lang_pair for _, lang_pair, _ in units}):
+        names = sorted({dataset for dataset, lp, _ in units if lp == lang_pair})
         if len(names) > 1:
-            raise ValueError(f"lang_pair {lang_pair} spans datasets "
-                             f"{', '.join(sorted(names))}, but the scores file "
-                             f"has no dataset column to tell them apart")
-    return fileio.load_external_scores(path)
+            raise ValueError(f"lang_pair {lang_pair} spans datasets {', '.join(names)}, "
+                             f"but the scores file has no dataset column to tell them apart")
+    external: dict[tuple[str, int], list] = {}
+    for (metric, lang_pair, k), table in fileio.load_external_scores(args.scores).items():
+        external.setdefault((lang_pair, k), []).append((metric, "external", table))
 
-
-def _builtin_table(args, unit_paragraphs: list[ParagraphInstance],
-                   records) -> ScoreTable:
-    if args.mode == "direct":
-        return metrics.score_direct(unit_paragraphs)
-    return metrics.score_aligned_avg(unit_paragraphs, records)
-
-
-def _unit_tables(args, key: UnitKey, unit_paragraphs: list[ParagraphInstance],
-                 records, external) -> list[tuple[str, str, ScoreTable]]:
-    """(metric label, mode label, table) triples that apply to one unit."""
-    _, lang_pair, k = key
-    if external is not None:
-        found = [(metric, "external", table)
-                 for (metric, lp, table_k), table in sorted(external.items())
-                 if lp == lang_pair and table_k == k]
-        if not found:
+    def external_tables(key, unit_paragraphs):
+        if key[1:] not in external:
             raise ValueError("no external scores for unit")
-        return found
-    table = _builtin_table(args, unit_paragraphs, records)
-    return [(table.metric_name, args.mode, table)]
+        return external[key[1:]]
+    return units, external_tables
 
 
 def _paired_scores(table: ScoreTable,
@@ -320,10 +313,11 @@ def cmd_export_training(args) -> int:
 
 
 def cmd_score(args) -> int:
-    units, records = _load_units(args)
+    units, tables = _load_units(args)
     label = args.label or f"{args.metric}-{args.mode}"
-    per_unit = _per_unit(units, lambda key, unit_paragraphs: fileio.score_rows(
-        label, key[1], _builtin_table(args, unit_paragraphs, records).entries))
+    per_unit = _per_unit(units, lambda key, unit_paragraphs: [
+        row for _, _, table in tables(key, unit_paragraphs)
+        for row in fileio.score_rows(label, key[1], table.entries)])
     return _report(per_unit, lambda key, rows: f"{_unit_name(key)}: scored "
                    f"{len(rows)} paragraphs ({label})",
                    args.out, _write_scores, "scores")
@@ -335,17 +329,14 @@ def cmd_metaeval(args) -> int:
                          "--scores FILE or --metric NAME")
     if not (math.isfinite(args.epsilon) and args.epsilon >= 0):
         raise UsageError(f"--epsilon must be a finite number >= 0, got {args.epsilon}")
-    units, records = _load_units(args)
-    external = _load_external(args.scores, units)
-
+    units, tables = _load_units(args)
     paired = args.level == "segment" or args.tau_opt or args.ties
 
     def unit_rows(key, unit_paragraphs):
         dataset, lang_pair, k = key
         rows = []
         items = build_eval_items(unit_paragraphs, k) if paired else None
-        for label, mode, table in _unit_tables(args, key, unit_paragraphs,
-                                               records, external):
+        for label, mode, table in tables(key, unit_paragraphs):
             def row(statistic, value, epsilon=None):
                 rows.append(ReportRow(dataset, lang_pair, k, label, mode,
                                       statistic, value, epsilon))
@@ -369,7 +360,8 @@ def cmd_metaeval(args) -> int:
                 row("segment_accuracy_tau_opt", calibration.accuracy_at_epsilon,
                     calibration.epsilon)
             if args.pearson:
-                xs, ys = _paired_scores(table, unit_paragraphs)
+                if args.level == "segment":  # the system level joined them above
+                    xs, ys = _paired_scores(table, unit_paragraphs)
                 row("pearson_no_grouping", metaeval.pearson_no_grouping(xs, ys))
             if args.ties:
                 row("human_tie_rate", metaeval.tie_rates(pairs.human))
@@ -384,22 +376,17 @@ def cmd_ties(args) -> int:
     if args.scores is not None and args.metric is not None:
         raise UsageError("at most one score source is allowed: "
                          "--scores FILE or --metric NAME")
-    units, records = _load_units(args)
-    external = _load_external(args.scores, units)
+    units, tables = _load_units(args)
 
     def unit_rows(key, unit_paragraphs):
         dataset, lang_pair, k = key
         items = build_eval_items(unit_paragraphs, k)
         rows = [ReportRow(dataset, lang_pair, k, "-", "-", "human_tie_rate",
                           metaeval.tie_rates(metaeval.pair_table(items).human))]
-        if external is not None or args.metric is not None:
-            for label, mode, table in _unit_tables(args, key, unit_paragraphs,
-                                                   records, external):
-                pairs = metaeval.pair_table(
-                    metaeval.attach_metric_scores(items, table))
-                rows.append(ReportRow(dataset, lang_pair, k, label, mode,
-                                      "metric_tie_rate",
-                                      metaeval.tie_rates(pairs.metric)))
+        for label, mode, table in tables(key, unit_paragraphs):
+            pairs = metaeval.pair_table(metaeval.attach_metric_scores(items, table))
+            rows.append(ReportRow(dataset, lang_pair, k, label, mode, "metric_tie_rate",
+                                  metaeval.tie_rates(pairs.metric)))
         return rows
 
     return _report(_per_unit(units, unit_rows), lambda key, rows: "\n".join(
@@ -488,6 +475,8 @@ def _parse_sim_config(path: str) -> SimConfig:
 def cmd_simulate(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
+    if len(args.ks) < 2:
+        raise UsageError(f"--ks needs at least 2 distinct k values, got {args.ks}")
     config = _parse_sim_config(args.config)
     per_k = {}
     for point in noise.noise_curve(config, args.ks, args.seeds):

@@ -157,8 +157,6 @@ _PARAGRAPH_TABLE = (
     ("hypothesis_text", _get_str),
     ("token_count_ref", _get_count), ("token_count_hyp", _get_count),
 )
-RATING_FIELDS = tuple(name for name, _ in _RATING_TABLE)
-PARAGRAPH_FIELDS = tuple(name for name, _ in _PARAGRAPH_TABLE)
 _TEXTS = ("source_text", "reference_text", "hypothesis_text")
 # The exact JSON type of each getter's field in a record that passes one test.
 _JSON_TYPES = {_get_str: str, _get_shared: str, _get_int: int, _get_index: int,

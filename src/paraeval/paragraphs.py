@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 from typing import Iterable, Optional, Sequence
 
+from .metaeval import _scaled
 from .model import (
     EvalItem,
     ParagraphInstance,
@@ -31,17 +33,20 @@ def aggregate_score(sentence_scores: Sequence[float], score_type: ScoreType) -> 
 
     DA z-scores average; MQM scores sum (a sentence's MQM score is already
     a sum of error weights). Summation runs in list order, so results are
-    bit-reproducible for a fixed input order.
+    bit-reproducible for a fixed input order. Where the sum of DA scores
+    overflows, the mean is that of the ``_scaled`` scores, scaled back, so
+    finite scores have a finite mean.
     """
     scores = list(sentence_scores)
     if not scores:
         raise ValueError("sentence_scores must be non-empty")
-    total = 0.0
-    for s in scores:
-        total += s
-    if score_type is ScoreType.DA_Z:
-        return total / len(scores)
-    return total
+    total = reduce(add, scores, 0.0)
+    if score_type is ScoreType.MQM:
+        return total
+    if math.isinf(total):
+        scaled, exponent = _scaled(scores)
+        return math.ldexp(reduce(add, scaled, 0.0) / len(scores), exponent)
+    return total / len(scores)
 
 
 def _sum_counts(counts: list[Optional[int]]) -> Optional[int]:

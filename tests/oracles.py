@@ -226,6 +226,33 @@ def mean_exact(values):
     return sum(map(Fraction, values), Fraction(0)) / len(values)
 
 
+def system_mean(values):
+    """The system mean the library documents: the exact sum rounded to a
+    float, then divided by n and rounded once."""
+    return float(Fraction(float(mean_exact(values) * len(values))) / len(values))
+
+
+def system_accuracy_exact(metric_scores, human_scores):
+    """System pairwise accuracy as an exact Fraction.
+
+    Both arguments map each system to its list of scores. Pairs whose human
+    means are equal are left out; a metric tie on a counted pair disagrees.
+    """
+    metric = {system: system_mean(values) for system, values in metric_scores.items()}
+    human = {system: system_mean(values) for system, values in human_scores.items()}
+    if len(human) < 2:
+        raise ValueError("fewer than 2 systems")
+    good = counted = 0
+    for a, b in combinations(sorted(human), 2):
+        if human[a] == human[b]:
+            continue
+        counted += 1
+        good += metric[a] != metric[b] and (metric[a] > metric[b]) == (human[a] > human[b])
+    if counted == 0:
+        raise ValueError("all system pairs are human-tied")
+    return Fraction(good, counted)
+
+
 def pearson_sums_exact(xs, ys):
     """Pearson's covariance sum and the two variance sums, as exact Fractions."""
     mean_x, mean_y = mean_exact(xs), mean_exact(ys)

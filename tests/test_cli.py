@@ -88,6 +88,31 @@ def tau_paragraphs(tmp_path):
                                 tau_fixture_records(), [1])
 
 
+def write_scores_file(path, tables):
+    """(metric, lang_pair, k, {(system, doc): score}) tables, in file order."""
+    rows = [(metric, lang_pair, system, doc, 0, k, score)
+            for metric, lang_pair, k, scores in tables
+            for (system, doc), score in scores.items()]
+    with open(path, "w", encoding="utf-8") as stream:
+        fileio.write_scores(rows, stream)
+    return str(path)
+
+
+REVERSED_SCORES = {key: -score for key, score in TAU_METRIC_SCORES.items()}
+# Two metrics for the tau fixture's unit, the later one in metric order
+# first, and two tables for (lang_pair, k) units that have no paragraphs.
+TWO_METRIC_TABLES = [("zz", "en-de", 1, REVERSED_SCORES),
+                     ("aa", "en-de", 1, TAU_METRIC_SCORES),
+                     ("aa", "en-de", 2, TAU_METRIC_SCORES),
+                     ("aa", "fr-en", 1, TAU_METRIC_SCORES)]
+
+
+def one_system_item_paragraphs(tmp_path):
+    """The tau fixture plus doc d3, which only sysA translated."""
+    return write_paragraph_file(tmp_path / "one-system-item.jsonl",
+                                tau_fixture_records() + [mqm(0, -1.0, "sysA", "d3")], [1])
+
+
 @pytest.fixture
 def tau_scores(tmp_path):
     entries = {(system, (doc, 0, 1)): score
@@ -249,8 +274,9 @@ class TestBuildParagraphs:
         assert by_system[("sysC", "d1")] == -11.0
 
     def test_window_with_a_non_finite_score_exits_2(self, tmp_path, capsys):
-        records = [make_rating(sent_index=i, rater_id="A", score=8.98846567431158e+307)
-                   for i in range(2)]
+        # Two MQM scores whose sum really overflows.
+        records = [make_rating(sent_index=i, rater_id="A", score=1.7e308,
+                               score_type=ScoreType.MQM) for i in range(2)]
         ratings = write_ratings(tmp_path / "huge.jsonl", records)
         assert main(["validate", "--ratings", ratings]) == 0
         capsys.readouterr()
@@ -265,6 +291,16 @@ class TestBuildParagraphs:
         # and its temp files are gone.
         assert captured.out == ""
         assert list(out_dir.iterdir()) == []
+
+    def test_da_window_whose_sum_overflows_has_a_finite_mean(self, tmp_path, capsys):
+        records = [make_rating(sent_index=i, rater_id="A", score=8.98846567431158e+307)
+                   for i in range(2)]
+        ratings = write_ratings(tmp_path / "huge.jsonl", records)
+        out_dir = tmp_path / "built"
+        assert main(["build-paragraphs", "--ratings", ratings,
+                     "--k", "2", "--out", str(out_dir)]) == 0
+        [paragraph] = fileio.load_paragraphs(out_dir / "paragraphs-k2.jsonl")
+        assert paragraph.human_score == 8.98846567431158e+307
 
     @pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank-lines"])
     def test_ratings_file_without_records_exits_2(self, content, tmp_path, capsys):
@@ -527,6 +563,48 @@ class TestMetaeval:
             in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.jsonl", "scores.tsv"]
 
+    @pytest.mark.parametrize("argv", [["--tau-opt", "--pearson", "--ties"],
+                                      ["--level", "system", "--pearson"]],
+                             ids=["segment", "system"])
+    def test_two_metrics_report_in_metric_order_and_other_units_are_ignored(
+            self, argv, tau_paragraphs, tmp_path):
+        expected = []
+        for metric, scores in (("aa", TAU_METRIC_SCORES), ("zz", REVERSED_SCORES)):
+            one = write_scores_file(tmp_path / f"{metric}.tsv",
+                                    [(metric, "en-de", 1, scores)])
+            assert main(["metaeval", "--paragraphs", tau_paragraphs, "--scores", one,
+                         *argv, "--out", str(tmp_path / metric)]) == 0
+            expected += read_report(tmp_path / metric)
+        both = write_scores_file(tmp_path / "both.tsv", TWO_METRIC_TABLES)
+        assert main(["metaeval", "--paragraphs", tau_paragraphs, "--scores", both,
+                     *argv, "--out", str(tmp_path / "both")]) == 0
+        assert read_report(tmp_path / "both") == expected
+        assert [row["metric"] for row in expected] == \
+            ["aa"] * (len(expected) // 2) + ["zz"] * (len(expected) // 2)
+
+    def test_a_missing_row_of_a_one_system_item_is_read_only_where_needed(
+            self, tmp_path, capsys):
+        # Segment statistics never read the rows of an item with one system;
+        # Pearson and the system means read every paragraph's row.
+        paragraphs = one_system_item_paragraphs(tmp_path)
+        full = write_scores_file(tmp_path / "full.tsv", [(
+            "ext", "en-de", 1, {**TAU_METRIC_SCORES, ("sysA", "d3"): 0.4})])
+        missing = write_scores_file(tmp_path / "missing.tsv",
+                                    [("ext", "en-de", 1, TAU_METRIC_SCORES)])
+        segment = ["metaeval", "--paragraphs", paragraphs, "--tau-opt", "--ties"]
+        for scores in (full, missing):
+            assert main([*segment, "--scores", scores,
+                         "--out", str(tmp_path / f"report-{Path(scores).stem}")]) == 0
+        assert read_report(tmp_path / "report-missing") == \
+            read_report(tmp_path / "report-full")
+        capsys.readouterr()
+        for argv in ([*segment, "--pearson"],
+                     ["metaeval", "--paragraphs", paragraphs, "--level", "system"]):
+            assert main([*argv, "--scores", missing, "--out", str(tmp_path / "r")]) == 2
+            assert capsys.readouterr().err == (
+                "error: wmt/en-de k=1: score table 'ext' has no entry for system "
+                "'sysA' on item ('d3', 0, 1)\n")
+
     def test_scores_missing_unit_exits_2(self, tau_scores, tmp_path, capsys):
         # The external file only covers k=1; a k=2 unit has no scores.
         k2_only = write_paragraph_file(tmp_path / "k2.jsonl",
@@ -691,6 +769,18 @@ class TestTies:
         human = read_report(alone)
         assert [row["statistic"] for row in human] == ["human_tie_rate"]
         assert read_report(scored)[0] == human[0]
+
+    def test_two_metrics_report_in_metric_order_and_other_units_are_ignored(
+            self, tau_paragraphs, tmp_path):
+        base = tmp_path / "ties"
+        both = write_scores_file(tmp_path / "both.tsv", TWO_METRIC_TABLES)
+        assert main(["ties", "--paragraphs", tau_paragraphs, "--scores", both,
+                     "--out", str(base)]) == 0
+        rows = read_report(base)
+        assert [(row["metric"], row["statistic"]) for row in rows] == [
+            ("-", "human_tie_rate"), ("aa", "metric_tie_rate"),
+            ("zz", "metric_tie_rate")]
+        assert [row["value"] for row in rows] == pytest.approx([1 / 6, 0.0, 0.0])
 
     def test_scores_for_a_lang_pair_spanning_two_datasets_exit_2(
             self, two_dataset_paragraphs, tau_scores, tmp_path, capsys):
@@ -934,6 +1024,24 @@ class TestSimulate:
         assert f"error: sigma_human must be finite, got {shown}\n" in \
             capsys.readouterr().err
         assert not base.with_suffix(".tsv").exists()
+
+    @pytest.mark.parametrize("ks", ["1", "3,3"])
+    def test_fewer_than_two_distinct_ks_exits_1(self, ks, tmp_path, capsys):
+        config_path = tmp_path / "sim.cfg"
+        config_path.write_text(SIM_CONFIG, encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--ks", ks,
+                     "--out", str(tmp_path / "sim")]) == 1
+        assert capsys.readouterr().err == (
+            f"paraeval: error: --ks needs at least 2 distinct k values, "
+            f"got [{ks[0]}]\n")
+
+    def test_a_k_above_the_configured_max_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "sim.cfg"
+        config_path.write_text(SIM_CONFIG, encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--ks", "1,5",
+                     "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == \
+            "error: every k must lie in 1..4, got [1, 5]\n"
 
     def test_nonpositive_seeds_exits_1(self, tmp_path, capsys):
         config_path = tmp_path / "sim.cfg"

@@ -324,21 +324,22 @@ def _paragraph_with_list_scores():
 
 
 @pytest.mark.parametrize("record_type, fields, write, make", [
-    (RatingRecord, fileio.RATING_FIELDS, fileio.write_ratings, make_rating),
-    (RatingRecord, fileio.RATING_FIELDS, fileio.write_ratings,
+    (RatingRecord, oracles.RATING_FIELDS, fileio.write_ratings, make_rating),
+    (RatingRecord, oracles.RATING_FIELDS, fileio.write_ratings,
      lambda: replace(make_rating(), token_count_ref=3, rater_id="B", dataset_id="d")),
-    (ParagraphInstance, fileio.PARAGRAPH_FIELDS, fileio.write_paragraphs,
+    (ParagraphInstance, oracles.PARAGRAPH_FIELDS, fileio.write_paragraphs,
      lambda: TestParagraphsFile.build(k=1, n=1)[0]),
-    (ParagraphInstance, fileio.PARAGRAPH_FIELDS, fileio.write_paragraphs,
+    (ParagraphInstance, oracles.PARAGRAPH_FIELDS, fileio.write_paragraphs,
      _paragraph_with_list_scores),
-    (ParagraphInstance, fileio.PARAGRAPH_FIELDS, fileio.write_paragraphs,
+    (ParagraphInstance, oracles.PARAGRAPH_FIELDS, fileio.write_paragraphs,
      lambda: replace(TestParagraphsFile.build(k=1, n=1)[0], sentence_scores=[0.5],
                      human_score=0.5, dataset_id="d")),
 ])
 def test_writer_table_and_record_type_share_one_field_order(record_type, fields, write,
                                                              make):
-    # The readers build records positionally in the order of their table;
-    # the writers write a record's fields in their declaration order.
+    # The writers write a record's fields in their declaration order, which
+    # must be the file format's; the readers build records positionally in
+    # the order of their table, so a record read back must be the same.
     record = make()
     buffer = io.StringIO()
     write([record], buffer)

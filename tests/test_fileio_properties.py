@@ -181,14 +181,14 @@ def outcome(read, text):
 
 
 @PROPERTY
-@given(stream_text(rating_record, fileio.RATING_FIELDS, "sent_index", "score"))
+@given(stream_text(rating_record, oracles.RATING_FIELDS, "sent_index", "score"))
 def test_rating_reader_matches_the_field_by_field_oracle(text):
     assert outcome(fileio.read_rating_lines, text) == \
         outcome(oracles.read_rating_lines, text)
 
 
 @PROPERTY
-@given(stream_text(paragraph_record, fileio.PARAGRAPH_FIELDS, "start_index",
+@given(stream_text(paragraph_record, oracles.PARAGRAPH_FIELDS, "start_index",
                    "human_score"))
 def test_paragraph_reader_matches_the_field_by_field_oracle(text):
     assert outcome(fileio.read_paragraphs, text) == \

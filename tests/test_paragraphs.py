@@ -1,6 +1,10 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import make_rating
@@ -30,6 +34,50 @@ class TestAggregateScore:
             expected += v
         assert aggregate_score(values, ScoreType.MQM) == expected
 
+
+# Every finite float: subnormals, values near the largest float, both signs.
+FINITE_SCORES = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=8)
+# Fixed examples: a tier-1 gate must not pass on one run and fail on the next.
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def plain_sum(scores):
+    total = 0.0
+    for s in scores:
+        total += s
+    return total
+
+
+@PROPERTY
+@given(FINITE_SCORES)
+def test_a_finite_plain_sum_is_kept_bit_for_bit(scores):
+    total = plain_sum(scores)
+    if math.isfinite(total):
+        assert aggregate_score(scores, ScoreType.DA_Z) == total / len(scores)
+    assert aggregate_score(scores, ScoreType.MQM) == total
+
+
+@PROPERTY
+@given(FINITE_SCORES)
+def test_the_mean_of_finite_scores_is_finite_and_within_the_summation_bound(scores):
+    mean = aggregate_score(scores, ScoreType.DA_Z)
+    assert math.isfinite(mean)
+    # Recursive summation of n terms errs by at most gamma_(n-1) * sum |x|;
+    # gamma_(n+1) also covers the division's rounding and the terms that
+    # scaling pushes below the smallest subnormal.
+    n, unit = len(scores), Fraction(1, 2 ** 53)
+    gamma = (n + 1) * unit / (1 - (n + 1) * unit)
+    bound = gamma * sum(abs(Fraction(s)) for s in scores) / n + Fraction(1, 2 ** 1074)
+    assert abs(Fraction(mean) - oracles.mean_exact(scores)) <= bound
+
+
+def test_a_da_window_whose_sum_overflows_has_its_mean():
+    assert aggregate_score([8.98846567431158e+307] * 2, ScoreType.DA_Z) == \
+        8.98846567431158e+307
+    assert aggregate_score([1.7976931348623157e308] * 3, ScoreType.DA_Z) == \
+        1.7976931348623157e308
+    assert aggregate_score([1.7e308, 1.7e308], ScoreType.MQM) == math.inf
 
 def doc_records(raters, rated=None, **overrides):
     """One document's records: one per rated position, rater per position."""
@@ -92,16 +140,21 @@ class TestBuildParagraphs:
         (paragraph,) = build_paragraphs(records, 2)
         assert paragraph.human_score == 3.0
 
-    @pytest.mark.parametrize("score_type", list(ScoreType))
-    def test_non_finite_paragraph_score_rejected_naming_the_window(self, score_type):
-        # Each score is finite, but their sum overflows to inf.
+    def test_non_finite_paragraph_score_rejected_naming_the_window(self):
+        # Each MQM score is finite, but their sum overflows to inf.
         records = [make_rating(sent_index=i, rater_id="A", score=8.98846567431158e+307,
-                               score_type=score_type, doc_id="d7") for i in range(3)]
+                               score_type=ScoreType.MQM, doc_id="d7") for i in range(3)]
         with pytest.raises(ValueError) as excinfo:
             build_paragraphs(records, 2)
         assert str(excinfo.value) == (
             "window dataset=wmt lang_pair=en-de system=sysA doc=d7 start_index=0 "
             "k=2: human_score aggregates to non-finite inf")
+
+    def test_da_paragraph_score_whose_sum_overflows_is_the_mean(self):
+        records = [make_rating(sent_index=i, rater_id="A", score=8.98846567431158e+307,
+                               doc_id="d7") for i in range(3)]
+        assert [p.human_score for p in build_paragraphs(records, 2)] == \
+            [8.98846567431158e+307]
 
     def test_token_counts_summed_when_all_present(self):
         records = [make_rating(sent_index=i, rater_id="A",
