@@ -10,9 +10,9 @@ statistic name, its value, and the epsilon it was computed at (``-`` /
 null when not applicable). All files are written atomically (temp file
 in the target directory, then rename), and a command renames its files only
 once all of them are written, so a failed run leaves no output, whole or
-half-written. Evaluation units are processed one at a time in
-canonical (dataset, lang_pair, k) order, so a report does not depend on
-the order of the input lines.
+half-written. Evaluation units are processed one at a time in canonical
+(dataset, lang_pair, k) order, each in (doc, start, system) order, so a
+report, or the row an error names, does not depend on the input's order.
 
 ``score``, ``metaeval`` and ``ties`` take each unit's score tables from
 ``_load_units``: the built-in ``--metric`` scores the unit's paragraphs
@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional, Sequence, get_type_hints
 
 from . import fileio, metaeval, metrics, noise, sampling
 from .model import (ParagraphInstance, ScoreTable, SimConfig, validate_ratings)
-from .paragraphs import build_eval_items, build_paragraphs
+from .paragraphs import build_eval_items, build_paragraphs, group_items
 
 UnitKey = tuple  # (dataset_id, lang_pair, k)
 
@@ -184,23 +184,20 @@ def _group_units(paragraphs: Iterable[ParagraphInstance]
                  ) -> dict[UnitKey, list[ParagraphInstance]]:
     """Split paragraphs into canonically ordered (dataset, lang_pair, k) units.
 
-    A unit holds one score type: MQM sums and DA z-scores do not compare,
-    and at most one paragraph per (system, item).
+    A unit holds one score type (MQM sums and DA z-scores do not compare) and its
+    paragraphs in ``group_items`` order: (doc, start, system), one per (system, item).
     """
     units: dict[UnitKey, list[ParagraphInstance]] = {}
     for p in paragraphs:
         units.setdefault((p.dataset_id, p.lang_pair, p.k), []).append(p)
-    for key, group in sorted(units.items()):
+
+    def unit(key, group):
         if len({p.score_type for p in group}) > 1:
             types = Counter(p.score_type.value for p in group)
-            raise ValueError(f"{_unit_name(key)}: mixed score types in one unit: "
+            raise ValueError("mixed score types in one unit: "
                              + ", ".join(f"{t}={n}" for t, n in sorted(types.items())))
-        group.sort(key=ParagraphInstance.sort_key)
-        for before, p in zip(group, group[1:]):
-            if before.sort_key() == p.sort_key():
-                raise ValueError(f"{_unit_name(key)}: system {p.system_id} has "
-                                 f"two paragraphs for item {p.item_key}")
-    return dict(sorted(units.items()))
+        return [p for item in group_items(group) for p in item]
+    return _per_unit(dict(sorted(units.items())), unit)
 
 
 def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Callable]:
@@ -243,17 +240,10 @@ def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Callable]
 
 def _paired_scores(table: ScoreTable,
                    unit_paragraphs: list[ParagraphInstance]
-                   ) -> tuple[list[float], list[float]]:
-    """Metric and human score lists aligned over the unit's paragraphs."""
-    xs, ys = [], []
-    for p in unit_paragraphs:
-        score = table.entries.get((p.system_id, p.item_key))
-        if score is None:
-            raise ValueError(f"score table {table.metric_name!r} has no entry "
-                             f"for system {p.system_id!r} on item {p.item_key}")
-        xs.append(score)
-        ys.append(p.human_score)
-    return xs, ys
+                   ) -> tuple[list, list[float], list[float]]:
+    """The unit's (system, item) keys, and metric and human scores aligned with them."""
+    keys = [(p.system_id, p.item_key) for p in unit_paragraphs]
+    return keys, metaeval._metric_scores(table, keys), [p.human_score for p in unit_paragraphs]
 
 
 # --- subcommands -----------------------------------------------------------
@@ -345,8 +335,7 @@ def cmd_metaeval(args) -> int:
                     metaeval.attach_metric_scores(items, table))
             if args.level == "system":
                 # Both means run over exactly the unit's (system, item) keys.
-                keys = [(p.system_id, p.item_key) for p in unit_paragraphs]
-                xs, ys = _paired_scores(table, unit_paragraphs)
+                keys, xs, ys = _paired_scores(table, unit_paragraphs)
                 accuracy = metaeval.system_pairwise_accuracy(
                     metaeval.system_scores(dict(zip(keys, xs))),
                     metaeval.system_scores(dict(zip(keys, ys))))
@@ -361,7 +350,7 @@ def cmd_metaeval(args) -> int:
                     calibration.epsilon)
             if args.pearson:
                 if args.level == "segment":  # the system level joined them above
-                    xs, ys = _paired_scores(table, unit_paragraphs)
+                    _, xs, ys = _paired_scores(table, unit_paragraphs)
                 row("pearson_no_grouping", metaeval.pearson_no_grouping(xs, ys))
             if args.ties:
                 row("human_tie_rate", metaeval.tie_rates(pairs.human))

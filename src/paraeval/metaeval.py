@@ -35,25 +35,29 @@ from typing import Iterable, Mapping, Sequence
 from .model import EvalItem, ItemKey, ScoreTable, SystemEntry, TauCalibration
 
 
+def _metric_scores(table: ScoreTable, keys: list[tuple[str, ItemKey]]) -> list[float]:
+    """The table's score of each (system, item) key; the first without one is named."""
+    try:
+        return [table.entries[key] for key in keys]
+    except KeyError as missing:
+        system, item = missing.args[0]
+        raise ValueError(f"score table {table.metric_name!r} has no entry for "
+                         f"system {system!r} on item {item}") from None
+
+
 def attach_metric_scores(items: Iterable[EvalItem],
                          table: ScoreTable) -> list[EvalItem]:
     """Fill in each system entry's metric score from a score table.
 
-    Every (system, item) present in the items must be covered by the
-    table; entries the table has beyond the items are ignored.
+    The table must cover every (system, item) of the items; ``_metric_scores``
+    names the first it lacks, in item order. Other entries are ignored.
     """
     attached = []
     for item in items:
-        per_system = {}
-        for system, entry in item.per_system.items():
-            score = table.entries.get((system, item.item_key))
-            if score is None:
-                raise ValueError(
-                    f"score table {table.metric_name!r} has no entry for "
-                    f"system {system!r} on item {item.item_key}")
-            per_system[system] = SystemEntry(human_score=entry.human_score,
-                                             metric_score=score)
-        attached.append(EvalItem(item_key=item.item_key, per_system=per_system))
+        scores = _metric_scores(table, [(system, item.item_key) for system in item.per_system])
+        attached.append(EvalItem(item_key=item.item_key, per_system={
+            system: SystemEntry(human_score=entry.human_score, metric_score=score)
+            for (system, entry), score in zip(item.per_system.items(), scores)}))
     return attached
 
 
@@ -229,12 +233,11 @@ def tie_rates(differences: list[float]) -> float:
 
 
 def mode_correlation(direct: ScoreTable, aligned: ScoreTable) -> float:
-    """Pearson correlation between two score tables over shared keys."""
+    """Pearson correlation between two score tables over shared keys, in any order."""
     missing = sorted(set(direct.entries) ^ set(aligned.entries))
     if missing:
         raise ValueError(f"score tables cover different (system, item) keys; "
                          f"mismatched: {missing[:5]}"
                          + ("..." if len(missing) > 5 else ""))
-    keys = sorted(direct.entries)
-    return pearson_no_grouping([direct.entries[k] for k in keys],
-                               [aligned.entries[k] for k in keys])
+    return pearson_no_grouping(list(direct.entries.values()),
+                               [aligned.entries[k] for k in direct.entries])

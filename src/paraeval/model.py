@@ -49,6 +49,9 @@ class RatingRecord:
     def __post_init__(self) -> None:
         if self.sent_index < 0:
             raise ValueError(f"sent_index must be >= 0, got {self.sent_index}")
+        self._check_score_type_and_counts()
+
+    def _check_score_type_and_counts(self) -> None:
         if not isinstance(self.score_type, ScoreType):
             raise ValueError(f"score_type must be a ScoreType, got {self.score_type!r}")
         for name in ("token_count_ref", "token_count_hyp"):
@@ -99,8 +102,7 @@ class ParagraphInstance:
             raise ValueError(
                 f"paragraph {self.sort_key()} has {len(self.sentence_scores)} "
                 f"sentence_scores, expected k={self.k}")
-        if not isinstance(self.score_type, ScoreType):
-            raise ValueError(f"score_type must be a ScoreType, got {self.score_type!r}")
+        RatingRecord._check_score_type_and_counts(self)
 
     @property
     def item_key(self) -> ItemKey:

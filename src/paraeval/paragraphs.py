@@ -7,7 +7,7 @@ paragraph and the window jumps k positions ahead; otherwise it shifts by
 one. Emitted windows therefore never overlap, and a position left unrated
 (or rated by a different rater mid-window) blocks the windows that cross
 it without being skipped. ``group_items`` groups one unit's paragraphs by
-item; the BLEU scorers and ``build_eval_items`` read their items from it.
+item; the CLI's units, the BLEU scorers and ``build_eval_items`` read it.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def build_paragraphs(records: Iterable[RatingRecord], k: int) -> list[ParagraphI
         k: sentences per paragraph, >= 1.
 
     Returns:
-        Paragraphs sorted by (dataset, lang_pair, system, doc, start).
+        Paragraphs in (dataset, lang_pair, system, doc, start) order.
         Documents with fewer than k rated positions simply contribute
         nothing. Sentence texts are joined with a single space. A window
         whose scores aggregate to a non-finite human_score is an error.
@@ -115,8 +115,6 @@ def build_paragraphs(records: Iterable[RatingRecord], k: int) -> list[ParagraphI
                 token_count_hyp=_sum_counts([r.token_count_hyp for r in window]),
             ))
             i += k
-
-    paragraphs.sort(key=ParagraphInstance.sort_key)
     return paragraphs
 
 

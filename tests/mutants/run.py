@@ -1,0 +1,197 @@
+"""Mutants of paraeval that the tests must kill, and a runner that checks it.
+
+Each mutant names a file under ``src/paraeval``, an exact snippet of that
+file, the snippet's replacement, and the test ids expected to fail once the
+replacement is made. For each mutant the runner copies ``src/``, ``tests/``
+and ``pyproject.toml`` to a temporary directory, applies the mutant there,
+runs only its tests, and prints ``killed`` or ``survived``::
+
+    python tests/mutants/run.py            # every mutant
+    python tests/mutants/run.py NAME ...   # the named ones
+
+A run that fails a test, or outlasts TIMEOUT_S, kills the mutant. The
+runner exits 0 when every mutant is killed, 1 when one survives, and 2 when
+a snippet does not occur exactly once or pytest stops with an error other
+than a failed test (such as an unknown test id). It uses the standard
+library only. ``tests/test_mutants.py`` checks, in the normal test
+run, that every snippet still occurs exactly once.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[2]
+SOURCE = ROOT / "src" / "paraeval"
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/paraeval
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+CLI = "tests/test_cli.py"
+
+MUTANTS = [
+    Mutant("group-items-without-duplicate-check", "paragraphs.py",
+           "            if before.system_id == p.system_id:\n",
+           "            if False:\n",
+           (f"{CLI}::TestMetaeval::test_two_paragraphs_for_one_system_and_item_exit_2",
+            "tests/test_metrics_properties.py::test_a_duplicated_paragraph_is_rejected")),
+    Mutant("group-units-without-group-items", "cli.py",
+           "        return [p for item in group_items(group) for p in item]\n",
+           "        return group\n",
+           (f"{CLI}::TestMetaeval::test_two_paragraphs_for_one_system_and_item_exit_2",
+            f"{CLI}::TestMetaeval::test_of_two_missing_rows_every_level_names_the_first_"
+            "in_item_order")),
+    Mutant("missing-row-read-as-zero", "metaeval.py",
+           "        return [table.entries[key] for key in keys]\n",
+           "        return [table.entries.get(key, 0.0) for key in keys]\n",
+           (f"{CLI}::TestMetaeval::test_scores_missing_item_entry_exits_2",
+            "tests/test_metaeval.py::TestAttachMetricScores::"
+            "test_missing_entry_names_system_and_item")),
+    Mutant("segment-level-joins-every-row", "cli.py",
+           "            if paired:\n                pairs = metaeval.pair_table(\n",
+           "            _paired_scores(table, unit_paragraphs)\n"
+           "            if paired:\n                pairs = metaeval.pair_table(\n",
+           (f"{CLI}::TestMetaeval::"
+            "test_a_missing_row_of_a_one_system_item_is_read_only_where_needed",)),
+    Mutant("ties-joins-every-row", "cli.py",
+           "        for label, mode, table in tables(key, unit_paragraphs):\n"
+           "            pairs = ",
+           "        for label, mode, table in tables(key, unit_paragraphs):\n"
+           "            _paired_scores(table, unit_paragraphs)\n"
+           "            pairs = ",
+           (f"{CLI}::TestTies::test_a_missing_row_of_a_one_system_item_is_not_read",)),
+    Mutant("no-dataset-span-check", "cli.py",
+           "        if len(names) > 1:\n",
+           "        if False:\n",
+           (f"{CLI}::TestMetaeval::test_scores_for_a_lang_pair_spanning_two_datasets_exit_2",
+            f"{CLI}::TestTies::test_scores_for_a_lang_pair_spanning_two_datasets_exit_2")),
+    Mutant("units-in-input-order", "cli.py",
+           "    return _per_unit(dict(sorted(units.items())), unit)\n",
+           "    return _per_unit(units, unit)\n",
+           ("tests/test_acceptance.py::"
+            "test_cli_reports_are_byte_identical_across_runs_and_input_order",)),
+    Mutant("reversed-metric-order", "cli.py",
+           "        external.setdefault((lang_pair, k), []).append(",
+           "        external.setdefault((lang_pair, k), []).insert(0, ",
+           (f"{CLI}::TestMetaeval::"
+            "test_two_metrics_report_in_metric_order_and_other_units_are_ignored",
+            f"{CLI}::TestTies::"
+            "test_two_metrics_report_in_metric_order_and_other_units_are_ignored")),
+    Mutant("window-steps-one-after-a-paragraph", "paragraphs.py",
+           "            i += k\n",
+           "            i += 1\n",
+           ("tests/test_paragraphs.py::TestOracleAgreement::"
+            "test_random_layouts_match_greedy_scan_oracle",
+            "tests/test_paragraphs.py::TestOracleAgreement::"
+            "test_windows_never_overlap_and_qualify")),
+    Mutant("window-ignores-a-rater-switch", "paragraphs.py",
+           "            if any(r is None for r in window) or "
+           "len({r.rater_id for r in window}) != 1:\n",
+           "            if any(r is None for r in window):\n",
+           ("tests/test_paragraphs.py::TestBuildParagraphs::"
+            "test_rater_change_forces_shift_then_reemit",)),
+    Mutant("aggregate-score-without-scaling", "paragraphs.py",
+           "        return math.ldexp(reduce(add, scaled, 0.0) / len(scores), exponent)\n",
+           "        return total / len(scores)\n",
+           ("tests/test_paragraphs.py::test_a_da_window_whose_sum_overflows_has_its_mean",)),
+    Mutant("aggregate-score-scales-back-one-power-too-far", "paragraphs.py",
+           "        return math.ldexp(reduce(add, scaled, 0.0) / len(scores), exponent)\n",
+           "        return math.ldexp(reduce(add, scaled, 0.0) / len(scores), "
+           "exponent + 1)\n",
+           ("tests/test_paragraphs.py::test_a_da_window_whose_sum_overflows_has_its_mean",)),
+    Mutant("tau-sweep-takes-equal-gains", "metaeval.py",
+           "        if running > gain and delta[j] != delta[j + 1]:\n",
+           "        if running >= gain and delta[j] != delta[j + 1]:\n",
+           ("tests/test_metaeval.py::TestTauOptimize",)),
+    Mutant("tau-sweep-stops-inside-a-run-of-equal-differences", "metaeval.py",
+           "        if running > gain and delta[j] != delta[j + 1]:\n",
+           "        if running > gain:\n",
+           ("tests/test_metaeval.py::TestTauOptimize",
+            "tests/test_metaeval_properties.py::"
+            "test_core_matches_oracles_on_small_tied_units")),
+    Mutant("segment-tie-only-below-epsilon", "metaeval.py",
+           "if h == (0 if abs(d) <= epsilon else",
+           "if h == (0 if abs(d) < epsilon else",
+           ("tests/test_metaeval.py::TestSegmentAccuracy",)),
+    Mutant("system-metric-tie-counts-as-agreement", "metaeval.py",
+           "    return sum(h == (d > 0) - (d < 0) for h, d in counted) / len(counted)\n",
+           "    return sum(h == (d > 0) - (d < 0) or not d "
+           "for h, d in counted) / len(counted)\n",
+           ("tests/test_metaeval.py::TestSystemPairwiseAccuracy",)),
+    Mutant("system-counts-human-tied-pairs", "metaeval.py",
+           "    counted = [(h, d) for h, d in signs if h]\n",
+           "    counted = signs\n",
+           ("tests/test_metaeval.py::TestSystemPairwiseAccuracy",)),
+]
+
+
+def mutated(mutant: Mutant, source: str) -> str:
+    """The source with the mutant's snippet replaced; the snippet must occur once."""
+    count = source.count(mutant.snippet)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: the snippet occurs {count} times in "
+                         f"{mutant.file}, expected once")
+    return source.replace(mutant.snippet, mutant.replacement)
+
+
+def outcome(mutant: Mutant) -> str:
+    """``killed`` or ``survived``, from a run of the mutant's tests on a copy."""
+    with tempfile.TemporaryDirectory(prefix="paraeval-mutant-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        path = copy / "src" / "paraeval" / mutant.file
+        path.write_text(mutated(mutant, path.read_text(encoding="utf-8")),
+                        encoding="utf-8")
+        try:
+            # pyproject.toml puts the copy's src/ first on the import path.
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 *mutant.tests], cwd=copy, capture_output=True, text=True,
+                timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed"
+    if result.returncode not in (0, 1):
+        raise RuntimeError(f"{mutant.name}: pytest exited {result.returncode}:\n"
+                           f"{result.stdout[-2000:]}{result.stderr[-2000:]}")
+    return "survived" if result.returncode == 0 else "killed"
+
+
+def main(names: list[str]) -> int:
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = sorted(set(names) - set(by_name))
+    if unknown:
+        print(f"error: unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [by_name[name] for name in names] if names else MUTANTS
+    start = time.perf_counter()
+    killed = 0
+    try:
+        for mutant in chosen:
+            result = outcome(mutant)
+            killed += result == "killed"
+            print(f"{result}\t{mutant.name}", flush=True)
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"killed {killed} of {len(chosen)} in {time.perf_counter() - start:.0f} s")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -669,6 +669,42 @@ class TestMetaeval:
             "('d1', 0, 1)\n" in capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
 
+    # Of (sysB, d1) and (sysA, d2), the (doc, start, system) order of a unit's
+    # items comes to sysB on d1 first, the (system, doc, start) order to sysA.
+    TWO_OF_A_UNIT = {("sysB", "d1"), ("sysA", "d2")}
+
+    @pytest.mark.parametrize("argv", [[], ["--pearson"], ["--level", "system"]],
+                             ids=["segment", "pearson", "system"])
+    def test_of_two_missing_rows_every_level_names_the_first_in_item_order(
+            self, argv, tau_paragraphs, tmp_path, capsys):
+        scores = write_scores_file(tmp_path / "missing.tsv", [("ext", "en-de", 1, {
+            key: score for key, score in TAU_METRIC_SCORES.items()
+            if key not in self.TWO_OF_A_UNIT})])
+        assert main(["metaeval", "--paragraphs", tau_paragraphs, "--scores", scores,
+                     *argv, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            "error: wmt/en-de k=1: score table 'ext' has no entry for system "
+            "'sysB' on item ('d1', 0, 1)\n")
+        assert not (tmp_path / "r.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["score", "metaeval", "ties"])
+    def test_of_two_duplicated_paragraphs_every_command_names_the_first_in_item_order(
+            self, command, tau_paragraphs, tau_scores, tmp_path, capsys):
+        lines = Path(tau_paragraphs).read_text(encoding="utf-8").splitlines()
+        twice = [line for line in lines
+                 if (json.loads(line)["system_id"], json.loads(line)["doc_id"])
+                 in self.TWO_OF_A_UNIT]
+        assert len(twice) == 2
+        path = tmp_path / "duplicated.jsonl"
+        path.write_text("\n".join(lines + twice) + "\n", encoding="utf-8")
+        out = str(tmp_path / "r")
+        argv = {"score": ["--out", f"{out}.tsv"], "ties": ["--out", out],
+                "metaeval": ["--scores", tau_scores, "--out", out]}[command]
+        assert main([command, "--paragraphs", str(path), *argv]) == 2
+        assert capsys.readouterr().err == \
+            "error: wmt/en-de k=1: system sysB has two paragraphs for item ('d1', 0, 1)\n"
+        assert not list(tmp_path.glob("r*"))
+
     def test_unit_with_two_score_types_exits_2(self, mixed_type_paragraphs,
                                                tau_scores, tmp_path, capsys):
         assert main(["metaeval", "--paragraphs", mixed_type_paragraphs,
@@ -724,7 +760,8 @@ class TestMetaeval:
                      "--pearson", "--out", str(base)]) == 0
         rows = {row["statistic"]: row["value"] for row in read_report(base)}
         # r does not depend on the scale: the same scores divided by 1e308.
-        # Paragraphs go in (system, doc) order; d2 is human-tied at 0.
+        # The lists go in (system, doc) order, which r does not depend on; d2 is
+        # human-tied at 0.
         assert rows["pearson_no_grouping"] == pytest.approx(metaeval.pearson_no_grouping(
             [1.7, 1.7, 1.7, 1.7, 1.6, 1.6], [-1.0, 0.0, -2.0, 0.0, -3.0, 0.0]))
 
@@ -781,6 +818,18 @@ class TestTies:
             ("-", "human_tie_rate"), ("aa", "metric_tie_rate"),
             ("zz", "metric_tie_rate")]
         assert [row["value"] for row in rows] == pytest.approx([1 / 6, 0.0, 0.0])
+
+    def test_a_missing_row_of_a_one_system_item_is_not_read(self, tmp_path):
+        # Tie rates read only the rows of items with two or more systems.
+        paragraphs = one_system_item_paragraphs(tmp_path)
+        full = write_scores_file(tmp_path / "full.tsv", [(
+            "ext", "en-de", 1, {**TAU_METRIC_SCORES, ("sysA", "d3"): 0.4})])
+        missing = write_scores_file(tmp_path / "missing.tsv",
+                                    [("ext", "en-de", 1, TAU_METRIC_SCORES)])
+        for scores in (full, missing):
+            assert main(["ties", "--paragraphs", paragraphs, "--scores", scores,
+                         "--out", str(tmp_path / f"ties-{Path(scores).stem}")]) == 0
+        assert read_report(tmp_path / "ties-missing") == read_report(tmp_path / "ties-full")
 
     def test_scores_for_a_lang_pair_spanning_two_datasets_exit_2(
             self, two_dataset_paragraphs, tau_scores, tmp_path, capsys):
@@ -870,6 +919,19 @@ class TestStats:
                 for r in read_report(base)}
         assert rows[(1, "hyp_tokens_p50")] == \
             float(len("the quick brown fox jumps over the lazy dog"))
+
+    @pytest.mark.parametrize("spec, message", [
+        ("25,x", "bad percentile list '25,x'"),
+        ("0", "percentiles must lie in (0, 100), got '0'"),
+        ("50,100", "percentiles must lie in (0, 100), got '50,100'"),
+    ])
+    def test_bad_percentiles_exit_1(self, spec, message, rich_paragraphs, tmp_path,
+                                    capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", "--paragraphs", rich_paragraphs, "--percentiles", spec,
+                  "--out", str(tmp_path / "s")])
+        assert excinfo.value.code == 1
+        assert f"argument --percentiles: {message}\n" in capsys.readouterr().err
 
     def test_bad_budget_exits_1(self, rich_paragraphs, tmp_path, capsys):
         assert main(["stats", "--paragraphs", rich_paragraphs, "--truncation",
@@ -1003,6 +1065,21 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config_path),
                      "--out", str(tmp_path / "sim")]) == 2
         assert "line 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("n_items = 30", "n_items 30", "line 2: expected 'key = value'"),
+        ("n_items = 30", "= 30", "line 2: expected 'key = value'"),
+        ("n_items = 30", "n_items = thirty", "line 2: bad value for n_items: 'thirty'"),
+        ("seed = 11", "seed = 11\nseed = 12", "line 10: duplicate config key 'seed'"),
+    ], ids=["no-equals", "no-key", "bad-value", "duplicate-key"])
+    def test_malformed_config_line_exits_2_naming_the_line(self, old, new, message,
+                                                           tmp_path, capsys):
+        config_path = tmp_path / "sim.cfg"
+        config_path.write_text(SIM_CONFIG.replace(old, new), encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path),
+                     "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["sim.cfg"]
 
     def test_missing_config_key_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "sim.cfg"

@@ -238,6 +238,18 @@ class TestScoresFile:
         with pytest.raises(ParseError, match="non-finite"):
             fileio.parse_external_scores(io.StringIO(text))
 
+    def test_empty_file_has_no_header(self):
+        with pytest.raises(ParseError, match=r"^line 1: missing header row$"):
+            fileio.parse_external_scores(io.StringIO(""))
+
+    def test_blank_lines_are_skipped(self):
+        text = (f"{self.HEADER}\n\n"
+                "bleu\ten-de\tsysA\tdoc1\t0\t1\t10.0\n\n\n"
+                "bleu\ten-de\tsysB\tdoc1\t0\t1\t11.0\n\n")
+        table = fileio.parse_external_scores(io.StringIO(text))[("bleu", "en-de", 1)]
+        assert table.entries == {("sysA", ("doc1", 0, 1)): 10.0,
+                                 ("sysB", ("doc1", 0, 1)): 11.0}
+
     def test_wrong_header_rejected(self):
         with pytest.raises(ParseError, match="header"):
             fileio.parse_external_scores(io.StringIO("metric\tscore\n"))
@@ -308,6 +320,11 @@ class TestScoresFile:
         fileio.write_tsv(("a", "b", "c"), [("x", None, 0.1 + 0.2), (1, 2.5, "-")],
                          buffer)
         assert buffer.getvalue() == "a\tb\tc\nx\t-\t0.30000000000000004\n1\t2.5\t-\n"
+
+    @pytest.mark.parametrize("row, count", [(("x", 1), 2), (("x", 1, 2, 3), 4)])
+    def test_tsv_refuses_a_row_of_the_wrong_length(self, row, count):
+        with pytest.raises(ValueError, match=f"^row 2: {count} values for 3 columns$"):
+            fileio.write_tsv(("a", "b", "c"), [("x", 1, 2), row], io.StringIO())
 
     def test_score_rows_are_canonically_sorted(self):
         entries = {("sysB", ("doc1", 0, 1)): 1.0,

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -277,6 +278,15 @@ class TestLengthPercentiles:
         assert nearest_rank_percentile([40, 10, 30, 20], 50) == 20
         assert nearest_rank_percentile([10, 20, 30, 40], 75) == 30
         assert nearest_rank_percentile([10, 20, 30, 40], 76) == 40
+
+    @pytest.mark.parametrize("values, percentile, message", [
+        ([], 50, "no values"),
+        ([1, 2], 0, "percentile must be in (0, 100), got 0"),
+        ([1, 2], 100, "percentile must be in (0, 100), got 100"),
+    ])
+    def test_nearest_rank_input_guards(self, values, percentile, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nearest_rank_percentile(values, percentile)
 
     def test_groups_by_k(self):
         hyp = [("a b", "r"), ("c d", "r"), ("e f", "r"), ("g h", "r")]

@@ -71,6 +71,12 @@ class TestValidateRatings:
         assert "unrated positions" in report.warnings[0]
         assert ": 1" in report.warnings[0]
 
+    def test_more_than_ten_unrated_positions_are_shown_cut_short(self):
+        records = [make_rating(sent_index=0), make_rating(sent_index=12)]
+        assert validate_ratings(records).warnings == (
+            "unrated positions in dataset=wmt lang_pair=en-de system=sysA doc=doc1: "
+            "1,2,3,4,5,6,7,8,9,10,...",)
+
     def test_report_is_order_independent(self):
         records = [make_rating(sent_index=i, score=float(i)) for i in range(6)]
         records.append(make_rating(sent_index=2, score=9.9))  # duplicate
@@ -110,6 +116,11 @@ class TestParagraphInstance:
         with pytest.raises(ValueError, match="start_index"):
             self.make(start_index=-1)
 
+    @pytest.mark.parametrize("name", ["token_count_ref", "token_count_hyp"])
+    def test_negative_token_count_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -5$"):
+            self.make(**{name: -5})
+
     def test_sentence_scores_coerced_to_tuple(self):
         paragraph = self.make(scores=[1.0, 2.0])
         assert paragraph.sentence_scores == (1.0, 2.0)
@@ -143,6 +154,11 @@ class TestSimConfig:
     def test_needs_two_systems(self):
         with pytest.raises(ValueError, match="n_systems"):
             self.make(n_systems=1)
+
+    @pytest.mark.parametrize("name", ["n_items", "max_k"])
+    def test_needs_one_item_and_one_sentence(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            self.make(**{name: 0})
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError, match="sigma_metric"):

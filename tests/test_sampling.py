@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -49,6 +50,10 @@ class TestUniform:
         assert len(set(keys)) == 10
         assert set(keys) <= {p.sort_key() for p in pool}
 
+    def test_nonpositive_size_rejected(self):
+        with pytest.raises(ValueError, match="^sample size must be >= 1, got 0$"):
+            sample_uniform(make_pool(), 0, seed=0)
+
     def test_oversized_request_names_pool_size(self):
         pool = make_pool(docs_per_k=3)
         with pytest.raises(ValueError, match="exceeds pool size 3"):
@@ -90,6 +95,14 @@ class TestStratified:
     def test_duplicate_ks_rejected(self):
         with pytest.raises(ValueError, match="duplicates"):
             sample_stratified(make_pool(), 2, ks=(1, 1), seed=0)
+
+    @pytest.mark.parametrize("ks, message", [
+        ((), "ks must be non-empty"),
+        ((0, 1), "ks must be positive integers: [0, 1]"),
+    ])
+    def test_empty_or_nonpositive_ks_rejected(self, ks, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_stratified(make_pool(), 2, ks=ks, seed=0)
 
     def test_same_seed_same_selection(self):
         pool = make_pool(ks=(1, 2, 3), docs_per_k=10)
