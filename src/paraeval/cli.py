@@ -184,28 +184,22 @@ def _group_units(paragraphs: Iterable[ParagraphInstance]
                  ) -> dict[UnitKey, list[ParagraphInstance]]:
     """Split paragraphs into canonically ordered (dataset, lang_pair, k) units.
 
-    A unit holds one score type (MQM sums and DA z-scores do not compare) and its
-    paragraphs in ``group_items`` order: (doc, start, system), one per (system, item).
+    ``group_items`` checks each unit's rules and gives its (doc, start, system)
+    order; ``_per_unit`` names a unit that breaks one.
     """
     units: dict[UnitKey, list[ParagraphInstance]] = {}
     for p in paragraphs:
         units.setdefault((p.dataset_id, p.lang_pair, p.k), []).append(p)
-
-    def unit(key, group):
-        if len({p.score_type for p in group}) > 1:
-            types = Counter(p.score_type.value for p in group)
-            raise ValueError("mixed score types in one unit: "
-                             + ", ".join(f"{t}={n}" for t, n in sorted(types.items())))
-        return [p for item in group_items(group) for p in item]
-    return _per_unit(dict(sorted(units.items())), unit)
+    return _per_unit(dict(sorted(units.items())), lambda key, group: [
+        p for item in group_items(group) for p in item])
 
 
 def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Callable]:
     """The paragraphs grouped into units, and a function giving a unit's
-    (metric label, mode label, table) triples: the built-in --metric's
-    scores, else the --scores tables of the unit's lang_pair and k in metric
-    order, else none. The paragraphs keep their texts only if a built-in
-    metric scores them.
+    (mode label, table) pairs, each table named by its metric: the built-in
+    --metric's scores, else the --scores tables of the unit's lang_pair and k
+    in metric order, else none. The paragraphs keep their texts only if a
+    built-in metric scores them, and --ratings is read only by aligned mode.
 
     The scores file has no dataset column, so a lang_pair that spans two
     datasets would have one dataset's scores applied to the other's units.
@@ -214,12 +208,10 @@ def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Callable]
         raise UsageError("aligned mode needs --ratings to recover the "
                          "sentence pairs")
     units = _group_units(_load_paragraphs(args.paragraphs, texts=args.metric is not None))
-    records = fileio.load_ratings(args.ratings) if args.ratings else None
     if args.metric is not None:
-        score = (metrics.score_direct if args.mode == "direct"
-                 else partial(metrics.score_aligned_avg, records=records))
-        return units, lambda key, unit_paragraphs: [
-            (args.metric, args.mode, score(unit_paragraphs))]
+        score = (metrics.score_direct if args.mode == "direct" else partial(
+            metrics.score_aligned_avg, records=fileio.load_ratings(args.ratings)))
+        return units, lambda key, unit_paragraphs: [(args.mode, score(unit_paragraphs))]
     if args.scores is None:  # ties rates the human scores alone
         return units, lambda key, unit_paragraphs: []
     for lang_pair in sorted({lang_pair for _, lang_pair, _ in units}):
@@ -228,8 +220,8 @@ def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Callable]
             raise ValueError(f"lang_pair {lang_pair} spans datasets {', '.join(names)}, "
                              f"but the scores file has no dataset column to tell them apart")
     external: dict[tuple[str, int], list] = {}
-    for (metric, lang_pair, k), table in fileio.load_external_scores(args.scores).items():
-        external.setdefault((lang_pair, k), []).append((metric, "external", table))
+    for (_, lang_pair, k), table in fileio.load_external_scores(args.scores).items():
+        external.setdefault((lang_pair, k), []).append(("external", table))
 
     def external_tables(key, unit_paragraphs):
         if key[1:] not in external:
@@ -250,7 +242,7 @@ def _paired_scores(table: ScoreTable,
 
 
 def cmd_validate(args) -> int:
-    with fileio.open_input(args.ratings) as stream:
+    with fileio._reading(args.ratings) as stream:
         records = fileio.read_rating_lines(stream)
     report = validate_ratings(records)
     for line in report.errors:
@@ -291,6 +283,9 @@ def cmd_export_training(args) -> int:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.ks is not None and args.strategy != "stratified":
         raise UsageError("--ks applies only to --strategy stratified")
+    if args.ks is not None and args.size % len(args.ks):
+        raise UsageError(f"sample size {args.size} is not divisible by the "
+                         f"{len(args.ks)} strata")
     pool = _load_paragraphs(args.paragraphs)
     if args.strategy == "stratified":
         ks = args.ks if args.ks is not None else sorted({p.k for p in pool})
@@ -306,7 +301,7 @@ def cmd_score(args) -> int:
     units, tables = _load_units(args)
     label = args.label or f"{args.metric}-{args.mode}"
     per_unit = _per_unit(units, lambda key, unit_paragraphs: [
-        row for _, _, table in tables(key, unit_paragraphs)
+        row for _, table in tables(key, unit_paragraphs)
         for row in fileio.score_rows(label, key[1], table.entries)])
     return _report(per_unit, lambda key, rows: f"{_unit_name(key)}: scored "
                    f"{len(rows)} paragraphs ({label})",
@@ -326,9 +321,9 @@ def cmd_metaeval(args) -> int:
         dataset, lang_pair, k = key
         rows = []
         items = build_eval_items(unit_paragraphs, k) if paired else None
-        for label, mode, table in tables(key, unit_paragraphs):
+        for mode, table in tables(key, unit_paragraphs):
             def row(statistic, value, epsilon=None):
-                rows.append(ReportRow(dataset, lang_pair, k, label, mode,
+                rows.append(ReportRow(dataset, lang_pair, k, table.metric_name, mode,
                                       statistic, value, epsilon))
             if paired:
                 pairs = metaeval.pair_table(
@@ -372,10 +367,10 @@ def cmd_ties(args) -> int:
         items = build_eval_items(unit_paragraphs, k)
         rows = [ReportRow(dataset, lang_pair, k, "-", "-", "human_tie_rate",
                           metaeval.tie_rates(metaeval.pair_table(items).human))]
-        for label, mode, table in tables(key, unit_paragraphs):
+        for mode, table in tables(key, unit_paragraphs):
             pairs = metaeval.pair_table(metaeval.attach_metric_scores(items, table))
-            rows.append(ReportRow(dataset, lang_pair, k, label, mode, "metric_tie_rate",
-                                  metaeval.tie_rates(pairs.metric)))
+            rows.append(ReportRow(dataset, lang_pair, k, table.metric_name, mode,
+                                  "metric_tie_rate", metaeval.tie_rates(pairs.metric)))
         return rows
 
     return _report(_per_unit(units, unit_rows), lambda key, rows: "\n".join(
@@ -437,7 +432,7 @@ _SIM_FIELDS = get_type_hints(SimConfig)
 def _parse_sim_config(path: str) -> SimConfig:
     """Read a flat `key = value` config file into a SimConfig."""
     data = {}
-    with fileio.open_input(path) as stream:
+    with fileio._reading(path) as stream:
         for lineno, raw in enumerate(stream, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -11,7 +11,8 @@ are a tab-separated table whose start_index and k are unsigned ASCII decimal
 integers and whose score is an ASCII decimal number, optionally signed and
 with an exponent; one TSV writer, shared with the CLI's reports, refuses a
 value holding a tab or line break. Path-based loaders accept
-gzip-compressed files, detected by magic bytes.
+gzip-compressed files, detected by magic bytes, and name the path in an
+error: a malformed line, text that is not UTF-8 or a cut-off gzip stream.
 
 Every system translates the same documents, so ids, source and reference
 texts repeat once per system. Each reader call keeps one copy of each such
@@ -28,8 +29,10 @@ import io
 import json
 import math
 import operator
+import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (
     ItemKey,
@@ -51,10 +54,12 @@ SCORES_HEADER = ("metric", "lang_pair", "system", "doc_id", "start_index", "k", 
 
 
 class ParseError(ValueError):
-    """A malformed input line; carries the 1-based line number."""
+    """A malformed input line; carries the 1-based line number. Its message
+    names the file too when a path-based loader read it."""
 
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+    def __init__(self, line: int, reason: str, path: Optional[str] = None):
+        super().__init__(f"{path}: line {line}: {reason}" if path else
+                         f"line {line}: {reason}")
         self.line = line
         self.reason = reason
 
@@ -433,16 +438,29 @@ def open_input(path: Union[str, Path]) -> IO[str]:
     return io.TextIOWrapper(unzipped, encoding="utf-8")
 
 
-def load_ratings(path: Union[str, Path]) -> list[RatingRecord]:
+@contextmanager
+def _reading(path: Union[str, Path]) -> Iterator[IO[str]]:
+    """``open_input(path)``, with the path named in a read error: a malformed line
+    (ParseError), or text that is not UTF-8 or a cut-off or corrupt gzip stream."""
     with open_input(path) as stream:
+        try:
+            yield stream
+        except ParseError as exc:
+            raise ParseError(exc.line, exc.reason, str(path)) from None
+        except (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def load_ratings(path: Union[str, Path]) -> list[RatingRecord]:
+    with _reading(path) as stream:
         return parse_ratings(stream)
 
 
 def load_paragraphs(path: Union[str, Path], texts: bool = True) -> list[ParagraphInstance]:
-    with open_input(path) as stream:
+    with _reading(path) as stream:
         return read_paragraphs(stream, texts)
 
 
 def load_external_scores(path: Union[str, Path]) -> dict[tuple[str, str, int], ScoreTable]:
-    with open_input(path) as stream:
+    with _reading(path) as stream:
         return parse_external_scores(stream)

@@ -6,14 +6,14 @@ k positions are rated and share one rater, the window is emitted as a
 paragraph and the window jumps k positions ahead; otherwise it shifts by
 one. Emitted windows therefore never overlap, and a position left unrated
 (or rated by a different rater mid-window) blocks the windows that cross
-it without being skipped. ``group_items`` groups one unit's paragraphs by
-item; the CLI's units, the BLEU scorers and ``build_eval_items`` read it.
+it without being skipped. ``group_items`` checks one unit's rules and groups
+its paragraphs by item; the CLI's units, the BLEU scorers and ``build_eval_items`` read it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import reduce
 from operator import add, attrgetter
 from typing import Iterable, Optional, Sequence
@@ -121,16 +121,20 @@ def build_paragraphs(records: Iterable[RatingRecord], k: int) -> list[ParagraphI
 def group_items(paragraphs: Iterable[ParagraphInstance]) -> list[list[ParagraphInstance]]:
     """One unit's paragraphs grouped by item, in (doc, start, system) order.
 
-    The paragraphs must form one (dataset, lang_pair, k) unit and hold at
-    most one paragraph per (system, item).
+    The paragraphs must form one (dataset, lang_pair, k) unit of one score type
+    (MQM sums and DA z-scores do not compare), at most one paragraph per (system, item).
     """
     units, items = set(), {}
     for p in paragraphs:
-        units.add((p.dataset_id, p.lang_pair, p.k))
+        units.add((p.dataset_id, p.lang_pair, p.k, p.score_type))
         items.setdefault((p.doc_id, p.start_index), []).append(p)
-    if len(units) > 1:
+    if len({unit[:3] for unit in units}) > 1:
         raise ValueError(f"paragraphs span multiple (dataset, lang_pair, k) "
-                         f"units: {sorted(units)}")
+                         f"units: {sorted({unit[:3] for unit in units})}")
+    if len(units) > 1:
+        types = Counter(p.score_type.value for item in items.values() for p in item)
+        raise ValueError("mixed score types in one unit: "
+                         + ", ".join(f"{t}={n}" for t, n in sorted(types.items())))
     grouped = [sorted(items[key], key=attrgetter("system_id")) for key in sorted(items)]
     for item in grouped:
         for before, p in zip(item, item[1:]):

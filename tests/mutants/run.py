@@ -48,9 +48,15 @@ MUTANTS = [
            "            if False:\n",
            (f"{CLI}::TestMetaeval::test_two_paragraphs_for_one_system_and_item_exit_2",
             "tests/test_metrics_properties.py::test_a_duplicated_paragraph_is_rejected")),
+    Mutant("group-items-without-score-type-check", "paragraphs.py",
+           "    if len(units) > 1:\n        types = Counter(",
+           "    if False:\n        types = Counter(",
+           (f"{CLI}::TestMetaeval::test_unit_with_two_score_types_exits_2",
+            f"{CLI}::TestTies::test_unit_with_two_score_types_exits_2",
+            "tests/test_metrics_properties.py::test_a_unit_of_two_score_types_is_rejected")),
     Mutant("group-units-without-group-items", "cli.py",
-           "        return [p for item in group_items(group) for p in item]\n",
-           "        return group\n",
+           "lambda key, group: [\n        p for item in group_items(group) for p in item])\n",
+           "lambda key, group: group)\n",
            (f"{CLI}::TestMetaeval::test_two_paragraphs_for_one_system_and_item_exit_2",
             f"{CLI}::TestMetaeval::test_of_two_missing_rows_every_level_names_the_first_"
             "in_item_order")),
@@ -67,9 +73,9 @@ MUTANTS = [
            (f"{CLI}::TestMetaeval::"
             "test_a_missing_row_of_a_one_system_item_is_read_only_where_needed",)),
     Mutant("ties-joins-every-row", "cli.py",
-           "        for label, mode, table in tables(key, unit_paragraphs):\n"
+           "        for mode, table in tables(key, unit_paragraphs):\n"
            "            pairs = ",
-           "        for label, mode, table in tables(key, unit_paragraphs):\n"
+           "        for mode, table in tables(key, unit_paragraphs):\n"
            "            _paired_scores(table, unit_paragraphs)\n"
            "            pairs = ",
            (f"{CLI}::TestTies::test_a_missing_row_of_a_one_system_item_is_not_read",)),
@@ -79,8 +85,8 @@ MUTANTS = [
            (f"{CLI}::TestMetaeval::test_scores_for_a_lang_pair_spanning_two_datasets_exit_2",
             f"{CLI}::TestTies::test_scores_for_a_lang_pair_spanning_two_datasets_exit_2")),
     Mutant("units-in-input-order", "cli.py",
-           "    return _per_unit(dict(sorted(units.items())), unit)\n",
-           "    return _per_unit(units, unit)\n",
+           "    return _per_unit(dict(sorted(units.items())), lambda",
+           "    return _per_unit(units, lambda",
            ("tests/test_acceptance.py::"
             "test_cli_reports_are_byte_identical_across_runs_and_input_order",)),
     Mutant("reversed-metric-order", "cli.py",
@@ -126,6 +132,26 @@ MUTANTS = [
            "if h == (0 if abs(d) <= epsilon else",
            "if h == (0 if abs(d) < epsilon else",
            ("tests/test_metaeval.py::TestSegmentAccuracy",)),
+    Mutant("segment-agreement-ignores-the-sign", "metaeval.py",
+           "if h == (0 if abs(d) <= epsilon else (d > 0) - (d < 0)))",
+           "if abs(h) == (0 if abs(d) <= epsilon else 1))",
+           ("tests/test_metaeval.py::TestSegmentAccuracy",)),
+    Mutant("tau-correctness-ignores-the-sign", "metaeval.py",
+           "    correct = [h == (d > 0) - (d < 0) for h, d in",
+           "    correct = [abs(h) == (d != 0) for h, d in",
+           ("tests/test_metaeval.py::TestTauOptimize",)),
+    Mutant("tau-flips-only-wrong-pairs", "metaeval.py",
+           "                    if (h == 0) != c), key=",
+           "                    if not c), key=",
+           ("tests/test_metaeval.py::TestTauOptimize",)),
+    Mutant("text-free-read-skips-the-text-checks", "fileio.py",
+           "    for lineno, obj in _parse_lines(stream):\n",
+           "    for lineno, obj in _parse_lines(stream):\n"
+           "        if not texts:\n"
+           "            obj.update(dict.fromkeys(_TEXTS, \"\"))\n",
+           ("tests/test_cli.py::test_a_text_of_the_wrong_type_exits_2_without_a_report",
+            "tests/test_fileio_properties.py::"
+            "test_paragraph_reader_matches_the_field_by_field_oracle")),
     Mutant("system-metric-tie-counts-as-agreement", "metaeval.py",
            "    return sum(h == (d > 0) - (d < 0) for h, d in counted) / len(counted)\n",
            "    return sum(h == (d > 0) - (d < 0) or not d "

@@ -245,7 +245,7 @@ class TestValidate:
         path = tmp_path / "negative.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["validate", "--ratings", str(path)]) == 2
-        assert "error: line 2: field sent_index must be >= 0, got -1" in \
+        assert f"error: {path}: line 2: field sent_index must be >= 0, got -1" in \
             capsys.readouterr().err
 
 
@@ -363,6 +363,20 @@ class TestExportTraining:
                      "--strategy", "uniform", "--size", "2", "--ks", "7",
                      "--out", str(tmp_path / "t.jsonl")]) == 1
         assert "--ks applies only to --strategy stratified" in \
+            capsys.readouterr().err
+
+    def test_explicit_ks_that_do_not_divide_the_size_exit_1(self, rich_paragraphs,
+                                                            tmp_path, capsys):
+        out = str(tmp_path / "s.jsonl")
+        assert main(["export-training", "--paragraphs", rich_paragraphs,
+                     "--strategy", "stratified", "--ks", "1-3", "--size", "4",
+                     "--out", out]) == 1
+        assert "paraeval: error: sample size 4 is not divisible by the 3 strata\n" in \
+            capsys.readouterr().err
+        # Without --ks the strata are the pool's ks (1 and 2), so the data decide.
+        assert main(["export-training", "--paragraphs", rich_paragraphs,
+                     "--strategy", "stratified", "--size", "3", "--out", out]) == 2
+        assert "error: sample size 3 is not divisible by the 2 strata\n" in \
             capsys.readouterr().err
 
     def test_nonpositive_size_exits_1(self, tau_paragraphs, tmp_path, capsys):
@@ -632,7 +646,7 @@ class TestMetaeval:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["metaeval", "--paragraphs", tau_paragraphs, "--scores", str(path),
                      "--out", str(tmp_path / "r")]) == 2
-        assert "error: line 4: score is not a decimal number: '1_0'" in \
+        assert f"error: {path}: line 4: score is not a decimal number: '1_0'" in \
             capsys.readouterr().err
 
     def test_scores_for_a_lang_pair_spanning_two_datasets_exit_2(
@@ -982,7 +996,7 @@ def test_a_text_of_the_wrong_type_exits_2_without_a_report(
             for arg in TEXT_FREE_COMMANDS[command]]
     assert main([argv[0], "--paragraphs", str(path), *argv[1:]]) == 2
     assert capsys.readouterr().err == \
-        "error: line 2: field hypothesis_text must be a string, got 3\n"
+        f"error: {path}: line 2: field hypothesis_text must be a string, got 3\n"
     assert not list(tmp_path.glob("out*"))
 
 
@@ -1011,6 +1025,70 @@ def test_ratings_with_other_texts_exit_2_in_aligned_mode(command, tmp_path, caps
     assert not list(tmp_path.glob("out*"))
 
 
+# Commands given --ratings that they do not read: only aligned mode reads them.
+RATINGS_FREE_COMMANDS = {
+    "metaeval-scores": ["metaeval", "--scores", "{scores}"],
+    "ties-scores": ["ties", "--scores", "{scores}"],
+    "metaeval-direct": ["metaeval", "--metric", "bleu", "--mode", "direct"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RATINGS_FREE_COMMANDS))
+def test_a_missing_ratings_file_is_not_read_outside_aligned_mode(
+        command, tau_paragraphs, tau_scores, tmp_path):
+    name, *argv = [arg.format(scores=tau_scores) for arg in RATINGS_FREE_COMMANDS[command]]
+    missing = str(tmp_path / "nope.jsonl")
+    assert main([name, "--paragraphs", tau_paragraphs, *argv,
+                 "--out", str(tmp_path / "plain")]) == 0
+    assert main([name, "--paragraphs", tau_paragraphs, *argv, "--ratings", missing,
+                 "--out", str(tmp_path / "given")]) == 0
+    for suffix in (".tsv", ".jsonl"):
+        assert (tmp_path / f"given{suffix}").read_bytes() == \
+            (tmp_path / f"plain{suffix}").read_bytes()
+
+
+def test_a_missing_ratings_file_exits_2_in_aligned_mode(tau_paragraphs, tmp_path, capsys):
+    missing = str(tmp_path / "nope.jsonl")
+    assert main(["metaeval", "--paragraphs", tau_paragraphs, "--metric", "bleu",
+                 "--mode", "aligned", "--ratings", missing,
+                 "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == f"error: missing input file: {missing}\n"
+
+
+# An input the reader cannot decode: a gzip stream cut after its magic bytes
+# or before its trailer (every line complete), or a byte that is not UTF-8.
+UNDECODABLE = {
+    "gzip-magic-only": (lambda data: b"\x1f\x8b",
+                        "Compressed file ended before the end-of-stream marker was reached"),
+    "gzip-without-trailer": (lambda data: gzip.compress(data)[:-8],
+                             "Compressed file ended before the end-of-stream marker was reached"),
+    "not-utf-8": (lambda data: data.replace(b"sysA", b"sys\xff", 1),
+                  "'utf-8' codec can't decode byte 0xff in position "),
+}
+# A command that reads each kind of input last.
+READERS = {
+    "ratings": ["validate", "--ratings", "{ratings}"],
+    "paragraphs": ["stats", "--paragraphs", "{paragraphs}", "--out", "{out}"],
+    "scores": ["metaeval", "--paragraphs", "{paragraphs}", "--scores", "{scores}",
+               "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("cut", sorted(UNDECODABLE))
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_an_undecodable_input_exits_2_naming_the_file(kind, cut, tau_ratings,
+                                                      tau_paragraphs, tau_scores,
+                                                      tmp_path, capsys):
+    inputs = {"ratings": tau_ratings, "paragraphs": tau_paragraphs, "scores": tau_scores}
+    damage, message = UNDECODABLE[cut]
+    path = tmp_path / f"{kind}.gz"
+    path.write_bytes(damage(Path(inputs[kind]).read_bytes()))
+    inputs[kind] = str(path)
+    assert main([arg.format(out=tmp_path / "out", **inputs) for arg in READERS[kind]]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert not list(tmp_path.glob("out*"))
+
+
 # 100,000 levels of nesting: deeper than the JSON parser can recurse.
 DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -1025,7 +1103,8 @@ def test_deeply_nested_line_exits_2_naming_the_line(argv, line, tmp_path, capsys
     path.write_text("\n" + line + "\n", encoding="utf-8")
     argv = [arg.format(out=tmp_path / "out") for arg in argv]
     assert main([*argv, str(path)]) == 2
-    assert "error: line 2: invalid JSON (nested too deeply)" in capsys.readouterr().err
+    assert f"error: {path}: line 2: invalid JSON (nested too deeply)" in \
+        capsys.readouterr().err
 
 
 SIM_CONFIG = """\
@@ -1078,7 +1157,7 @@ class TestSimulate:
         config_path.write_text(SIM_CONFIG.replace(old, new), encoding="utf-8")
         assert main(["simulate", "--config", str(config_path),
                      "--out", str(tmp_path / "sim")]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
         assert [path.name for path in tmp_path.iterdir()] == ["sim.cfg"]
 
     def test_missing_config_key_exits_2(self, tmp_path, capsys):

@@ -18,7 +18,8 @@ import oracles
 from helpers import make_rating
 from paraeval.metrics import (bleu_corpus, bleu_sentence, score_aligned_avg,
                               score_direct, tokenize)
-from paraeval.paragraphs import build_eval_items, build_paragraphs
+from paraeval.model import ScoreType
+from paraeval.paragraphs import build_eval_items, build_paragraphs, group_items
 
 # Fixed examples: a tier-1 gate must not pass on one run and fail on the next.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
@@ -127,11 +128,16 @@ def test_a_duplicated_paragraph_is_rejected(unit, data):
         build_eval_items(paragraphs, k)
 
 
-@pytest.mark.parametrize("consume", [
-    lambda paragraphs, records: score_direct(paragraphs),
-    lambda paragraphs, records: score_aligned_avg(paragraphs, records),
-    lambda paragraphs, records: build_eval_items(paragraphs, 1),
-], ids=["score_direct", "score_aligned_avg", "build_eval_items"])
+# Each reader of one unit's paragraphs, which checks the unit in group_items.
+UNIT_READERS = {
+    "score_direct": lambda paragraphs, records: score_direct(paragraphs),
+    "score_aligned_avg": lambda paragraphs, records: score_aligned_avg(paragraphs, records),
+    "build_eval_items": lambda paragraphs, records: build_eval_items(paragraphs, 1),
+    "group_items": lambda paragraphs, records: group_items(paragraphs),
+}
+
+
+@pytest.mark.parametrize("consume", UNIT_READERS.values(), ids=UNIT_READERS.keys())
 def test_paragraphs_of_two_ks_are_rejected(consume):
     records = [make_rating(index, system_id=system)
                for system in ("sysA", "sysB") for index in range(2)]
@@ -139,3 +145,11 @@ def test_paragraphs_of_two_ks_are_rejected(consume):
     with pytest.raises(ValueError,
                        match=r"span multiple \(dataset, lang_pair, k\) units"):
         consume(paragraphs, records)
+
+
+@pytest.mark.parametrize("consume", UNIT_READERS.values(), ids=UNIT_READERS.keys())
+def test_a_unit_of_two_score_types_is_rejected(consume):
+    records = [make_rating(0, system_id="sysA", score_type=ScoreType.MQM),
+               make_rating(0, system_id="sysB", score_type=ScoreType.DA_Z)]
+    with pytest.raises(ValueError, match=r"^mixed score types in one unit: DA_Z=1, MQM=1$"):
+        consume(build_paragraphs(records, 1), records)
