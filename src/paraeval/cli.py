@@ -450,10 +450,10 @@ def _parse_sim_config(path: str) -> SimConfig:
             except ValueError:
                 raise fileio.ParseError(lineno,
                                         f"bad value for {key}: {value!r}")
-    missing = sorted(set(_SIM_FIELDS) - set(data))
-    if missing:
-        raise ValueError(f"{path}: config is missing keys: {', '.join(missing)}")
-    return SimConfig(**data)
+        missing = sorted(set(_SIM_FIELDS) - set(data))
+        if missing:
+            raise ValueError(f"config is missing keys: {', '.join(missing)}")
+        return SimConfig(**data)
 
 
 def cmd_simulate(args) -> int:

@@ -10,9 +10,9 @@ dataclass fields in declaration order, which is the table's. Metric scores
 are a tab-separated table whose start_index and k are unsigned ASCII decimal
 integers and whose score is an ASCII decimal number, optionally signed and
 with an exponent; one TSV writer, shared with the CLI's reports, refuses a
-value holding a tab or line break. Path-based loaders accept
-gzip-compressed files, detected by magic bytes, and name the path in an
-error: a malformed line, text that is not UTF-8 or a cut-off gzip stream.
+value holding a tab or line break. Path-based loaders accept gzip-compressed
+files, detected by magic bytes, and name the path in every error about the
+input, from a malformed line or a cut-off gzip stream to a failed validation.
 
 Every system translates the same documents, so ids, source and reference
 texts repeat once per system. Each reader call keeps one copy of each such
@@ -32,7 +32,7 @@ import operator
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 from .model import (
     ItemKey,
@@ -54,12 +54,10 @@ SCORES_HEADER = ("metric", "lang_pair", "system", "doc_id", "start_index", "k", 
 
 
 class ParseError(ValueError):
-    """A malformed input line; carries the 1-based line number. Its message
-    names the file too when a path-based loader read it."""
+    """A malformed input line; carries the 1-based line number."""
 
-    def __init__(self, line: int, reason: str, path: Optional[str] = None):
-        super().__init__(f"{path}: line {line}: {reason}" if path else
-                         f"line {line}: {reason}")
+    def __init__(self, line: int, reason: str):
+        super().__init__(f"line {line}: {reason}")
         self.line = line
         self.reason = reason
 
@@ -440,15 +438,18 @@ def open_input(path: Union[str, Path]) -> IO[str]:
 
 @contextmanager
 def _reading(path: Union[str, Path]) -> Iterator[IO[str]]:
-    """``open_input(path)``, with the path named in a read error: a malformed line
-    (ParseError), or text that is not UTF-8 or a cut-off or corrupt gzip stream."""
+    """``open_input(path)``, with the path named in front of every error about
+    the input: text that is not UTF-8 or a cut-off or corrupt gzip stream (as a
+    ValueError), or a ValueError raised while it is open, such as a ParseError
+    or a ValidationError, which keeps its class and fields."""
     with open_input(path) as stream:
         try:
             yield stream
-        except ParseError as exc:
-            raise ParseError(exc.line, exc.reason, str(path)) from None
         except (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def load_ratings(path: Union[str, Path]) -> list[RatingRecord]:

@@ -12,6 +12,7 @@ import enum
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Mapping, Optional, Tuple
 
 # (dataset_id, lang_pair, system_id, doc_id, sent_index)
@@ -209,7 +210,7 @@ def validate_ratings(records: Iterable[RatingRecord]) -> ValidationReport:
     Reports every duplicate (dataset, lang_pair, system, doc, sent_index)
     key, every non-finite score, and any mix of score types, each with the
     offending record's coordinates. Unrated positions inside a document
-    (which block sliding windows) are reported as warnings. The report is
+    (no paragraph spans one) are reported as warnings. The report is
     identical for any permutation of the input.
     """
     records = list(records)
@@ -235,12 +236,12 @@ def validate_ratings(records: Iterable[RatingRecord]) -> ValidationReport:
     for record in records:
         doc_indices[record.key[:4]].add(record.sent_index)
     for doc_key, indices in doc_indices.items():
-        missing = sorted(set(range(max(indices) + 1)) - indices)
+        ordered = sorted(indices)  # walked gap by gap to 11 unrated positions
+        missing = list(islice((i for a, b in zip([-1, *ordered], ordered)
+                               for i in range(a + 1, b)), 11))
         if missing:
             dataset_id, lang_pair, system_id, doc_id = doc_key
-            shown = ",".join(str(i) for i in missing[:10])
-            if len(missing) > 10:
-                shown += ",..."
+            shown = ",".join(map(str, missing[:10])) + (",..." if len(missing) > 10 else "")
             warnings.append(
                 f"unrated positions in dataset={dataset_id} lang_pair={lang_pair} "
                 f"system={system_id} doc={doc_id}: {shown}")

@@ -1,13 +1,12 @@
 """Sliding-window construction of paragraph instances from sentence ratings.
 
-For every (dataset, lang_pair, system, doc) group, a window of k sentence
-positions slides from position 0 towards the end of the document. When all
-k positions are rated and share one rater, the window is emitted as a
-paragraph and the window jumps k positions ahead; otherwise it shifts by
-one. Emitted windows therefore never overlap, and a position left unrated
-(or rated by a different rater mid-window) blocks the windows that cross
-it without being skipped. ``group_items`` checks one unit's rules and groups
-its paragraphs by item; the CLI's units, the BLEU scorers and ``build_eval_items`` read it.
+For every (dataset, lang_pair, system, doc) group, the ratings are read in
+sent_index order as runs of consecutive positions rated by one rater (an
+unrated position or a change of rater ends a run), and each run is cut into
+paragraphs of k sentences from its start; a remainder shorter than k is
+dropped. This equals the greedy slide that ``tests/oracles.py`` keeps as the
+reference. ``group_items`` checks one unit's rules and groups its paragraphs
+by item; the CLI's units, the BLEU scorers and ``build_eval_items`` read it.
 """
 
 from __future__ import annotations
@@ -56,17 +55,18 @@ def _sum_counts(counts: list[Optional[int]]) -> Optional[int]:
 
 
 def build_paragraphs(records: Iterable[RatingRecord], k: int) -> list[ParagraphInstance]:
-    """Run the sliding window over every document and emit paragraphs.
+    """Cut each run of one rater's consecutive sentences into paragraphs of k.
 
     Args:
         records: a validated rating collection (one score type, unique keys).
         k: sentences per paragraph, >= 1.
 
     Returns:
-        Paragraphs in (dataset, lang_pair, system, doc, start) order.
-        Documents with fewer than k rated positions simply contribute
-        nothing. Sentence texts are joined with a single space. A window
-        whose scores aggregate to a non-finite human_score is an error.
+        Paragraphs in (dataset, lang_pair, system, doc, start) order: the
+        windows that the greedy slide of ``tests/oracles.py`` emits. A run's
+        remainder shorter than k contributes nothing. Sentence texts are joined
+        with a single space. A window whose scores aggregate to a non-finite
+        human_score is an error.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -81,28 +81,28 @@ def build_paragraphs(records: Iterable[RatingRecord], k: int) -> list[ParagraphI
 
     paragraphs = []
     for group_key in sorted(groups):
-        by_index = groups[group_key]
-        last = max(by_index)
-        i = 0
-        while i + k - 1 <= last:
-            window = [by_index.get(j) for j in range(i, i + k)]
-            if any(r is None for r in window) or len({r.rater_id for r in window}) != 1:
-                i += 1
+        window: list[RatingRecord] = []  # a run of one rater's consecutive sentences
+        for i, record in sorted(groups[group_key].items()):
+            if window and (window[-1].sent_index != i - 1
+                           or window[-1].rater_id != record.rater_id):
+                window = []
+            window.append(record)
+            if len(window) < k:
                 continue
-            first = window[0]
+            first, start = window[0], i - k + 1
             scores = tuple(r.score for r in window)
             human_score = aggregate_score(scores, first.score_type)
             if not math.isfinite(human_score):
                 raise ValueError(
                     f"window dataset={first.dataset_id} lang_pair={first.lang_pair} "
-                    f"system={first.system_id} doc={first.doc_id} start_index={i} "
+                    f"system={first.system_id} doc={first.doc_id} start_index={start} "
                     f"k={k}: human_score aggregates to non-finite {human_score!r}")
             paragraphs.append(ParagraphInstance(
                 dataset_id=first.dataset_id,
                 lang_pair=first.lang_pair,
                 system_id=first.system_id,
                 doc_id=first.doc_id,
-                start_index=i,
+                start_index=start,
                 k=k,
                 score_type=first.score_type,
                 rater_id=first.rater_id,
@@ -114,7 +114,7 @@ def build_paragraphs(records: Iterable[RatingRecord], k: int) -> list[ParagraphI
                 token_count_ref=_sum_counts([r.token_count_ref for r in window]),
                 token_count_hyp=_sum_counts([r.token_count_hyp for r in window]),
             ))
-            i += k
+            window = []
     return paragraphs
 
 

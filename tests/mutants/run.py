@@ -97,18 +97,29 @@ MUTANTS = [
             f"{CLI}::TestTies::"
             "test_two_metrics_report_in_metric_order_and_other_units_are_ignored")),
     Mutant("window-steps-one-after-a-paragraph", "paragraphs.py",
-           "            i += k\n",
-           "            i += 1\n",
+           "            ))\n            window = []\n",
+           "            ))\n            window = window[1:]\n",
            ("tests/test_paragraphs.py::TestOracleAgreement::"
             "test_random_layouts_match_greedy_scan_oracle",
             "tests/test_paragraphs.py::TestOracleAgreement::"
             "test_windows_never_overlap_and_qualify")),
     Mutant("window-ignores-a-rater-switch", "paragraphs.py",
-           "            if any(r is None for r in window) or "
-           "len({r.rater_id for r in window}) != 1:\n",
-           "            if any(r is None for r in window):\n",
+           "\n                           or window[-1].rater_id != record.rater_id):\n",
+           "):\n",
            ("tests/test_paragraphs.py::TestBuildParagraphs::"
             "test_rater_change_forces_shift_then_reemit",)),
+    Mutant("window-ignores-a-gap", "paragraphs.py",
+           "(window[-1].sent_index != i - 1\n                           or ",
+           "(",
+           ("tests/test_paragraphs.py::TestBuildParagraphs::"
+            "test_unrated_position_blocks_windows",
+            "tests/test_paragraphs.py::TestOracleAgreement::"
+            "test_random_layouts_match_greedy_scan_oracle")),
+    Mutant("gap-listing-cut-at-ten", "model.py",
+           "for i in range(a + 1, b)), 11))\n",
+           "for i in range(a + 1, b)), 10))\n",
+           ("tests/test_model.py::TestValidateRatings::"
+            "test_more_than_ten_unrated_positions_are_shown_cut_short",)),
     Mutant("aggregate-score-without-scaling", "paragraphs.py",
            "        return math.ldexp(reduce(add, scaled, 0.0) / len(scores), exponent)\n",
            "        return total / len(scores)\n",

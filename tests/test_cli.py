@@ -302,6 +302,18 @@ class TestBuildParagraphs:
         [paragraph] = fileio.load_paragraphs(out_dir / "paragraphs-k2.jsonl")
         assert paragraph.human_score == 8.98846567431158e+307
 
+    def test_duplicated_rating_exits_2_naming_the_file(self, tmp_path, capsys):
+        records = tau_fixture_records()
+        ratings = write_ratings(tmp_path / "dup.jsonl", records + records[:1])
+        out_dir = tmp_path / "built"
+        assert main(["build-paragraphs", "--ratings", ratings,
+                     "--k", "1", "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {ratings}: 1 validation error(s):\n"
+                                       "duplicate rating key: dataset=")
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank-lines"])
     def test_ratings_file_without_records_exits_2(self, content, tmp_path, capsys):
         ratings = tmp_path / "none.jsonl"
@@ -1177,9 +1189,19 @@ class TestSimulate:
         base = tmp_path / "sim"
         assert main(["simulate", "--config", str(config_path),
                      "--out", str(base)]) == 2
-        assert f"error: sigma_human must be finite, got {shown}\n" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: {config_path}: sigma_human must be finite, got {shown}\n"
         assert not base.with_suffix(".tsv").exists()
+
+    def test_fewer_than_two_systems_exits_2_naming_the_file(self, tmp_path, capsys):
+        config_path = tmp_path / "sim.cfg"
+        config_path.write_text(SIM_CONFIG.replace("n_systems = 3", "n_systems = 1"),
+                               encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path),
+                     "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {config_path}: n_systems must be >= 2, got 1\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["sim.cfg"]
 
     @pytest.mark.parametrize("ks", ["1", "3,3"])
     def test_fewer_than_two_distinct_ks_exits_1(self, ks, tmp_path, capsys):

@@ -106,6 +106,16 @@ class TestRatingsFile:
         assert "duplicate rating key" in str(excinfo.value)
         assert len(excinfo.value.report.errors) == 1
 
+    def test_validation_failure_of_a_file_names_it_and_carries_report(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        with open(path, "w", encoding="utf-8") as stream:
+            fileio.write_ratings([make_rating(), make_rating()], stream)
+        with pytest.raises(ValidationError) as excinfo:
+            fileio.load_ratings(path)
+        assert str(excinfo.value).startswith(f"{path}: 1 validation error(s):\n"
+                                             "duplicate rating key: ")
+        assert len(excinfo.value.report.errors) == 1
+
     @staticmethod
     def _one_line():
         buffer = io.StringIO()

@@ -71,8 +71,25 @@ class TestValidateRatings:
         assert "unrated positions" in report.warnings[0]
         assert ": 1" in report.warnings[0]
 
-    def test_more_than_ten_unrated_positions_are_shown_cut_short(self):
-        records = [make_rating(sent_index=0), make_rating(sent_index=12)]
+    @pytest.mark.parametrize("indices, shown", [
+        ([0, 12], "1,2,3,4,5,6,7,8,9,10,..."),
+        ([0, 11], "1,2,3,4,5,6,7,8,9,10"),
+        ([3, 9, 13], "0,1,2,4,5,6,7,8,10,11,..."),
+        ([3, 9, 12], "0,1,2,4,5,6,7,8,10,11"),
+        ([0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22], "1,3,5,7,9,11,13,15,17,19,..."),
+        ([0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20], "1,3,5,7,9,11,13,15,17,19"),
+    ], ids=["11-in-one-gap", "10-in-one-gap", "11-in-three-gaps", "10-in-three-gaps",
+            "11-in-eleven-gaps", "10-in-ten-gaps"])
+    def test_more_than_ten_unrated_positions_are_shown_cut_short(self, indices, shown):
+        records = [make_rating(sent_index=i) for i in indices]
+        random.Random(len(indices)).shuffle(records)
+        assert validate_ratings(records).warnings == (
+            "unrated positions in dataset=wmt lang_pair=en-de system=sysA doc=doc1: "
+            + shown,)
+
+    def test_unrated_positions_below_a_huge_index_are_listed_cut_short(self):
+        # The gaps are walked, never enumerated up to the largest index.
+        records = [make_rating(sent_index=10**12), make_rating(sent_index=0)]
         assert validate_ratings(records).warnings == (
             "unrated positions in dataset=wmt lang_pair=en-de system=sysA doc=doc1: "
             "1,2,3,4,5,6,7,8,9,10,...",)

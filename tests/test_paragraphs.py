@@ -118,6 +118,13 @@ class TestBuildParagraphs:
         assert [p.start_index for p in paragraphs] == [0, 3]
         assert build_paragraphs(records, 3) == []
 
+    def test_two_ratings_far_apart_are_two_runs(self):
+        # Only the rated positions are read, never the unrated ones between.
+        records = [make_rating(sent_index=10**12, rater_id="A"),
+                   make_rating(sent_index=0, rater_id="A")]
+        assert [p.start_index for p in build_paragraphs(records, 1)] == [0, 10**12]
+        assert build_paragraphs(records, 2) == []
+
     def test_document_shorter_than_k_emits_nothing(self):
         assert build_paragraphs(doc_records(["A", "A"]), 3) == []
 
