@@ -29,7 +29,6 @@ import math
 import os
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -37,7 +36,7 @@ from typing import Callable, Iterable, Optional, Sequence, get_type_hints
 
 from . import fileio, metaeval, metrics, noise, sampling
 from .model import (ParagraphInstance, ScoreTable, SimConfig, validate_ratings)
-from .paragraphs import build_eval_items, build_paragraphs, group_items
+from .paragraphs import build_eval_items, group_items, rater_runs
 
 UnitKey = tuple  # (dataset_id, lang_pair, k)
 
@@ -258,13 +257,14 @@ def cmd_build_paragraphs(args) -> int:
     records = fileio.load_ratings(args.ratings)
     if not records:
         raise ValueError(f"no ratings in {args.ratings}")
+    # The runs are found once and every k is cut from them; each line is made
+    # as it is written. So the runs, one k's windows and the escaped bytes of
+    # each sentence written so far are in memory.
+    writer = fileio.ParagraphWriter(rater_runs(records))
     lines = []
 
     def write(k, path, stream):
-        # Each k is built while its file is written, so one k is in memory.
-        built = build_paragraphs(records, k)
-        fileio.write_paragraphs(built, stream)
-        counts = Counter((p.dataset_id, p.lang_pair) for p in built)
+        counts = writer.write(k, stream)
         if not counts:
             lines.append(f"k={k}: 0 paragraphs -> {path}")
         for (dataset, lang_pair), n in sorted(counts.items()):

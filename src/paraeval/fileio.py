@@ -6,7 +6,11 @@ text with tabs or newlines survives round-trips. Each format is one table
 of fields and getters: a record whose values have their exact JSON types
 passes one test, any other goes through the getters, which convert what
 they accept and name the first bad field. The writers write each record's
-dataclass fields in declaration order, which is the table's. Metric scores
+dataclass fields in declaration order, which is the table's.
+``build-paragraphs`` writes through ``ParagraphWriter``, which puts each line
+together from its sentences' escaped UTF-8 text, made once per sentence, and
+writes the bytes of ``write_paragraphs``; a property test checks the two
+against each other. Metric scores
 are a tab-separated table whose start_index and k are unsigned ASCII decimal
 integers and whose score is an ASCII decimal number, optionally signed and
 with an exponent; one TSV writer, shared with the CLI's reports, refuses a
@@ -30,6 +34,7 @@ import json
 import math
 import operator
 import zlib
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, Union
@@ -40,9 +45,10 @@ from .model import (
     RatingRecord,
     ScoreTable,
     ScoreType,
+    _format_key,
     validate_ratings,
 )
-from .paragraphs import aggregate_score
+from .paragraphs import aggregate_score, sum_counts, window_score, windows
 
 _SCORE_TYPES = {t.value: t for t in ScoreType}
 # Parses one JSON value at an index of a string, without copying the string.
@@ -299,6 +305,83 @@ def write_ratings(records: Iterable[RatingRecord], stream: IO[str]) -> None:
 def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -> None:
     """Serialize paragraphs one per line, fields in fixed order."""
     _write_jsonl(paragraphs, stream)
+
+
+# What dump_json does to each str it writes (ensure_ascii=False): it maps every
+# character on its own and keeps the space, so the escape of texts joined by a
+# space is the escapes of the texts joined by a space.
+_escape = json.encoder.encode_basestring
+# A paragraph line as dump_json writes it, with a %-slot per field in table order.
+_JSON_SLOTS = {_get_str: b'"%b"', _get_shared: b'"%b"', _get_score_type: b'"%b"',
+               _get_int: b"%d", _get_float: b"%b", _get_floats: b"[%b]", _get_count: b"%b"}
+_PARAGRAPH_LINE = b"{%b}\n" % b",".join(b'"%b":%b' % (name.encode(), _JSON_SLOTS[get])
+                                        for name, get in _PARAGRAPH_TABLE)
+# The string fields of a rating that a paragraph line holds.
+_LINE_STRINGS = ("dataset_id", "lang_pair", "system_id", "doc_id", "rater_id", *_TEXTS)
+
+
+def _json_count(count) -> bytes:
+    return b"null" if count is None else b"%d" % count
+
+
+class ParagraphWriter:
+    """Writes the paragraphs that ``build_paragraphs`` builds, one k at a time,
+    from runs that ``paragraphs.rater_runs`` found once: each file holds the
+    bytes that ``write_paragraphs`` writes for those paragraphs.
+
+    Each line is put together from its sentences' escaped UTF-8 bytes, made
+    the first time a window holds the sentence and kept for every later k;
+    each distinct string is escaped once.
+    """
+
+    def __init__(self, runs: list[list[RatingRecord]]):
+        self.runs = runs  # keeps the records, whose ids key _sentences, alive
+        self._escaped: dict[str, bytes] = {}
+        self._sentences: dict[int, tuple[bytes, ...]] = {}
+
+    def _sentence(self, record: RatingRecord) -> tuple[bytes, ...]:
+        """The record's score and texts as they go into a line. Its strings are
+        escaped to UTF-8 bytes; one that UTF-8 cannot encode (a lone surrogate)
+        is an error naming the rating and the field."""
+        for name in _LINE_STRINGS:
+            text = getattr(record, name)
+            if text not in self._escaped:
+                try:
+                    self._escaped[text] = _escape(text)[1:-1].encode()
+                except UnicodeEncodeError as exc:
+                    raise ValueError(
+                        f"rating {_format_key(record.key)}: field {name} holds "
+                        f"{exc.object[exc.start:exc.end]!r}, which UTF-8 cannot "
+                        f"encode") from None
+        row = (repr(record.score).encode(),  # as dump_json writes an int or a float
+               *(self._escaped[getattr(record, name)] for name in _TEXTS))
+        self._sentences[id(record)] = row
+        return row
+
+    def write(self, k: int, stream: IO[str]) -> Counter:
+        """Write the paragraphs of k to the text stream's binary buffer, after
+        a check of every window's score as ``build_paragraphs`` makes; return
+        their number per (dataset, lang_pair)."""
+        found = list(windows(self.runs, k))
+        human_scores = [window_score(window) for window in found]
+        # window_score refused any window with a non-finite sentence score,
+        # whose aggregate is non-finite, so every score below is JSON.
+        escaped, sentences = self._escaped, self._sentences
+        stream.flush()
+        write = stream.buffer.write
+        for window, human_score in zip(found, human_scores):
+            rows = [sentences.get(id(r)) or self._sentence(r) for r in window]
+            scores, sources, references, hypotheses = zip(*rows)
+            first = window[0]
+            write(_PARAGRAPH_LINE % (
+                escaped[first.dataset_id], escaped[first.lang_pair],
+                escaped[first.system_id], escaped[first.doc_id], first.sent_index, k,
+                first.score_type.value.encode(), escaped[first.rater_id],
+                repr(human_score).encode(), b",".join(scores), b" ".join(sources),
+                b" ".join(references), b" ".join(hypotheses),
+                _json_count(sum_counts([r.token_count_ref for r in window])),
+                _json_count(sum_counts([r.token_count_hyp for r in window]))))
+        return Counter((window[0].dataset_id, window[0].lang_pair) for window in found)
 
 
 def read_paragraphs(stream: Lines, texts: bool = True) -> list[ParagraphInstance]:

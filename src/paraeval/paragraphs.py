@@ -1,12 +1,15 @@
 """Sliding-window construction of paragraph instances from sentence ratings.
 
-For every (dataset, lang_pair, system, doc) group, the ratings are read in
-sent_index order as runs of consecutive positions rated by one rater (an
-unrated position or a change of rater ends a run), and each run is cut into
-paragraphs of k sentences from its start; a remainder shorter than k is
-dropped. This equals the greedy slide that ``tests/oracles.py`` keeps as the
-reference. ``group_items`` checks one unit's rules and groups its paragraphs
-by item; the CLI's units, the BLEU scorers and ``build_eval_items`` read it.
+For every (dataset, lang_pair, system, doc) group, ``rater_runs`` reads the
+ratings in sent_index order as runs of consecutive positions rated by one
+rater (an unrated position or a change of rater ends a run), and ``windows``
+cuts each run into paragraphs of k sentences from its start; a remainder
+shorter than k is dropped. This equals the greedy slide that
+``tests/oracles.py`` keeps as the reference. ``build_paragraphs`` takes these
+two steps for one k; ``build-paragraphs`` finds the runs once per command and
+cuts every k from them. ``group_items`` checks one unit's rules and groups its
+paragraphs by item; the CLI's units, the BLEU scorers and ``build_eval_items``
+read it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from collections import Counter, defaultdict
 from functools import reduce
 from operator import add, attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .metaeval import _scaled
 from .model import (
@@ -48,10 +51,61 @@ def aggregate_score(sentence_scores: Sequence[float], score_type: ScoreType) -> 
     return total / len(scores)
 
 
-def _sum_counts(counts: list[Optional[int]]) -> Optional[int]:
+def sum_counts(counts: list[Optional[int]]) -> Optional[int]:
+    """A window's token count: the sum, or None if any sentence has none."""
     if any(c is None for c in counts):
         return None
     return sum(counts)
+
+
+def rater_runs(records: Iterable[RatingRecord]) -> list[list[RatingRecord]]:
+    """The runs of one rater's consecutive sentences, in (dataset, lang_pair,
+    system, doc, sent_index) order.
+
+    Each (dataset, lang_pair, system, doc) group is read in sent_index order;
+    an unrated position or a change of rater ends a run. A sent_index that
+    occurs twice in one group is an error.
+    """
+    groups: dict[tuple, dict[int, RatingRecord]] = defaultdict(dict)
+    for record in records:
+        by_index = groups[record.key[:4]]
+        if record.sent_index in by_index:
+            raise ValueError(f"duplicate sent_index {record.sent_index} in "
+                             f"{record.key[:4]}; validate the collection first")
+        by_index[record.sent_index] = record
+
+    runs = []
+    for group_key in sorted(groups):
+        run: list[RatingRecord] = []
+        for i, record in sorted(groups[group_key].items()):
+            if run and (run[-1].sent_index != i - 1
+                        or run[-1].rater_id != record.rater_id):
+                runs.append(run)
+                run = []
+            run.append(record)
+        runs.append(run)
+    return runs
+
+
+def windows(runs: Iterable[list[RatingRecord]], k: int) -> Iterator[list[RatingRecord]]:
+    """Each run cut into windows of k sentences from its start, in run order:
+    ``run[a:a + k]`` for a = 0, k, 2k, ... while a + k <= len(run)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return (run[a:a + k] for run in runs for a in range(0, len(run) - k + 1, k))
+
+
+def window_score(window: Sequence[RatingRecord]) -> float:
+    """The window's human_score; a score that aggregates to a non-finite value
+    (as any non-finite sentence score does) is an error naming the window."""
+    first = window[0]
+    human_score = aggregate_score([r.score for r in window], first.score_type)
+    if not math.isfinite(human_score):
+        raise ValueError(
+            f"window dataset={first.dataset_id} lang_pair={first.lang_pair} "
+            f"system={first.system_id} doc={first.doc_id} start_index={first.sent_index} "
+            f"k={len(window)}: human_score aggregates to non-finite {human_score!r}")
+    return human_score
 
 
 def build_paragraphs(records: Iterable[RatingRecord], k: int) -> list[ParagraphInstance]:
@@ -62,59 +116,33 @@ def build_paragraphs(records: Iterable[RatingRecord], k: int) -> list[ParagraphI
         k: sentences per paragraph, >= 1.
 
     Returns:
-        Paragraphs in (dataset, lang_pair, system, doc, start) order: the
-        windows that the greedy slide of ``tests/oracles.py`` emits. A run's
-        remainder shorter than k contributes nothing. Sentence texts are joined
-        with a single space. A window whose scores aggregate to a non-finite
-        human_score is an error.
+        The ``windows`` of ``rater_runs(records)`` as paragraphs, in (dataset,
+        lang_pair, system, doc, start) order: the windows that the greedy slide
+        of ``tests/oracles.py`` emits. A run's remainder shorter than k
+        contributes nothing. Sentence texts are joined with a single space. A
+        window whose scores aggregate to a non-finite human_score is an error.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-    groups: dict[tuple, dict[int, RatingRecord]] = defaultdict(dict)
-    for record in records:
-        by_index = groups[record.key[:4]]
-        if record.sent_index in by_index:
-            raise ValueError(f"duplicate sent_index {record.sent_index} in "
-                             f"{record.key[:4]}; validate the collection first")
-        by_index[record.sent_index] = record
-
     paragraphs = []
-    for group_key in sorted(groups):
-        window: list[RatingRecord] = []  # a run of one rater's consecutive sentences
-        for i, record in sorted(groups[group_key].items()):
-            if window and (window[-1].sent_index != i - 1
-                           or window[-1].rater_id != record.rater_id):
-                window = []
-            window.append(record)
-            if len(window) < k:
-                continue
-            first, start = window[0], i - k + 1
-            scores = tuple(r.score for r in window)
-            human_score = aggregate_score(scores, first.score_type)
-            if not math.isfinite(human_score):
-                raise ValueError(
-                    f"window dataset={first.dataset_id} lang_pair={first.lang_pair} "
-                    f"system={first.system_id} doc={first.doc_id} start_index={start} "
-                    f"k={k}: human_score aggregates to non-finite {human_score!r}")
-            paragraphs.append(ParagraphInstance(
-                dataset_id=first.dataset_id,
-                lang_pair=first.lang_pair,
-                system_id=first.system_id,
-                doc_id=first.doc_id,
-                start_index=start,
-                k=k,
-                score_type=first.score_type,
-                rater_id=first.rater_id,
-                human_score=human_score,
-                sentence_scores=scores,
-                source_text=" ".join(r.source_text for r in window),
-                reference_text=" ".join(r.reference_text for r in window),
-                hypothesis_text=" ".join(r.hypothesis_text for r in window),
-                token_count_ref=_sum_counts([r.token_count_ref for r in window]),
-                token_count_hyp=_sum_counts([r.token_count_hyp for r in window]),
-            ))
-            window = []
+    for window in windows(rater_runs(records), k):
+        first = window[0]
+        human_score = window_score(window)
+        paragraphs.append(ParagraphInstance(
+            dataset_id=first.dataset_id,
+            lang_pair=first.lang_pair,
+            system_id=first.system_id,
+            doc_id=first.doc_id,
+            start_index=first.sent_index,
+            k=k,
+            score_type=first.score_type,
+            rater_id=first.rater_id,
+            human_score=human_score,
+            sentence_scores=tuple(r.score for r in window),
+            source_text=" ".join(r.source_text for r in window),
+            reference_text=" ".join(r.reference_text for r in window),
+            hypothesis_text=" ".join(r.hypothesis_text for r in window),
+            token_count_ref=sum_counts([r.token_count_ref for r in window]),
+            token_count_hyp=sum_counts([r.token_count_hyp for r in window]),
+        ))
     return paragraphs
 
 

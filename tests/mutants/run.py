@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 
 
 CLI = "tests/test_cli.py"
+WRITER = ("tests/test_fileio_properties.py::"
+          "test_paragraph_writer_writes_the_bytes_of_write_paragraphs")
 
 MUTANTS = [
     Mutant("group-items-without-duplicate-check", "paragraphs.py",
@@ -97,24 +99,36 @@ MUTANTS = [
             f"{CLI}::TestTies::"
             "test_two_metrics_report_in_metric_order_and_other_units_are_ignored")),
     Mutant("window-steps-one-after-a-paragraph", "paragraphs.py",
-           "            ))\n            window = []\n",
-           "            ))\n            window = window[1:]\n",
+           "for a in range(0, len(run) - k + 1, k))",
+           "for a in range(0, len(run) - k + 1))",
            ("tests/test_paragraphs.py::TestOracleAgreement::"
             "test_random_layouts_match_greedy_scan_oracle",
             "tests/test_paragraphs.py::TestOracleAgreement::"
             "test_windows_never_overlap_and_qualify")),
     Mutant("window-ignores-a-rater-switch", "paragraphs.py",
-           "\n                           or window[-1].rater_id != record.rater_id):\n",
+           "\n                        or run[-1].rater_id != record.rater_id):\n",
            "):\n",
            ("tests/test_paragraphs.py::TestBuildParagraphs::"
             "test_rater_change_forces_shift_then_reemit",)),
     Mutant("window-ignores-a-gap", "paragraphs.py",
-           "(window[-1].sent_index != i - 1\n                           or ",
+           "(run[-1].sent_index != i - 1\n                        or ",
            "(",
            ("tests/test_paragraphs.py::TestBuildParagraphs::"
             "test_unrated_position_blocks_windows",
             "tests/test_paragraphs.py::TestOracleAgreement::"
             "test_random_layouts_match_greedy_scan_oracle")),
+    Mutant("writer-joins-sentences-without-a-space", "fileio.py",
+           "b\" \".join(sources),",
+           "b\"\".join(sources),",
+           (WRITER,)),
+    Mutant("writer-sums-a-window-with-a-missing-count", "fileio.py",
+           "_json_count(sum_counts([r.token_count_ref for r in window])),",
+           "_json_count(sum([r.token_count_ref or 0 for r in window])),",
+           (WRITER,)),
+    Mutant("writer-skips-the-escape", "fileio.py",
+           "self._escaped[text] = _escape(text)[1:-1].encode()\n",
+           "self._escaped[text] = text.encode()\n",
+           (WRITER,)),
     Mutant("gap-listing-cut-at-ten", "model.py",
            "for i in range(a + 1, b)), 11))\n",
            "for i in range(a + 1, b)), 10))\n",

@@ -255,12 +255,12 @@ class TestBuildParagraphs:
         assert main(["build-paragraphs", "--ratings", tau_ratings,
                      "--k", "1,2", "--out", str(out_dir)]) == 0
         k1 = fileio.load_paragraphs(out_dir / "paragraphs-k1.jsonl")
-        k2 = fileio.load_paragraphs(out_dir / "paragraphs-k2.jsonl")
         assert len(k1) == 6 and all(p.k == 1 for p in k1)
-        assert k2 == []
-        out = capsys.readouterr().out
-        assert "wmt/en-de k=1: 6 paragraphs" in out
-        assert "k=2: 0 paragraphs" in out
+        # No document has two sentences: the k=2 file is empty.
+        assert (out_dir / "paragraphs-k2.jsonl").read_bytes() == b""
+        assert capsys.readouterr().out == (
+            f"wmt/en-de k=1: 6 paragraphs -> {out_dir / 'paragraphs-k1.jsonl'}\n"
+            f"k=2: 0 paragraphs -> {out_dir / 'paragraphs-k2.jsonl'}\n")
 
     def test_two_sentence_docs_produce_k2_windows(self, rich_ratings,
                                                   tmp_path):
@@ -291,6 +291,28 @@ class TestBuildParagraphs:
         # and its temp files are gone.
         assert captured.out == ""
         assert list(out_dir.iterdir()) == []
+
+    def test_a_text_that_utf8_cannot_encode_exits_2_naming_the_rating(self, tmp_path,
+                                                                      capsys):
+        records = [make_rating(sent_index=i, rater_id="A") for i in range(3)]
+        records[2] = replace(records[2], hypothesis_text="lone \ud800")
+        ratings = tmp_path / "surrogate.jsonl"
+        # JSON's \ud800 escape reads as a lone surrogate.
+        ratings.write_text("".join(json.dumps(dict(vars(r), score_type=r.score_type.value))
+                                   + "\n" for r in records), encoding="ascii")
+        out_dir = tmp_path / "built"
+        # No k=2 window holds the third sentence, so it is never written.
+        assert main(["build-paragraphs", "--ratings", str(ratings),
+                     "--k", "2", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert main(["build-paragraphs", "--ratings", str(ratings),
+                     "--k", "2,1", "--out", str(out_dir / "all")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: rating dataset=wmt lang_pair=en-de system=sysA doc=doc1 sent_index=2: "
+            "field hypothesis_text holds '\\ud800', which UTF-8 cannot encode\n")
+        assert captured.out == ""
+        assert list((out_dir / "all").iterdir()) == []
 
     def test_da_window_whose_sum_overflows_has_a_finite_mean(self, tmp_path, capsys):
         records = [make_rating(sent_index=i, rater_id="A", score=8.98846567431158e+307)

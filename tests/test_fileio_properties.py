@@ -15,6 +15,10 @@ oracle's records with their three texts set to None.
 Valid records written, read and written again give the same bytes; so do
 valid score rows, through the scores parser and ``score_rows``.
 
+The paragraph writer of ``build-paragraphs`` writes the bytes of
+``write_paragraphs(build_paragraphs(records, k))`` for random ratings and
+k = 1..4, or raises its error.
+
 The line splitter, which scans most lines in place, is checked against
 ``json.loads(line.strip())``, and the scores parser's strict numbers
 against a regular grammar.
@@ -25,6 +29,7 @@ import io
 import json
 import math
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +37,8 @@ from hypothesis import strategies as st
 
 import oracles
 from paraeval import fileio
+from paraeval.model import RatingRecord, ScoreType
+from paraeval.paragraphs import build_paragraphs, rater_runs
 
 # Fixed examples: a tier-1 gate must not pass on one run and fail on the next.
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
@@ -252,6 +259,64 @@ VALID_PARAGRAPH = {
     "reference_text": "r", "hypothesis_text": "h"}
 READERS = {"rating": (VALID_RATING, fileio.read_rating_lines, oracles.read_rating_lines),
            "paragraph": (VALID_PARAGRAPH, fileio.read_paragraphs, oracles.read_paragraphs)}
+
+
+# Every character but a lone surrogate, which UTF-8 cannot encode, with what
+# JSON escapes or could be escaped wrongly drawn often.
+LINE_TEXT = st.one_of(
+    st.sampled_from(["", '"', "\\", "\x00\x08\n\x1f\x7f", "\u2028\u2029", "\U0001f600",
+                     "a b"]),
+    st.text(st.characters(exclude_categories=["Cs"]), max_size=6))
+# Subnormals and windows whose sum overflows; in one example of four, also
+# non-finite scores, which make every window that holds one an error.
+RATING_SCORE = st.one_of(SCORE, st.sampled_from([-0.0, 5e-324, 1e308, 1.7e308, -1.7e308]))
+RATING_SCORES = st.sampled_from(
+    [RATING_SCORE] * 3 + [st.one_of(RATING_SCORE, st.sampled_from([math.inf, math.nan]))])
+
+
+@st.composite
+def rated_documents(draw):
+    """Ratings of one score type, for 1-2 datasets and lang_pairs, 1-4 systems
+    and 1-2 documents, with unrated positions and rater switches; the texts
+    repeat across records, as a corpus's sources and references do."""
+    names = st.lists(LINE_TEXT, min_size=1, max_size=2, unique=True)
+    texts = draw(st.lists(LINE_TEXT, min_size=1, max_size=4))
+    score_type, scores = draw(st.sampled_from(ScoreType)), draw(RATING_SCORES)
+    count = st.one_of(st.integers(0, 50), st.integers(0, 50), st.none())
+    records = []
+    for dataset in draw(names):
+        for lang_pair in draw(names):
+            for system in draw(st.lists(LINE_TEXT, min_size=1, max_size=4, unique=True)):
+                for doc in draw(names):
+                    for i in range(draw(st.integers(0, 6))):
+                        if draw(st.integers(0, 5)):  # else unrated
+                            records.append(RatingRecord(
+                                dataset, lang_pair, system, doc, i,
+                                draw(st.sampled_from(["A", "A", "B"])),
+                                draw(scores), score_type,
+                                *(draw(st.sampled_from(texts)) for _ in range(3)),
+                                draw(count), draw(count)))
+    return records
+
+
+@PROPERTY
+@given(rated_documents())
+def test_paragraph_writer_writes_the_bytes_of_write_paragraphs(records):
+    writer = fileio.ParagraphWriter(rater_runs(records))  # one for every k, as the CLI's
+    for k in range(1, 5):
+        stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+        try:
+            built = build_paragraphs(records, k)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                writer.write(k, stream)
+            assert str(excinfo.value) == str(exc)
+            continue
+        expected = io.StringIO()
+        fileio.write_paragraphs(built, expected)
+        counts = writer.write(k, stream)
+        assert stream.buffer.getvalue() == expected.getvalue().encode("utf-8")
+        assert counts == Counter((p.dataset_id, p.lang_pair) for p in built)
 
 
 @pytest.mark.parametrize("reader, field, value", [
