@@ -302,9 +302,29 @@ def write_ratings(records: Iterable[RatingRecord], stream: IO[str]) -> None:
     _write_jsonl(records, stream)
 
 
+def _unencodable(owner: str, name: str, exc: UnicodeEncodeError) -> ValueError:
+    return ValueError(f"{owner}: field {name} holds {exc.object[exc.start:exc.end]!r}, "
+                      f"which UTF-8 cannot encode")
+
+
+def _encodable(paragraph: ParagraphInstance) -> ParagraphInstance:
+    """The paragraph, once each of its strings is known to encode to UTF-8."""
+    for name in _LINE_STRINGS:
+        text = getattr(paragraph, name)
+        if text is not None and not text.isascii():
+            try:
+                text.encode()
+            except UnicodeEncodeError as exc:
+                key = _PARAGRAPH_KEY.format(*paragraph.sort_key())
+                raise _unencodable(f"paragraph {key}", name, exc) from None
+    return paragraph
+
+
 def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -> None:
-    """Serialize paragraphs one per line, fields in fixed order."""
-    _write_jsonl(paragraphs, stream)
+    """Serialize paragraphs one per line, fields in fixed order. A string that
+    UTF-8 cannot encode (a lone surrogate) is an error naming the paragraph,
+    the field and the character, raised before the paragraph is written."""
+    _write_jsonl(map(_encodable, paragraphs), stream)
 
 
 # What dump_json does to each str it writes (ensure_ascii=False): it maps every
@@ -349,10 +369,8 @@ class ParagraphWriter:
                 try:
                     self._escaped[text] = _escape(text)[1:-1].encode()
                 except UnicodeEncodeError as exc:
-                    raise ValueError(
-                        f"rating {_format_key(record.key)}: field {name} holds "
-                        f"{exc.object[exc.start:exc.end]!r}, which UTF-8 cannot "
-                        f"encode") from None
+                    raise _unencodable(f"rating {_format_key(record.key)}", name,
+                                       exc) from None
         row = (repr(record.score).encode(),  # as dump_json writes an int or a float
                *(self._escaped[getattr(record, name)] for name in _TEXTS))
         self._sentences[id(record)] = row

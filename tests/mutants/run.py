@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 CLI = "tests/test_cli.py"
 WRITER = ("tests/test_fileio_properties.py::"
           "test_paragraph_writer_writes_the_bytes_of_write_paragraphs")
+PCG = "tests/test_pcg64.py"
 
 MUTANTS = [
     Mutant("group-items-without-duplicate-check", "paragraphs.py",
@@ -186,6 +187,29 @@ MUTANTS = [
            "    counted = [(h, d) for h, d in signs if h]\n",
            "    counted = signs\n",
            ("tests/test_metaeval.py::TestSystemPairwiseAccuracy",)),
+    Mutant("uint32-takes-the-high-half-first", "sampling.py",
+           "        self._half = value >> 32\n        return value & _MASK32\n",
+           "        self._half = value & _MASK32\n        return value >> 32\n",
+           (f"{PCG}::test_edge_cases_match_numpy",)),
+    Mutant("half-word-dropped-at-each-permutation", "sampling.py",
+           "        order = list(range(n))\n",
+           "        order = list(range(n))\n        self._half = None\n",
+           (f"{PCG}::test_sequences_from_one_generator_match_numpy",)),
+    Mutant("rejection-refuses-the-bound", "sampling.py",
+           "        while value > bound:\n",
+           "        while value >= bound:\n",
+           (f"{PCG}::test_edge_cases_match_numpy",)),
+    Mutant("wide-bounds-take-32-bit-draws", "sampling.py",
+           "        draw = self._next32 if bound <= _MASK32 else self._next64\n",
+           "        draw = self._next32\n",
+           (f"{PCG}::test_bounds_beyond_32_bits_take_64_bit_draws",)),
+    Mutant("paragraph-writer-without-the-utf8-check", "fileio.py",
+           "    _write_jsonl(map(_encodable, paragraphs), stream)\n",
+           "    _write_jsonl(paragraphs, stream)\n",
+           ("tests/test_fileio.py::TestParagraphsFile::"
+            "test_write_paragraphs_names_a_string_utf8_cannot_encode",
+            f"{CLI}::TestExportTraining::"
+            "test_a_text_that_utf8_cannot_encode_exits_2_naming_the_paragraph")),
 ]
 
 

@@ -215,6 +215,16 @@ class TestParagraphsFile:
                      str(tmp_path / "stats")]) == 2
         assert "line 1: field human_score must be finite" in capsys.readouterr().err
 
+    def test_write_paragraphs_names_a_string_utf8_cannot_encode(self):
+        good, bad = self.build(k=1, n=2)
+        bad = replace(bad, source_text="a \udc80 b")
+        buffer = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape(
+                "paragraph dataset=wmt lang_pair=en-de system=sysA doc=doc1 start_index=1 "
+                "k=1: field source_text holds '\\udc80', which UTF-8 cannot encode")):
+            fileio.write_paragraphs([good, bad], buffer)
+        assert buffer.getvalue() == fileio.dump_json(vars(good)) + "\n"
+
 
 class TestScoresFile:
     HEADER = "\t".join(fileio.SCORES_HEADER)
