@@ -7,12 +7,12 @@ Report-producing subcommands take ``--out BASE`` and write ``BASE.tsv``
 and ``BASE.jsonl`` with identical rows; every row carries the full
 evaluation-unit key (dataset, lang_pair, k, metric, mode) plus the
 statistic name, its value, and the epsilon it was computed at (``-`` /
-null when not applicable). All files are written atomically (temp file
-in the target directory, then rename), and a command renames its files only
-once all of them are written, so a failed run leaves no output, whole or
-half-written. Evaluation units are processed one at a time in canonical
-(dataset, lang_pair, k) order, each in (doc, start, system) order, so a
-report, or the row an error names, does not depend on the input's order.
+null when not applicable). Each file goes to a temp file beside its target;
+stdout is printed after every file is written and before any is renamed,
+so a run that fails anywhere, even on a stdout line, leaves no output file.
+Evaluation units are processed one at a time in canonical (dataset,
+lang_pair, k) order, each in (doc, start, system) order, so a report, or
+the row an error names, does not depend on the input's order.
 
 ``score``, ``metaeval`` and ``ties`` take each unit's score tables from
 ``_load_units``: the built-in ``--metric`` scores the unit's paragraphs
@@ -95,9 +95,10 @@ def _parse_percentiles(spec: str) -> list[float]:
     return values
 
 
-def _atomic_write(*outputs: tuple[Path, Callable]) -> None:
-    """Write each (path, write) output of a command to a temp file beside it,
-    in turn; rename them only after every write succeeded, else delete them."""
+def _commit(outputs: Iterable[tuple], lines: Iterable[str]) -> int:
+    """Write each (path, write) output to a temp file beside it, print the lines
+    (which the writes may add to), then rename the files; if any step fails,
+    every temp file is deleted. A line stdout cannot encode is an error quoting it."""
     temps = []
     try:
         for path, write in outputs:
@@ -106,8 +107,16 @@ def _atomic_write(*outputs: tuple[Path, Callable]) -> None:
             temps.append((path.with_name(f"{path.name}.tmp{os.getpid()}"), path))
             with open(temps[-1][0], "w", encoding="utf-8", newline="") as stream:
                 write(stream)
+        text = "".join(f"{line}\n" for line in lines)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:
+            line = text[text.rfind("\n", 0, exc.start) + 1:text.find("\n", exc.start)]
+            raise ValueError(f"stdout cannot encode {line!r}: {exc.reason}") from None
+        sys.stdout.flush()
         for tmp, path in temps:
             os.replace(tmp, path)
+        return 0
     finally:
         for tmp, _ in temps:
             tmp.unlink(missing_ok=True)
@@ -128,36 +137,20 @@ class ReportRow:
 REPORT_HEADER = tuple(field.name for field in fields(ReportRow))
 
 
-def _write_report(rows: Sequence[ReportRow], out_base: str) -> str:
-    tsv_path = Path(f"{out_base}.tsv")
-    jsonl_path = Path(f"{out_base}.jsonl")
-    _atomic_write(
-        (tsv_path, lambda stream: fileio.write_tsv(
-            REPORT_HEADER, (vars(row).values() for row in rows), stream)),
-        (jsonl_path, lambda stream: stream.writelines(
-            fileio.dump_json(vars(row)) + "\n" for row in rows)))
-    return f"{tsv_path}, {jsonl_path}"
-
-
-def _write_scores(rows: Sequence[tuple], path: str) -> str:
-    _atomic_write((path, lambda stream: fileio.write_scores(rows, stream)))
-    return path
-
-
-def _report(per_unit: dict, line: Callable[[tuple, list], str], out: str,
-            write: Callable = _write_report, noun: str = "rows") -> int:
-    """Write all units' rows to ``out``, then print a line per unit and the total."""
+def _report(per_unit: dict, line: Callable[[tuple, list], str], out: str) -> int:
+    """Write all units' rows to ``out``.tsv and .jsonl; print a line per unit and the total."""
     rows = [row for unit_rows in per_unit.values() for row in unit_rows]
-    written = write(rows, out)
-    for key, unit_rows in per_unit.items():
-        print(line(key, unit_rows))
-    print(f"wrote {len(rows)} {noun} -> {written}")
-    return 0
+    tsv, jsonl = f"{out}.tsv", f"{out}.jsonl"
+    return _commit([(tsv, partial(fileio.write_tsv, REPORT_HEADER,
+                                  (vars(row).values() for row in rows))),
+                    (jsonl, partial(fileio._write_jsonl, rows))],
+                   [*(line(key, unit_rows) for key, unit_rows in per_unit.items()),
+                    f"wrote {len(rows)} rows -> {tsv}, {jsonl}"])
 
 
-def _unit_name(key: UnitKey) -> str:
-    dataset, lang_pair, k = key
-    return f"{dataset}/{lang_pair} k={k}"
+def _unit_name(key: tuple) -> str:
+    """'dataset/lang_pair k=K' for a unit, 'dataset/lang_pair' for a stats group."""
+    return f"{key[0]}/{key[1]}" + (f" k={key[2]}" if key[2:] else "")
 
 
 def _per_unit(units: dict, unit_rows: Callable[[UnitKey, list], list]) -> dict:
@@ -271,9 +264,7 @@ def cmd_build_paragraphs(args) -> int:
             lines.append(f"{dataset}/{lang_pair} k={k}: {n} paragraphs -> {path}")
 
     paths = {k: Path(args.out) / f"paragraphs-k{k}.jsonl" for k in args.k}
-    _atomic_write(*((path, partial(write, k, path)) for k, path in paths.items()))
-    print("\n".join(lines))
-    return 0
+    return _commit([(path, partial(write, k, path)) for k, path in paths.items()], lines)
 
 
 def cmd_export_training(args) -> int:
@@ -292,9 +283,8 @@ def cmd_export_training(args) -> int:
         sample = sampling.sample_stratified(pool, args.size, ks, args.seed)
     else:
         sample = sampling.sample_uniform(pool, args.size, args.seed)
-    _atomic_write((args.out, lambda stream: fileio.write_paragraphs(sample, stream)))
-    print(f"sampled {len(sample)} of {len(pool)} paragraphs -> {args.out}")
-    return 0
+    return _commit([(args.out, partial(fileio.write_paragraphs, sample))],
+                   [f"sampled {len(sample)} of {len(pool)} paragraphs -> {args.out}"])
 
 
 def cmd_score(args) -> int:
@@ -303,9 +293,10 @@ def cmd_score(args) -> int:
     per_unit = _per_unit(units, lambda key, unit_paragraphs: [
         row for _, table in tables(key, unit_paragraphs)
         for row in fileio.score_rows(label, key[1], table.entries)])
-    return _report(per_unit, lambda key, rows: f"{_unit_name(key)}: scored "
-                   f"{len(rows)} paragraphs ({label})",
-                   args.out, _write_scores, "scores")
+    rows = [row for unit_rows in per_unit.values() for row in unit_rows]
+    return _commit([(args.out, partial(fileio.write_scores, rows))], [
+        *(f"{_unit_name(key)}: scored {len(unit_rows)} paragraphs ({label})"
+          for key, unit_rows in per_unit.items()), f"wrote {len(rows)} scores -> {args.out}"])
 
 
 def cmd_metaeval(args) -> int:
@@ -402,28 +393,27 @@ def cmd_stats(args) -> int:
     groups: dict[tuple[str, str], list[ParagraphInstance]] = {}
     for p in paragraphs:
         groups.setdefault((p.dataset_id, p.lang_pair), []).append(p)
-    per_group = {}
-    for (dataset, lang_pair), group in sorted(groups.items()):
-        rows = per_group[(dataset, lang_pair)] = []
+
+    def group_rows(key, group):  # _per_unit names a count beyond float range
+        rows = []
         if want_lengths:
             for k, per_percentile in metrics.length_percentiles(
                     group, counter, args.percentiles).items():
                 for percentile, count in per_percentile.items():
-                    rows.append(ReportRow(dataset, lang_pair, k, "-", "-",
-                                          f"hyp_tokens_p{percentile:g}",
+                    rows.append(ReportRow(*key, k, "-", "-", f"hyp_tokens_p{percentile:g}",
                                           float(count)))
         if args.truncation:
             for k, (count, fraction) in metrics.truncation_stats(
                     group, counter, args.budget).items():
-                rows.append(ReportRow(dataset, lang_pair, k, "-", "-",
-                                      f"truncated_count@{args.budget}",
+                rows.append(ReportRow(*key, k, "-", "-", f"truncated_count@{args.budget}",
                                       float(count)))
-                rows.append(ReportRow(dataset, lang_pair, k, "-", "-",
-                                      f"truncated_fraction@{args.budget}",
+                rows.append(ReportRow(*key, k, "-", "-", f"truncated_fraction@{args.budget}",
                                       fraction))
-    return _report(per_group, lambda _, rows: "\n".join(
-        f"{r.dataset}/{r.lang_pair} k={r.k}: {r.statistic}={r.value:g}" for r in rows),
-        args.out)
+        return rows
+
+    return _report(_per_unit(dict(sorted(groups.items())), group_rows), lambda _, rows:
+                   "\n".join(f"{r.dataset}/{r.lang_pair} k={r.k}: {r.statistic}={r.value:g}"
+                              for r in rows), args.out)
 
 
 _SIM_FIELDS = get_type_hints(SimConfig)
@@ -606,7 +596,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         name = exc.filename if exc.filename else exc
         print(f"error: missing input file: {name}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

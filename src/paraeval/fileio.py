@@ -14,9 +14,9 @@ against each other. Metric scores
 are a tab-separated table whose start_index and k are unsigned ASCII decimal
 integers and whose score is an ASCII decimal number, optionally signed and
 with an exponent; one TSV writer, shared with the CLI's reports, refuses a
-value holding a tab or line break. Path-based loaders accept gzip-compressed
-files, detected by magic bytes, and name the path in every error about the
-input, from a malformed line or a cut-off gzip stream to a failed validation.
+value holding a tab, a line break or a lone surrogate. Path-based loaders
+accept gzip-compressed files, detected by magic bytes, and name the path in
+every error about the input: a bad line, cut-off gzip, failed validation.
 
 Every system translates the same documents, so ids, source and reference
 texts repeat once per system. Each reader call keeps one copy of each such
@@ -302,8 +302,8 @@ def write_ratings(records: Iterable[RatingRecord], stream: IO[str]) -> None:
     _write_jsonl(records, stream)
 
 
-def _unencodable(owner: str, name: str, exc: UnicodeEncodeError) -> ValueError:
-    return ValueError(f"{owner}: field {name} holds {exc.object[exc.start:exc.end]!r}, "
+def _unencodable(owner: str, value: str, exc: UnicodeEncodeError) -> ValueError:
+    return ValueError(f"{owner}: {value} holds {exc.object[exc.start:exc.end]!r}, "
                       f"which UTF-8 cannot encode")
 
 
@@ -311,19 +311,21 @@ def _encodable(paragraph: ParagraphInstance) -> ParagraphInstance:
     """The paragraph, once each of its strings is known to encode to UTF-8."""
     for name in _LINE_STRINGS:
         text = getattr(paragraph, name)
-        if text is not None and not text.isascii():
+        if text is None or not text.isascii():
+            key = _PARAGRAPH_KEY.format(*paragraph.sort_key())
+            if text is None:  # read without its texts; read_paragraphs refuses a null
+                raise ValueError(f"paragraph {key}: field {name} is None, not a string")
             try:
                 text.encode()
             except UnicodeEncodeError as exc:
-                key = _PARAGRAPH_KEY.format(*paragraph.sort_key())
-                raise _unencodable(f"paragraph {key}", name, exc) from None
+                raise _unencodable(f"paragraph {key}", f"field {name}", exc) from None
     return paragraph
 
 
 def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -> None:
     """Serialize paragraphs one per line, fields in fixed order. A string that
-    UTF-8 cannot encode (a lone surrogate) is an error naming the paragraph,
-    the field and the character, raised before the paragraph is written."""
+    UTF-8 cannot encode (a lone surrogate) or a text that is None is an error
+    naming the paragraph and the field, raised before the paragraph is written."""
     _write_jsonl(map(_encodable, paragraphs), stream)
 
 
@@ -369,8 +371,8 @@ class ParagraphWriter:
                 try:
                     self._escaped[text] = _escape(text)[1:-1].encode()
                 except UnicodeEncodeError as exc:
-                    raise _unencodable(f"rating {_format_key(record.key)}", name,
-                                       exc) from None
+                    raise _unencodable(f"rating {_format_key(record.key)}",
+                                       f"field {name}", exc) from None
         row = (repr(record.score).encode(),  # as dump_json writes an int or a float
                *(self._escaped[getattr(record, name)] for name in _TEXTS))
         self._sentences[id(record)] = row
@@ -507,7 +509,8 @@ def score_rows(metric_name: str, lang_pair: str,
 def write_tsv(header: Sequence[str], rows: Iterable[Iterable], stream: IO[str]) -> None:
     """Write a header and rows as tab-separated lines: None as ``-``, any other
     value as ``str`` (the shortest round-trip form for a float). A value that
-    holds a tab, CR or LF would shift the columns, so it is refused."""
+    holds a tab, CR or LF (which would shift the columns) or a character UTF-8
+    cannot encode is refused, naming the row and the column."""
     stream.write("\t".join(header) + "\n")
     for rowno, row in enumerate(rows, start=1):
         values = ["-" if v is None else str(v) for v in row]
@@ -518,6 +521,13 @@ def write_tsv(header: Sequence[str], rows: Iterable[Iterable], stream: IO[str]) 
                     raise ValueError(f"row {rowno}: {name} {value!r} holds a tab or "
                                      f"line break, which a TSV field cannot hold")
             raise ValueError(f"row {rowno}: {len(values)} values for {len(header)} columns")
+        if not line.isascii():
+            try:
+                line.encode()
+            except UnicodeEncodeError as exc:
+                column = line.count("\t", 0, exc.start)
+                raise _unencodable(f"row {rowno}", f"{header[column]} {values[column]!r}",
+                                   exc) from None
         stream.write(line + "\n")
 
 

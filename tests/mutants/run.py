@@ -44,6 +44,14 @@ CLI = "tests/test_cli.py"
 WRITER = ("tests/test_fileio_properties.py::"
           "test_paragraph_writer_writes_the_bytes_of_write_paragraphs")
 PCG = "tests/test_pcg64.py"
+# cli._commit's print of the stdout lines, which comes before its renames.
+PRINT = ('        text = "".join(f"{line}\\n" for line in lines)\n'
+         "        try:\n            sys.stdout.write(text)\n"
+         "        except UnicodeEncodeError as exc:\n"
+         '            line = text[text.rfind("\\n", 0, exc.start) + 1:'
+         'text.find("\\n", exc.start)]\n'
+         '            raise ValueError(f"stdout cannot encode {line!r}: {exc.reason}") '
+         "from None\n        sys.stdout.flush()\n")
 
 MUTANTS = [
     Mutant("group-items-without-duplicate-check", "paragraphs.py",
@@ -203,6 +211,11 @@ MUTANTS = [
            "        draw = self._next32 if bound <= _MASK32 else self._next64\n",
            "        draw = self._next32\n",
            (f"{PCG}::test_bounds_beyond_32_bits_take_64_bit_draws",)),
+    Mutant("commit-prints-after-the-renames", "cli.py",
+           PRINT + "        for tmp, path in temps:\n            os.replace(tmp, path)\n",
+           "        for tmp, path in temps:\n            os.replace(tmp, path)\n" + PRINT,
+           (f"{CLI}::TestScore::"
+            "test_a_line_that_stdout_cannot_encode_exits_2_and_writes_nothing",)),
     Mutant("paragraph-writer-without-the-utf8-check", "fileio.py",
            "    _write_jsonl(map(_encodable, paragraphs), stream)\n",
            "    _write_jsonl(paragraphs, stream)\n",

@@ -77,6 +77,14 @@ def write_paragraph_file(path, records, ks):
     return str(path)
 
 
+def write_escaped_paragraph_file(path, records, ks=(1,)):
+    """Paragraphs in ASCII JSON, whose escape \\ud800 reads as a lone surrogate."""
+    path.write_text("".join(json.dumps(dict(vars(p), score_type=p.score_type.value)) + "\n"
+                            for k in ks for p in build_paragraphs(records, k)),
+                    encoding="ascii")
+    return str(path)
+
+
 @pytest.fixture
 def tau_ratings(tmp_path):
     return write_ratings(tmp_path / "ratings.jsonl", tau_fixture_records())
@@ -431,14 +439,10 @@ class TestExportTraining:
 
     def test_a_text_that_utf8_cannot_encode_exits_2_naming_the_paragraph(self, tmp_path,
                                                                          capsys):
-        [paragraph] = build_paragraphs([make_rating(rater_id="A",
-                                                    hypothesis_text="lone \ud800")], 1)
-        path = tmp_path / "surrogate.jsonl"
-        # JSON's \ud800 escape reads as a lone surrogate.
-        path.write_text(json.dumps(dict(vars(paragraph), score_type="DA_Z")) + "\n",
-                        encoding="ascii")
+        path = write_escaped_paragraph_file(tmp_path / "surrogate.jsonl", [
+            make_rating(rater_id="A", hypothesis_text="lone \ud800")])
         out = tmp_path / "s.jsonl"
-        assert main(["export-training", "--paragraphs", str(path), "--strategy", "uniform",
+        assert main(["export-training", "--paragraphs", path, "--strategy", "uniform",
                      "--size", "1", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
@@ -499,6 +503,19 @@ class TestScore:
         assert f"error: row 1: {field} {value!r} holds a tab or line break" \
             in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.jsonl"]
+
+    def test_a_line_that_stdout_cannot_encode_exits_2_and_writes_nothing(self, tmp_path,
+                                                                          capsys):
+        # The scores file has no dataset column, so only the unit's line holds it.
+        records = [replace(r, dataset_id="d\ud800") for r in tau_fixture_records()]
+        paragraphs = write_escaped_paragraph_file(tmp_path / "p.jsonl", records)
+        assert main(["score", "--paragraphs", paragraphs,
+                     "--out", str(tmp_path / "S.tsv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: stdout cannot encode 'd\\ud800/en-de k=1: scored 6 "
+                                "paragraphs (bleu-direct)': surrogates not allowed\n")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["p.jsonl"]
 
     def test_label_overrides_metric_column(self, rich_paragraphs, tmp_path):
         out = tmp_path / "scores.tsv"
@@ -1000,6 +1017,18 @@ class TestStats:
         assert excinfo.value.code == 1
         assert f"argument --percentiles: {message}\n" in capsys.readouterr().err
 
+    def test_a_token_count_beyond_float_range_exits_2_naming_the_group(self, tmp_path,
+                                                                       capsys):
+        # read_paragraphs takes any non-negative integer count.
+        records = [make_rating(sent_index=0, rater_id="A", token_count_hyp=10 ** 400)]
+        paragraphs = write_escaped_paragraph_file(tmp_path / "p.jsonl", records)
+        assert main(["stats", "--paragraphs", paragraphs,
+                     "--out", str(tmp_path / "stats")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: wmt/en-de: int too large to convert to float\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["p.jsonl"]
+
     def test_bad_budget_exits_1(self, rich_paragraphs, tmp_path, capsys):
         assert main(["stats", "--paragraphs", rich_paragraphs, "--truncation",
                      "--budget", "0", "--out", str(tmp_path / "s")]) == 1
@@ -1036,6 +1065,26 @@ TEXT_FREE_COMMANDS = {
     "ties": ["ties", "--scores", "{scores}", "--out", "{out}"],
     "score": ["score", "--metric", "bleu", "--out", "{out}.tsv"],
 }
+
+
+@pytest.mark.parametrize("argv, dataset, doc, message", [
+    (["ties"], "d\ud800", "d1", "row 1: dataset 'd\\ud800' holds '\\ud800'"),
+    (["stats"], "d\ud800", "d1", "row 1: dataset 'd\\ud800' holds '\\ud800'"),
+    (["score"], "wmt", "d\ud800", "row 2: doc_id 'd\\ud800' holds '\\ud800'"),
+    # A --label from argv bytes that are not UTF-8 decodes to lone surrogates.
+    (["score", "--label", "b\udcff"], "wmt", "d1",
+     "row 1: metric 'b\\udcff' holds '\\udcff'"),
+], ids=["ties-dataset", "stats-dataset", "score-doc", "score-label"])
+def test_a_value_utf8_cannot_encode_exits_2_naming_the_row_and_column(
+        argv, dataset, doc, message, tmp_path, capsys):
+    records = [replace(r, dataset_id=dataset, doc_id=doc if r.doc_id == "d1" else r.doc_id)
+               for r in tau_fixture_records()]
+    paragraphs = write_escaped_paragraph_file(tmp_path / "p.jsonl", records)
+    assert main([*argv, "--paragraphs", paragraphs, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}, which UTF-8 cannot encode\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["p.jsonl"]
 
 
 @pytest.mark.parametrize("command", sorted(TEXT_FREE_COMMANDS))
@@ -1261,6 +1310,22 @@ class TestSimulate:
                      "--out", str(tmp_path / "sim")]) == 2
         assert capsys.readouterr().err == \
             "error: every k must lie in 1..4, got [1, 5]\n"
+
+    def test_a_config_that_cannot_be_allocated_exits_2(self, tmp_path, capsys,
+                                                        monkeypatch):
+        message = ("Unable to allocate 8.73 TiB for an array with shape "
+                   "(100000000000, 3, 4) and data type float64")
+
+        def unallocatable(config):  # numpy's refusal, without allocating
+            raise MemoryError(message)
+        monkeypatch.setattr(noise, "simulate", unallocatable)
+        config_path = tmp_path / "sim.cfg"
+        config_path.write_text(SIM_CONFIG.replace("n_items = 30", "n_items = 100000000000"),
+                               encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--ks", "1,4",
+                     "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["sim.cfg"]
 
     def test_nonpositive_seeds_exits_1(self, tmp_path, capsys):
         config_path = tmp_path / "sim.cfg"

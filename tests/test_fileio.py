@@ -225,6 +225,18 @@ class TestParagraphsFile:
             fileio.write_paragraphs([good, bad], buffer)
         assert buffer.getvalue() == fileio.dump_json(vars(good)) + "\n"
 
+    def test_write_paragraphs_refuses_a_paragraph_read_without_its_texts(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        with open(path, "w", encoding="utf-8") as stream:
+            fileio.write_paragraphs(self.build(k=1, n=1), stream)
+        # read_paragraphs refuses the null texts such a line would hold.
+        buffer = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape(
+                "paragraph dataset=wmt lang_pair=en-de system=sysA doc=doc1 start_index=0 "
+                "k=1: field source_text is None, not a string")):
+            fileio.write_paragraphs(fileio.load_paragraphs(path, texts=False), buffer)
+        assert buffer.getvalue() == ""
+
 
 class TestScoresFile:
     HEADER = "\t".join(fileio.SCORES_HEADER)
@@ -340,6 +352,13 @@ class TestScoresFile:
         fileio.write_tsv(("a", "b", "c"), [("x", None, 0.1 + 0.2), (1, 2.5, "-")],
                          buffer)
         assert buffer.getvalue() == "a\tb\tc\nx\t-\t0.30000000000000004\n1\t2.5\t-\n"
+
+    def test_tsv_refuses_a_value_utf8_cannot_encode_naming_the_row_and_column(self):
+        buffer = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape(
+                "row 2: b 'x\\ud800y' holds '\\ud800', which UTF-8 cannot encode")):
+            fileio.write_tsv(("a", "b"), [("\u00e9", 1), ("\u00e9", "x\ud800y")], buffer)
+        assert buffer.getvalue() == "a\tb\n\u00e9\t1\n"
 
     @pytest.mark.parametrize("row, count", [(("x", 1), 2), (("x", 1, 2, 3), 4)])
     def test_tsv_refuses_a_row_of_the_wrong_length(self, row, count):
