@@ -39,6 +39,7 @@ from .model import (ParagraphInstance, ScoreTable, SimConfig, validate_ratings)
 from .paragraphs import build_eval_items, group_items, rater_runs
 
 UnitKey = tuple  # (dataset_id, lang_pair, k)
+_INPUTS = ("ratings", "paragraphs", "scores", "config")  # the options that name input files
 
 
 class UsageError(Exception):
@@ -95,10 +96,17 @@ def _parse_percentiles(spec: str) -> list[float]:
     return values
 
 
-def _commit(outputs: Iterable[tuple], lines: Iterable[str]) -> int:
+def _commit(args, outputs: list[tuple], lines: Iterable[str]) -> int:
     """Write each (path, write) output to a temp file beside it, print the lines
     (which the writes may add to), then rename the files; if any step fails,
-    every temp file is deleted. A line stdout cannot encode is an error quoting it."""
+    every temp file is deleted. An output that is one of the command's input
+    files is refused before anything is written, and a line stdout cannot
+    encode is an error quoting it."""
+    inputs = [vars(args)[name] for name in _INPUTS if vars(args).get(name)]
+    for path, _ in outputs:
+        for source in inputs:
+            if os.path.exists(path) and os.path.exists(source) and os.path.samefile(path, source):
+                raise ValueError(f"output {path} is the input {source}; choose another --out")
     temps = []
     try:
         for path, write in outputs:
@@ -137,13 +145,13 @@ class ReportRow:
 REPORT_HEADER = tuple(field.name for field in fields(ReportRow))
 
 
-def _report(per_unit: dict, line: Callable[[tuple, list], str], out: str) -> int:
-    """Write all units' rows to ``out``.tsv and .jsonl; print a line per unit and the total."""
+def _report(per_unit: dict, line: Callable[[tuple, list], str], args) -> int:
+    """Write all units' rows to ``--out``.tsv and .jsonl; print a line per unit and the total."""
     rows = [row for unit_rows in per_unit.values() for row in unit_rows]
-    tsv, jsonl = f"{out}.tsv", f"{out}.jsonl"
-    return _commit([(tsv, partial(fileio.write_tsv, REPORT_HEADER,
-                                  (vars(row).values() for row in rows))),
-                    (jsonl, partial(fileio._write_jsonl, rows))],
+    tsv, jsonl = f"{args.out}.tsv", f"{args.out}.jsonl"
+    return _commit(args, [(tsv, partial(fileio.write_tsv, REPORT_HEADER,
+                                        (vars(row).values() for row in rows))),
+                          (jsonl, partial(fileio._write_jsonl, rows))],
                    [*(line(key, unit_rows) for key, unit_rows in per_unit.items()),
                     f"wrote {len(rows)} rows -> {tsv}, {jsonl}"])
 
@@ -250,9 +258,9 @@ def cmd_build_paragraphs(args) -> int:
     records = fileio.load_ratings(args.ratings)
     if not records:
         raise ValueError(f"no ratings in {args.ratings}")
-    # The runs are found once and every k is cut from them; each line is made
-    # as it is written. So the runs, one k's windows and the escaped bytes of
-    # each sentence written so far are in memory.
+    # The runs are found once and every k is cut from them. The writer checks
+    # every rating and makes its row of escaped bytes once, before the first k,
+    # and each line as it is written: the runs and the rows are in memory.
     writer = fileio.ParagraphWriter(rater_runs(records))
     lines = []
 
@@ -264,7 +272,7 @@ def cmd_build_paragraphs(args) -> int:
             lines.append(f"{dataset}/{lang_pair} k={k}: {n} paragraphs -> {path}")
 
     paths = {k: Path(args.out) / f"paragraphs-k{k}.jsonl" for k in args.k}
-    return _commit([(path, partial(write, k, path)) for k, path in paths.items()], lines)
+    return _commit(args, [(p, partial(write, k, p)) for k, p in paths.items()], lines)
 
 
 def cmd_export_training(args) -> int:
@@ -283,7 +291,7 @@ def cmd_export_training(args) -> int:
         sample = sampling.sample_stratified(pool, args.size, ks, args.seed)
     else:
         sample = sampling.sample_uniform(pool, args.size, args.seed)
-    return _commit([(args.out, partial(fileio.write_paragraphs, sample))],
+    return _commit(args, [(args.out, partial(fileio.write_paragraphs, sample))],
                    [f"sampled {len(sample)} of {len(pool)} paragraphs -> {args.out}"])
 
 
@@ -294,7 +302,7 @@ def cmd_score(args) -> int:
         row for _, table in tables(key, unit_paragraphs)
         for row in fileio.score_rows(label, key[1], table.entries)])
     rows = [row for unit_rows in per_unit.values() for row in unit_rows]
-    return _commit([(args.out, partial(fileio.write_scores, rows))], [
+    return _commit(args, [(args.out, partial(fileio.write_scores, rows))], [
         *(f"{_unit_name(key)}: scored {len(unit_rows)} paragraphs ({label})"
           for key, unit_rows in per_unit.items()), f"wrote {len(rows)} scores -> {args.out}"])
 
@@ -344,7 +352,7 @@ def cmd_metaeval(args) -> int:
         return rows
 
     return _report(_per_unit(units, unit_rows), lambda key, rows: f"{_unit_name(key)}: "
-                   + ", ".join(f"{r.statistic}={r.value:.4f}" for r in rows), args.out)
+                   + ", ".join(f"{r.statistic}={r.value:.4f}" for r in rows), args)
 
 
 def cmd_ties(args) -> int:
@@ -366,7 +374,7 @@ def cmd_ties(args) -> int:
 
     return _report(_per_unit(units, unit_rows), lambda key, rows: "\n".join(
         f"{_unit_name(key)}: {r.statistic}({r.metric})={r.value:.4f}" for r in rows),
-        args.out)
+        args)
 
 
 def cmd_compare_modes(args) -> int:
@@ -380,7 +388,7 @@ def cmd_compare_modes(args) -> int:
                           metaeval.mode_correlation(direct, aligned))]
 
     return _report(_per_unit(units, unit_rows), lambda key, rows:
-                   f"{_unit_name(key)}: mode_pearson={rows[0].value:.4f}", args.out)
+                   f"{_unit_name(key)}: mode_pearson={rows[0].value:.4f}", args)
 
 
 def cmd_stats(args) -> int:
@@ -394,14 +402,20 @@ def cmd_stats(args) -> int:
     for p in paragraphs:
         groups.setdefault((p.dataset_id, p.lang_pair), []).append(p)
 
-    def group_rows(key, group):  # _per_unit names a count beyond float range
+    def group_rows(key, group):
         rows = []
         if want_lengths:
             for k, per_percentile in metrics.length_percentiles(
                     group, counter, args.percentiles).items():
                 for percentile, count in per_percentile.items():
+                    try:
+                        value = float(count)
+                    except OverflowError:  # only a count read from the file is this large
+                        p = next(p for p in group if p.k == k and p.token_count_hyp == count)
+                        raise ValueError(f"{fileio._paragraph_name(p)}: field token_count_hyp "
+                                         f"is out of float range") from None
                     rows.append(ReportRow(*key, k, "-", "-", f"hyp_tokens_p{percentile:g}",
-                                          float(count)))
+                                          value))
         if args.truncation:
             for k, (count, fraction) in metrics.truncation_stats(
                     group, counter, args.budget).items():
@@ -413,7 +427,7 @@ def cmd_stats(args) -> int:
 
     return _report(_per_unit(dict(sorted(groups.items())), group_rows), lambda _, rows:
                    "\n".join(f"{r.dataset}/{r.lang_pair} k={r.k}: {r.statistic}={r.value:g}"
-                              for r in rows), args.out)
+                              for r in rows), args)
 
 
 _SIM_FIELDS = get_type_hints(SimConfig)
@@ -459,7 +473,7 @@ def cmd_simulate(args) -> int:
                           row("std_segment_accuracy", point.std_accuracy, 0.0)]
     return _report(per_k, lambda k, rows: f"k={k}: mean segment accuracy "
                    f"{rows[0].value:.4f} (std {rows[1].value:.4f}, {args.seeds} seeds)",
-                   args.out)
+                   args)
 
 
 # --- parser ----------------------------------------------------------------

@@ -7,10 +7,10 @@ of fields and getters: a record whose values have their exact JSON types
 passes one test, any other goes through the getters, which convert what
 they accept and name the first bad field. The writers write each record's
 dataclass fields in declaration order, which is the table's.
-``build-paragraphs`` writes through ``ParagraphWriter``, which puts each line
-together from its sentences' escaped UTF-8 text, made once per sentence, and
-writes the bytes of ``write_paragraphs``; a property test checks the two
-against each other. Metric scores
+``build-paragraphs`` writes through ``ParagraphWriter``, which makes each
+rating's escaped UTF-8 bytes once, when it is built, and every k's lines from
+them: the bytes of ``write_paragraphs``, as a property test checks. Both
+writers refuse a string that UTF-8 cannot encode by one check. Metric scores
 are a tab-separated table whose start_index and k are unsigned ASCII decimal
 integers and whose score is an ASCII decimal number, optionally signed and
 with an exponent; one TSV writer, shared with the CLI's reports, refuses a
@@ -36,6 +36,7 @@ import operator
 import zlib
 from collections import Counter
 from contextlib import contextmanager
+from functools import cache, partial
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, Union
 
@@ -307,26 +308,31 @@ def _unencodable(owner: str, value: str, exc: UnicodeEncodeError) -> ValueError:
                       f"which UTF-8 cannot encode")
 
 
-def _encodable(paragraph: ParagraphInstance) -> ParagraphInstance:
-    """The paragraph, once each of its strings is known to encode to UTF-8."""
+def _paragraph_name(paragraph: ParagraphInstance) -> str:
+    return "paragraph " + _PARAGRAPH_KEY.format(*paragraph.sort_key())
+
+
+def _encodable(record, owner):
+    """The paragraph or rating, once each string a paragraph line takes from it
+    is known to encode to UTF-8; a text that is None or a string UTF-8 cannot
+    encode (a lone surrogate) is an error naming ``owner(record)`` and the field."""
     for name in _LINE_STRINGS:
-        text = getattr(paragraph, name)
+        text = getattr(record, name)
         if text is None or not text.isascii():
-            key = _PARAGRAPH_KEY.format(*paragraph.sort_key())
-            if text is None:  # read without its texts; read_paragraphs refuses a null
-                raise ValueError(f"paragraph {key}: field {name} is None, not a string")
+            if text is None:  # as a paragraph read without its texts holds
+                raise ValueError(f"{owner(record)}: field {name} is None, not a string")
             try:
                 text.encode()
             except UnicodeEncodeError as exc:
-                raise _unencodable(f"paragraph {key}", f"field {name}", exc) from None
-    return paragraph
+                raise _unencodable(owner(record), f"field {name}", exc) from None
+    return record
 
 
 def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -> None:
     """Serialize paragraphs one per line, fields in fixed order. A string that
     UTF-8 cannot encode (a lone surrogate) or a text that is None is an error
     naming the paragraph and the field, raised before the paragraph is written."""
-    _write_jsonl(map(_encodable, paragraphs), stream)
+    _write_jsonl(map(partial(_encodable, owner=_paragraph_name), paragraphs), stream)
 
 
 # What dump_json does to each str it writes (ensure_ascii=False): it maps every
@@ -351,57 +357,41 @@ class ParagraphWriter:
     from runs that ``paragraphs.rater_runs`` found once: each file holds the
     bytes that ``write_paragraphs`` writes for those paragraphs.
 
-    Each line is put together from its sentences' escaped UTF-8 bytes, made
-    the first time a window holds the sentence and kept for every later k;
-    each distinct string is escaped once.
+    The constructor checks every rating as ``write_paragraphs`` checks a
+    paragraph, so a rating that UTF-8 cannot encode fails every k, and makes one
+    row per rating, parallel to the runs: its score and three texts as escaped
+    UTF-8 bytes, each distinct string escaped once, and its two token counts.
     """
 
     def __init__(self, runs: list[list[RatingRecord]]):
-        self.runs = runs  # keeps the records, whose ids key _sentences, alive
-        self._escaped: dict[str, bytes] = {}
-        self._sentences: dict[int, tuple[bytes, ...]] = {}
-
-    def _sentence(self, record: RatingRecord) -> tuple[bytes, ...]:
-        """The record's score and texts as they go into a line. Its strings are
-        escaped to UTF-8 bytes; one that UTF-8 cannot encode (a lone surrogate)
-        is an error naming the rating and the field."""
-        for name in _LINE_STRINGS:
-            text = getattr(record, name)
-            if text not in self._escaped:
-                try:
-                    self._escaped[text] = _escape(text)[1:-1].encode()
-                except UnicodeEncodeError as exc:
-                    raise _unencodable(f"rating {_format_key(record.key)}",
-                                       f"field {name}", exc) from None
-        row = (repr(record.score).encode(),  # as dump_json writes an int or a float
-               *(self._escaped[getattr(record, name)] for name in _TEXTS))
-        self._sentences[id(record)] = row
-        return row
+        self.runs = runs
+        self._escaped = escaped = cache(lambda text: _escape(text)[1:-1].encode())
+        checked = partial(_encodable, owner=lambda r: f"rating {_format_key(r.key)}")
+        self._rows = [[(repr(r.score).encode(),  # as dump_json writes an int or a float
+                        escaped(r.source_text), escaped(r.reference_text),
+                        escaped(r.hypothesis_text), r.token_count_ref, r.token_count_hyp)
+                       for r in map(checked, run)] for run in runs]
 
     def write(self, k: int, stream: IO[str]) -> Counter:
-        """Write the paragraphs of k to the text stream's binary buffer, after
-        a check of every window's score as ``build_paragraphs`` makes; return
-        their number per (dataset, lang_pair)."""
-        found = list(windows(self.runs, k))
-        human_scores = [window_score(window) for window in found]
-        # window_score refused any window with a non-finite sentence score,
-        # whose aggregate is non-finite, so every score below is JSON.
-        escaped, sentences = self._escaped, self._sentences
+        """Write the paragraphs of k to the text stream's binary buffer and
+        return their number per (dataset, lang_pair). A window whose score
+        ``window_score`` refuses is an error, raised before its line is written."""
+        escaped, counts = self._escaped, Counter()
         stream.flush()
         write = stream.buffer.write
-        for window, human_score in zip(found, human_scores):
-            rows = [sentences.get(id(r)) or self._sentence(r) for r in window]
-            scores, sources, references, hypotheses = zip(*rows)
+        for window, rows in zip(windows(self.runs, k), windows(self._rows, k)):
+            human_score = window_score(window)  # finite, so JSON, or an error
+            scores, sources, references, hypotheses, refs, hyps = zip(*rows)
             first = window[0]
             write(_PARAGRAPH_LINE % (
-                escaped[first.dataset_id], escaped[first.lang_pair],
-                escaped[first.system_id], escaped[first.doc_id], first.sent_index, k,
-                first.score_type.value.encode(), escaped[first.rater_id],
+                escaped(first.dataset_id), escaped(first.lang_pair),
+                escaped(first.system_id), escaped(first.doc_id), first.sent_index, k,
+                first.score_type.value.encode(), escaped(first.rater_id),
                 repr(human_score).encode(), b",".join(scores), b" ".join(sources),
                 b" ".join(references), b" ".join(hypotheses),
-                _json_count(sum_counts([r.token_count_ref for r in window])),
-                _json_count(sum_counts([r.token_count_hyp for r in window]))))
-        return Counter((window[0].dataset_id, window[0].lang_pair) for window in found)
+                _json_count(sum_counts(refs)), _json_count(sum_counts(hyps))))
+            counts[first.dataset_id, first.lang_pair] += 1
+        return counts
 
 
 def read_paragraphs(stream: Lines, texts: bool = True) -> list[ParagraphInstance]:

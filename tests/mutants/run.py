@@ -131,12 +131,12 @@ MUTANTS = [
            "b\"\".join(sources),",
            (WRITER,)),
     Mutant("writer-sums-a-window-with-a-missing-count", "fileio.py",
-           "_json_count(sum_counts([r.token_count_ref for r in window])),",
-           "_json_count(sum([r.token_count_ref or 0 for r in window])),",
+           "_json_count(sum_counts(refs)),",
+           "_json_count(sum(c or 0 for c in refs)),",
            (WRITER,)),
     Mutant("writer-skips-the-escape", "fileio.py",
-           "self._escaped[text] = _escape(text)[1:-1].encode()\n",
-           "self._escaped[text] = text.encode()\n",
+           "cache(lambda text: _escape(text)[1:-1].encode())",
+           "cache(lambda text: text.encode())",
            (WRITER,)),
     Mutant("gap-listing-cut-at-ten", "model.py",
            "for i in range(a + 1, b)), 11))\n",
@@ -217,12 +217,24 @@ MUTANTS = [
            (f"{CLI}::TestScore::"
             "test_a_line_that_stdout_cannot_encode_exits_2_and_writes_nothing",)),
     Mutant("paragraph-writer-without-the-utf8-check", "fileio.py",
-           "    _write_jsonl(map(_encodable, paragraphs), stream)\n",
+           "    _write_jsonl(map(partial(_encodable, owner=_paragraph_name), paragraphs), "
+           "stream)\n",
            "    _write_jsonl(paragraphs, stream)\n",
            ("tests/test_fileio.py::TestParagraphsFile::"
             "test_write_paragraphs_names_a_string_utf8_cannot_encode",
             f"{CLI}::TestExportTraining::"
             "test_a_text_that_utf8_cannot_encode_exits_2_naming_the_paragraph")),
+    Mutant("rating-writer-without-the-utf8-check", "fileio.py",
+           "for r in map(checked, run)] for run in runs]",
+           "for r in run] for run in runs]",
+           (f"{CLI}::TestBuildParagraphs::"
+            "test_a_text_that_utf8_cannot_encode_exits_2_naming_the_rating",
+            "tests/test_fileio.py::TestParagraphsFile::"
+            "test_paragraph_writer_refuses_a_rating_whose_text_is_none")),
+    Mutant("commit-writes-over-an-input", "cli.py",
+           "            if os.path.exists(path) and os.path.exists(source) and ",
+           "            if False and ",
+           (f"{CLI}::test_an_output_that_is_an_input_exits_2_and_leaves_the_input",)),
 ]
 
 

@@ -309,18 +309,17 @@ class TestBuildParagraphs:
         ratings.write_text("".join(json.dumps(dict(vars(r), score_type=r.score_type.value))
                                    + "\n" for r in records), encoding="ascii")
         out_dir = tmp_path / "built"
-        # No k=2 window holds the third sentence, so it is never written.
-        assert main(["build-paragraphs", "--ratings", str(ratings),
-                     "--k", "2", "--out", str(out_dir)]) == 0
-        capsys.readouterr()
-        assert main(["build-paragraphs", "--ratings", str(ratings),
-                     "--k", "2,1", "--out", str(out_dir / "all")]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == (
-            "error: rating dataset=wmt lang_pair=en-de system=sysA doc=doc1 sent_index=2: "
-            "field hypothesis_text holds '\\ud800', which UTF-8 cannot encode\n")
-        assert captured.out == ""
-        assert list((out_dir / "all").iterdir()) == []
+        # Every rating is checked before any k is cut, so k=2 fails too,
+        # though no k=2 window holds the third sentence.
+        for k in ("2", "2,1"):
+            assert main(["build-paragraphs", "--ratings", str(ratings),
+                         "--k", k, "--out", str(out_dir)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "error: rating dataset=wmt lang_pair=en-de system=sysA doc=doc1 sent_index=2: "
+                "field hypothesis_text holds '\\ud800', which UTF-8 cannot encode\n")
+            assert captured.out == ""
+            assert not out_dir.exists()
 
     def test_da_window_whose_sum_overflows_has_a_finite_mean(self, tmp_path, capsys):
         records = [make_rating(sent_index=i, rater_id="A", score=8.98846567431158e+307)
@@ -654,12 +653,13 @@ class TestMetaeval:
             self, argv, tau_paragraphs, tmp_path):
         expected = []
         for metric, scores in (("aa", TAU_METRIC_SCORES), ("zz", REVERSED_SCORES)):
-            one = write_scores_file(tmp_path / f"{metric}.tsv",
+            # Each report's .tsv is named apart from the scores file it reads.
+            one = write_scores_file(tmp_path / f"{metric}-scores.tsv",
                                     [(metric, "en-de", 1, scores)])
             assert main(["metaeval", "--paragraphs", tau_paragraphs, "--scores", one,
                          *argv, "--out", str(tmp_path / metric)]) == 0
             expected += read_report(tmp_path / metric)
-        both = write_scores_file(tmp_path / "both.tsv", TWO_METRIC_TABLES)
+        both = write_scores_file(tmp_path / "both-scores.tsv", TWO_METRIC_TABLES)
         assert main(["metaeval", "--paragraphs", tau_paragraphs, "--scores", both,
                      *argv, "--out", str(tmp_path / "both")]) == 0
         assert read_report(tmp_path / "both") == expected
@@ -1025,7 +1025,9 @@ class TestStats:
         assert main(["stats", "--paragraphs", paragraphs,
                      "--out", str(tmp_path / "stats")]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: wmt/en-de: int too large to convert to float\n"
+        assert captured.err == (
+            "error: wmt/en-de: paragraph dataset=wmt lang_pair=en-de system=sysA doc=doc1 "
+            "start_index=0 k=1: field token_count_hyp is out of float range\n")
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["p.jsonl"]
 
@@ -1133,6 +1135,31 @@ RATINGS_FREE_COMMANDS = {
     "ties-scores": ["ties", "--scores", "{scores}"],
     "metaeval-direct": ["metaeval", "--metric", "bleu", "--mode", "direct"],
 }
+
+
+@pytest.mark.parametrize("argv, out, output", [
+    # The k=1 file comes first and is not written either.
+    (["build-paragraphs", "--ratings", "paragraphs-k2.jsonl", "--k", "1,2"], ".",
+     "paragraphs-k2.jsonl"),
+    # Another spelling of the input's path names the same file.
+    (["export-training", "--paragraphs", "p.jsonl", "--size", "1"], "./p.jsonl", "./p.jsonl"),
+    (["stats", "--paragraphs", "p.jsonl"], "p", "p.jsonl"),  # p.tsv, then p.jsonl
+], ids=["build-paragraphs", "export-training", "stats"])
+def test_an_output_that_is_an_input_exits_2_and_leaves_the_input(argv, out, output, tmp_path,
+                                                                 capsys):
+    source = tmp_path / argv[2]
+    if argv[1] == "--ratings":
+        write_ratings(source, rich_records())
+    else:
+        write_paragraph_file(source, rich_records(), [1, 2])
+    before = source.read_bytes()
+    assert main([*argv[:2], str(source), *argv[3:], "--out", f"{tmp_path}/{out}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: output {tmp_path}/{output} is the input {source}; "
+                            "choose another --out\n")
+    assert captured.out == ""
+    assert source.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [source.name]
 
 
 @pytest.mark.parametrize("command", sorted(RATINGS_FREE_COMMANDS))

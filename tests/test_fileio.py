@@ -13,7 +13,7 @@ from helpers import feeding_pipe, make_rating
 from paraeval import fileio
 from paraeval.fileio import ParseError, ValidationError
 from paraeval.model import ParagraphInstance, RatingRecord, ScoreType
-from paraeval.paragraphs import build_paragraphs
+from paraeval.paragraphs import build_paragraphs, rater_runs
 
 
 def roundtrip_ratings(records):
@@ -236,6 +236,14 @@ class TestParagraphsFile:
                 "k=1: field source_text is None, not a string")):
             fileio.write_paragraphs(fileio.load_paragraphs(path, texts=False), buffer)
         assert buffer.getvalue() == ""
+
+    def test_paragraph_writer_refuses_a_rating_whose_text_is_none(self):
+        records = [make_rating(sent_index=0), replace(make_rating(sent_index=1),
+                                                      reference_text=None)]
+        with pytest.raises(ValueError, match=re.escape(
+                "rating dataset=wmt lang_pair=en-de system=sysA doc=doc1 sent_index=1: "
+                "field reference_text is None, not a string")):
+            fileio.ParagraphWriter(rater_runs(records))
 
 
 class TestScoresFile:
