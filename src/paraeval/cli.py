@@ -1,7 +1,9 @@
 """Command-line front end for batch dataset builds, scoring, and reports.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, bad ranges), 2 on
-data errors (missing or malformed inputs, invariant violations).
+data errors (missing or malformed inputs, invariant violations). The
+subcommand's parser prints every usage error, argparse's or a command's own
+(``args.error``): its usage line, then ``paraeval CMD: error: ...``.
 
 Report-producing subcommands take ``--out BASE`` and write ``BASE.tsv``
 and ``BASE.jsonl`` with identical rows; every row carries the full
@@ -35,24 +37,19 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, get_type_hints
 
 from . import fileio, metaeval, metrics, noise, sampling
-from .model import (ParagraphInstance, ScoreTable, SimConfig, validate_ratings)
+from .model import ParagraphInstance, RatingRecord, ScoreTable, SimConfig, validate_ratings
 from .paragraphs import build_eval_items, group_items, rater_runs
 
 UnitKey = tuple  # (dataset_id, lang_pair, k)
 _INPUTS = ("ratings", "paragraphs", "scores", "config")  # the options that name input files
 
 
-class UsageError(Exception):
-    """An invalid flag combination or value, detected after parsing."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that exits 1 on usage errors, with a suggestion."""
+    """Argument parser that exits 1 on usage errors, suggesting from its own flags."""
 
     def error(self, message):
         if "unrecognized arguments" in message:
-            known = sorted(getattr(self, "all_options", None)
-                           or self._option_string_actions)
+            known = sorted(self._option_string_actions)
             for token in re.findall(r"--?[\w-]+", message):
                 close = difflib.get_close_matches(token, known, n=1)
                 if close:
@@ -180,6 +177,14 @@ def _load_paragraphs(path: str, texts: bool = True) -> list[ParagraphInstance]:
     return paragraphs
 
 
+def _load_ratings(path: str, validate: bool = True) -> list[RatingRecord]:
+    with fileio._reading(path) as stream:
+        records = (fileio.parse_ratings if validate else fileio.read_rating_lines)(stream)
+    if not records:
+        raise ValueError(f"no ratings in {path}")
+    return records
+
+
 def _group_units(paragraphs: Iterable[ParagraphInstance]
                  ) -> dict[UnitKey, list[ParagraphInstance]]:
     """Split paragraphs into canonically ordered (dataset, lang_pair, k) units.
@@ -205,12 +210,11 @@ def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Callable]
     datasets would have one dataset's scores applied to the other's units.
     """
     if args.metric is not None and args.mode == "aligned" and args.ratings is None:
-        raise UsageError("aligned mode needs --ratings to recover the "
-                         "sentence pairs")
+        args.error("aligned mode needs --ratings to recover the sentence pairs")
     units = _group_units(_load_paragraphs(args.paragraphs, texts=args.metric is not None))
     if args.metric is not None:
         score = (metrics.score_direct if args.mode == "direct" else partial(
-            metrics.score_aligned_avg, records=fileio.load_ratings(args.ratings)))
+            metrics.score_aligned_avg, records=_load_ratings(args.ratings)))
         return units, lambda key, unit_paragraphs: [(args.mode, score(unit_paragraphs))]
     if args.scores is None:  # ties rates the human scores alone
         return units, lambda key, unit_paragraphs: []
@@ -242,8 +246,7 @@ def _paired_scores(table: ScoreTable,
 
 
 def cmd_validate(args) -> int:
-    with fileio._reading(args.ratings) as stream:
-        records = fileio.read_rating_lines(stream)
+    records = _load_ratings(args.ratings, validate=False)
     report = validate_ratings(records)
     for line in report.errors:
         print(f"error: {line}", file=sys.stderr)
@@ -255,9 +258,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build_paragraphs(args) -> int:
-    records = fileio.load_ratings(args.ratings)
-    if not records:
-        raise ValueError(f"no ratings in {args.ratings}")
+    records = _load_ratings(args.ratings)
     # The runs are found once and every k is cut from them. The writer checks
     # every rating and makes its row of escaped bytes once, before the first k,
     # and each line as it is written: the runs and the rows are in memory.
@@ -277,14 +278,13 @@ def cmd_build_paragraphs(args) -> int:
 
 def cmd_export_training(args) -> int:
     if args.size < 1:
-        raise UsageError(f"--size must be >= 1, got {args.size}")
+        args.error(f"--size must be >= 1, got {args.size}")
     if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        args.error(f"--seed must be >= 0, got {args.seed}")
     if args.ks is not None and args.strategy != "stratified":
-        raise UsageError("--ks applies only to --strategy stratified")
+        args.error("--ks applies only to --strategy stratified")
     if args.ks is not None and args.size % len(args.ks):
-        raise UsageError(f"sample size {args.size} is not divisible by the "
-                         f"{len(args.ks)} strata")
+        args.error(f"sample size {args.size} is not divisible by the {len(args.ks)} strata")
     pool = _load_paragraphs(args.paragraphs)
     if args.strategy == "stratified":
         ks = args.ks if args.ks is not None else sorted({p.k for p in pool})
@@ -308,11 +308,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_metaeval(args) -> int:
-    if (args.scores is None) == (args.metric is None):
-        raise UsageError("exactly one score source is required: "
-                         "--scores FILE or --metric NAME")
     if not (math.isfinite(args.epsilon) and args.epsilon >= 0):
-        raise UsageError(f"--epsilon must be a finite number >= 0, got {args.epsilon}")
+        args.error(f"--epsilon must be a finite number >= 0, got {args.epsilon}")
     units, tables = _load_units(args)
     paired = args.level == "segment" or args.tau_opt or args.ties
 
@@ -356,9 +353,6 @@ def cmd_metaeval(args) -> int:
 
 
 def cmd_ties(args) -> int:
-    if args.scores is not None and args.metric is not None:
-        raise UsageError("at most one score source is allowed: "
-                         "--scores FILE or --metric NAME")
     units, tables = _load_units(args)
 
     def unit_rows(key, unit_paragraphs):
@@ -379,7 +373,7 @@ def cmd_ties(args) -> int:
 
 def cmd_compare_modes(args) -> int:
     units = _group_units(_load_paragraphs(args.paragraphs))
-    records = fileio.load_ratings(args.ratings)
+    records = _load_ratings(args.ratings)
 
     def unit_rows(key, unit_paragraphs):
         direct = metrics.score_direct(unit_paragraphs)
@@ -393,7 +387,7 @@ def cmd_compare_modes(args) -> int:
 
 def cmd_stats(args) -> int:
     if args.budget < 1:
-        raise UsageError(f"--budget must be >= 1, got {args.budget}")
+        args.error(f"--budget must be >= 1, got {args.budget}")
     paragraphs = _load_paragraphs(args.paragraphs)
     counter = (metrics.char_token_count if args.counter == "char"
                else metrics.whitespace_token_count)
@@ -412,7 +406,7 @@ def cmd_stats(args) -> int:
                         value = float(count)
                     except OverflowError:  # only a count read from the file is this large
                         p = next(p for p in group if p.k == k and p.token_count_hyp == count)
-                        raise ValueError(f"{fileio._paragraph_name(p)}: field token_count_hyp "
+                        raise ValueError(f"{p.name}: field token_count_hyp "
                                          f"is out of float range") from None
                     rows.append(ReportRow(*key, k, "-", "-", f"hyp_tokens_p{percentile:g}",
                                           value))
@@ -462,9 +456,9 @@ def _parse_sim_config(path: str) -> SimConfig:
 
 def cmd_simulate(args) -> int:
     if args.seeds < 1:
-        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
+        args.error(f"--seeds must be >= 1, got {args.seeds}")
     if len(args.ks) < 2:
-        raise UsageError(f"--ks needs at least 2 distinct k values, got {args.ks}")
+        args.error(f"--ks needs at least 2 distinct k values, got {args.ks}")
     config = _parse_sim_config(args.config)
     per_k = {}
     for point in noise.noise_curve(config, args.ks, args.seeds):
@@ -483,15 +477,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="paraeval",
                      description="Build paragraph-level MT evaluation data, "
                                  "score it, and meta-evaluate metrics.")
-    all_options: set = set()
-    parser.all_options = all_options
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        metavar="COMMAND")
 
     def add(name, func, help_text):
         sub = subparsers.add_parser(name, help=help_text, description=help_text)
-        sub.all_options = all_options
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=func, error=sub.error)
         return sub
 
     sub = add("validate", cmd_validate, "Check a ratings file's invariants.")
@@ -532,9 +523,10 @@ def build_parser() -> _Parser:
     sub = add("metaeval", cmd_metaeval,
               "Measure metric-human agreement per evaluation unit.")
     sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")
-    sub.add_argument("--scores", help="external scores .tsv[.gz]")
-    sub.add_argument("--metric", choices=metrics.BUILTIN_METRICS,
-                     help="score with a built-in metric instead of --scores")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--scores", help="external scores .tsv[.gz]")
+    source.add_argument("--metric", choices=metrics.BUILTIN_METRICS,
+                        help="score with a built-in metric instead of --scores")
     sub.add_argument("--mode", choices=("direct", "aligned"), default="direct")
     sub.add_argument("--ratings", help="ratings file (for aligned mode)")
     sub.add_argument("--level", choices=("system", "segment"), default="segment")
@@ -550,9 +542,10 @@ def build_parser() -> _Parser:
 
     sub = add("ties", cmd_ties, "Report exact-tie rates per evaluation unit.")
     sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")
-    sub.add_argument("--scores", help="external scores .tsv[.gz]")
-    sub.add_argument("--metric", choices=metrics.BUILTIN_METRICS,
-                     help="also rate ties of a built-in metric")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--scores", help="external scores .tsv[.gz]")
+    source.add_argument("--metric", choices=metrics.BUILTIN_METRICS,
+                        help="also rate ties of a built-in metric")
     sub.add_argument("--mode", choices=("direct", "aligned"), default="direct")
     sub.add_argument("--ratings", help="ratings file (for aligned mode)")
     sub.add_argument("--out", required=True, help="report base path")
@@ -591,21 +584,15 @@ def build_parser() -> _Parser:
     sub.add_argument("--seeds", type=int, default=50,
                      help="number of seeds (default 50)")
     sub.add_argument("--out", required=True, help="report base path")
-
-    for action in subparsers.choices.values():
-        all_options.update(action._option_string_actions)
-    all_options.update(parser._option_string_actions)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # named by the command's parser, which suggests from its own flags
+        args.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 1
     except FileNotFoundError as exc:
         name = exc.filename if exc.filename else exc
         print(f"error: missing input file: {name}", file=sys.stderr)

@@ -38,9 +38,10 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import cache, partial
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (
+    PARAGRAPH_KEY,
     ItemKey,
     ParagraphInstance,
     RatingRecord,
@@ -55,7 +56,6 @@ _SCORE_TYPES = {t.value: t for t in ScoreType}
 # Parses one JSON value at an index of a string, without copying the string.
 _scan_json = json.JSONDecoder().scan_once
 _TOO_DEEP = "invalid JSON (nested too deeply)"
-_PARAGRAPH_KEY = "dataset={} lang_pair={} system={} doc={} start_index={} k={}"
 
 SCORES_HEADER = ("metric", "lang_pair", "system", "doc_id", "start_index", "k", "score")
 
@@ -308,10 +308,6 @@ def _unencodable(owner: str, value: str, exc: UnicodeEncodeError) -> ValueError:
                       f"which UTF-8 cannot encode")
 
 
-def _paragraph_name(paragraph: ParagraphInstance) -> str:
-    return "paragraph " + _PARAGRAPH_KEY.format(*paragraph.sort_key())
-
-
 def _encodable(record, owner):
     """The paragraph or rating, once each string a paragraph line takes from it
     is known to encode to UTF-8; a text that is None or a string UTF-8 cannot
@@ -328,11 +324,33 @@ def _encodable(record, owner):
     return record
 
 
+def _score_problem(paragraph: ParagraphInstance) -> Optional[str]:
+    """What ``read_paragraphs`` says of the paragraph's scores, or None."""
+    # JSON's NaN, Infinity and 1e400 parse as floats; a non-finite score
+    # would read as a human tie. Only finite terms have a finite sum, so a
+    # finite human_score close to the aggregate has finite sentence scores.
+    human, scores = paragraph.human_score, paragraph.sentence_scores
+    if not math.isfinite(human):
+        return f"field human_score must be finite, got {human!r}"
+    expected = aggregate_score(scores, paragraph.score_type)
+    if math.isclose(human, expected, rel_tol=1e-9, abs_tol=1e-9):
+        return None
+    if not all(map(math.isfinite, scores)):
+        return f"field sentence_scores must be finite, got {list(scores)!r}"
+    return (f"human_score {human!r} does not aggregate its sentence_scores "
+            f"(expected {expected!r})")
+
+
 def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -> None:
-    """Serialize paragraphs one per line, fields in fixed order. A string that
-    UTF-8 cannot encode (a lone surrogate) or a text that is None is an error
-    naming the paragraph and the field, raised before the paragraph is written."""
-    _write_jsonl(map(partial(_encodable, owner=_paragraph_name), paragraphs), stream)
+    """Serialize paragraphs one per line, fields in fixed order. Scores that
+    ``read_paragraphs`` refuses, a string that UTF-8 cannot encode (a lone
+    surrogate) or a text that is None is an error naming the paragraph and the
+    field, raised before the paragraph is written."""
+    for paragraph in paragraphs:
+        problem = _score_problem(paragraph)
+        if problem is not None:
+            raise ValueError(f"{paragraph.name}: {problem}")
+        _write_jsonl([_encodable(paragraph, operator.attrgetter("name"))], stream)
 
 
 # What dump_json does to each str it writes (ensure_ascii=False): it maps every
@@ -402,22 +420,12 @@ def read_paragraphs(stream: Lines, texts: bool = True) -> list[ParagraphInstance
         try:
             paragraph = ParagraphInstance(*values)
         except ValueError as exc:  # k, start_index and the number of scores
-            key = _PARAGRAPH_KEY.format(*values)
+            key = PARAGRAPH_KEY.format(*values)
             raise ParseError(lineno, f"invariant violation for {key}: {exc}") from None
-        # JSON's NaN, Infinity and 1e400 parse as floats; a non-finite score
-        # would read as a human tie. Only finite terms have a finite sum, so a
-        # finite human_score close to the aggregate has finite sentence scores.
-        human, scores = paragraph.human_score, paragraph.sentence_scores
-        if not math.isfinite(human):
-            raise ParseError(lineno, f"field human_score must be finite, got {human!r}")
-        expected = aggregate_score(scores, paragraph.score_type)
-        if not math.isclose(human, expected, rel_tol=1e-9, abs_tol=1e-9):
-            if not all(map(math.isfinite, scores)):
-                raise ParseError(lineno, f"field sentence_scores must be finite, "
-                                 f"got {list(scores)!r}")
-            raise ParseError(lineno, f"invariant violation for "
-                             f"{_PARAGRAPH_KEY.format(*values)}: human_score {human!r} "
-                             f"does not aggregate its sentence_scores (expected {expected!r})")
+        problem = _score_problem(paragraph)
+        if problem is not None:  # a human_score that does not aggregate is an invariant
+            raise ParseError(lineno, problem if problem.startswith("field ") else
+                             f"invariant violation for {PARAGRAPH_KEY.format(*values)}: {problem}")
         paragraphs.append(paragraph)
     return paragraphs
 

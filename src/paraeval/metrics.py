@@ -191,13 +191,11 @@ def score_aligned_avg(paragraphs: Iterable[ParagraphInstance],
         for i in range(p.start_index, p.start_index + p.k):
             record = by_key.get((p.dataset_id, p.lang_pair, p.system_id, p.doc_id, i))
             if record is None:
-                raise ValueError(f"missing rating record for sentence {i} of "
-                                 f"paragraph {p.sort_key()}")
+                raise ValueError(f"missing rating record for sentence {i} of {p.name}")
             sentences.append(record)
         for field in ("hypothesis_text", "reference_text"):
             if " ".join([getattr(r, field) for r in sentences]) != getattr(p, field):
-                raise ValueError(f"the rating records of paragraph {p.sort_key()} "
-                                 f"do not join to its {field}")
+                raise ValueError(f"the rating records of {p.name} do not join to its {field}")
         return math.fsum(_bleu(_count_ngrams(r.hypothesis_text),
                                references[r.reference_text], smooth=True)
                          for r in sentences) / len(sentences)

@@ -21,6 +21,9 @@ RatingKey = Tuple[str, str, str, str, int]
 # (doc_id, start_index, k)
 ItemKey = Tuple[str, int, int]
 
+# How errors spell a paragraph's coordinates, filled from its sort_key().
+PARAGRAPH_KEY = "dataset={} lang_pair={} system={} doc={} start_index={} k={}"
+
 
 class ScoreType(enum.Enum):
     """How sentence scores were produced and how they aggregate."""
@@ -100,9 +103,8 @@ class ParagraphInstance:
         if self.start_index < 0:
             raise ValueError(f"start_index must be >= 0, got {self.start_index}")
         if len(self.sentence_scores) != self.k:
-            raise ValueError(
-                f"paragraph {self.sort_key()} has {len(self.sentence_scores)} "
-                f"sentence_scores, expected k={self.k}")
+            raise ValueError(f"{self.name} has {len(self.sentence_scores)} "
+                             f"sentence_scores, expected k={self.k}")
         RatingRecord._check_score_type_and_counts(self)
 
     @property
@@ -112,6 +114,10 @@ class ParagraphInstance:
     def sort_key(self) -> tuple:
         return (self.dataset_id, self.lang_pair, self.system_id,
                 self.doc_id, self.start_index, self.k)
+
+    @property
+    def name(self) -> str:  # as every error names the paragraph
+        return "paragraph " + PARAGRAPH_KEY.format(*self.sort_key())
 
 
 @dataclass(frozen=True)

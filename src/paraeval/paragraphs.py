@@ -181,7 +181,7 @@ def build_eval_items(paragraphs: Iterable[ParagraphInstance], k: int) -> list[Ev
     items = group_items(paragraphs)
     if items and items[0][0].k != k:
         p = items[0][0]
-        raise ValueError(f"paragraph {p.sort_key()} has k={p.k}, expected {k}")
+        raise ValueError(f"{p.name} has k={p.k}, expected {k}")
     return [EvalItem(item_key=item[0].item_key,
                      per_system={p.system_id: SystemEntry(human_score=p.human_score)
                                  for p in item})

@@ -217,9 +217,8 @@ MUTANTS = [
            (f"{CLI}::TestScore::"
             "test_a_line_that_stdout_cannot_encode_exits_2_and_writes_nothing",)),
     Mutant("paragraph-writer-without-the-utf8-check", "fileio.py",
-           "    _write_jsonl(map(partial(_encodable, owner=_paragraph_name), paragraphs), "
-           "stream)\n",
-           "    _write_jsonl(paragraphs, stream)\n",
+           "_write_jsonl([_encodable(paragraph, operator.attrgetter(\"name\"))], stream)",
+           "_write_jsonl([paragraph], stream)",
            ("tests/test_fileio.py::TestParagraphsFile::"
             "test_write_paragraphs_names_a_string_utf8_cannot_encode",
             f"{CLI}::TestExportTraining::"
@@ -235,6 +234,21 @@ MUTANTS = [
            "            if os.path.exists(path) and os.path.exists(source) and ",
            "            if False and ",
            (f"{CLI}::test_an_output_that_is_an_input_exits_2_and_leaves_the_input",)),
+    Mutant("unknown-args-via-top-parser", "cli.py",
+           "        args.error(f\"unrecognized arguments: {' '.join(unknown)}\")\n",
+           "        build_parser().error(f\"unrecognized arguments: {' '.join(unknown)}\")\n",
+           (f"{CLI}::TestParsing::test_unknown_flag_exits_1_with_suggestion",
+            f"{CLI}::TestParsing::test_a_suggestion_names_only_a_flag_of_the_command")),
+    Mutant("metaeval-source-not-required", "cli.py",
+           "    source = sub.add_mutually_exclusive_group(required=True)\n",
+           "    source = sub.add_mutually_exclusive_group()\n",
+           (f"{CLI}::test_a_usage_error_prints_its_command_s_usage_and_name",
+            f"{CLI}::TestMetaeval::test_exactly_one_source_required")),
+    Mutant("validate-accepts-no-ratings", "cli.py",
+           "    records = _load_ratings(args.ratings, validate=False)\n",
+           "    with fileio._reading(args.ratings) as stream:\n"
+           "        records = fileio.read_rating_lines(stream)\n",
+           (f"{CLI}::test_a_ratings_file_without_ratings_exits_2",)),
 ]
 
 

@@ -2,6 +2,7 @@ import argparse
 import gzip
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -205,6 +206,14 @@ def by_statistic(rows):
     return index
 
 
+def usage_error(capsys, argv) -> str:
+    """The stderr of ``main(argv)``, which must exit 1 as argparse exits."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    return capsys.readouterr().err
+
+
 class TestValidate:
     def test_clean_file_exits_0(self, tau_ratings, capsys):
         assert main(["validate", "--ratings", tau_ratings]) == 0
@@ -343,18 +352,6 @@ class TestBuildParagraphs:
         assert captured.out == ""
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank-lines"])
-    def test_ratings_file_without_records_exits_2(self, content, tmp_path, capsys):
-        ratings = tmp_path / "none.jsonl"
-        ratings.write_text(content, encoding="utf-8")
-        out_dir = tmp_path / "built"
-        assert main(["build-paragraphs", "--ratings", str(ratings),
-                     "--k", "1,2", "--out", str(out_dir)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: no ratings in {ratings}\n"
-        assert captured.out == ""
-        assert not out_dir.exists()
-
     def test_bad_k_spec_exits_1(self, tau_ratings, tmp_path, capsys):
         for spec in ("0", "5-2", "x"):
             with pytest.raises(SystemExit) as excinfo:
@@ -400,20 +397,17 @@ class TestExportTraining:
 
     def test_ks_with_uniform_strategy_exits_1(self, rich_paragraphs, tmp_path,
                                               capsys):
-        assert main(["export-training", "--paragraphs", rich_paragraphs,
-                     "--strategy", "uniform", "--size", "2", "--ks", "7",
-                     "--out", str(tmp_path / "t.jsonl")]) == 1
-        assert "--ks applies only to --strategy stratified" in \
-            capsys.readouterr().err
+        assert "--ks applies only to --strategy stratified" in usage_error(capsys, [
+            "export-training", "--paragraphs", rich_paragraphs, "--strategy", "uniform",
+            "--size", "2", "--ks", "7", "--out", str(tmp_path / "t.jsonl")])
 
     def test_explicit_ks_that_do_not_divide_the_size_exit_1(self, rich_paragraphs,
                                                             tmp_path, capsys):
         out = str(tmp_path / "s.jsonl")
-        assert main(["export-training", "--paragraphs", rich_paragraphs,
-                     "--strategy", "stratified", "--ks", "1-3", "--size", "4",
-                     "--out", out]) == 1
-        assert "paraeval: error: sample size 4 is not divisible by the 3 strata\n" in \
-            capsys.readouterr().err
+        assert ("paraeval export-training: error: sample size 4 is not divisible by "
+                "the 3 strata\n") in usage_error(capsys, [
+                    "export-training", "--paragraphs", rich_paragraphs, "--strategy",
+                    "stratified", "--ks", "1-3", "--size", "4", "--out", out])
         # Without --ks the strata are the pool's ks (1 and 2), so the data decide.
         assert main(["export-training", "--paragraphs", rich_paragraphs,
                      "--strategy", "stratified", "--size", "3", "--out", out]) == 2
@@ -421,19 +415,17 @@ class TestExportTraining:
             capsys.readouterr().err
 
     def test_nonpositive_size_exits_1(self, tau_paragraphs, tmp_path, capsys):
-        assert main(["export-training", "--paragraphs", tau_paragraphs,
-                     "--strategy", "uniform", "--size", "0",
-                     "--out", str(tmp_path / "s.jsonl")]) == 1
-        assert "--size" in capsys.readouterr().err
+        assert "--size" in usage_error(capsys, [
+            "export-training", "--paragraphs", tau_paragraphs, "--strategy", "uniform",
+            "--size", "0", "--out", str(tmp_path / "s.jsonl")])
 
     @pytest.mark.parametrize("strategy", ["uniform", "stratified"])
     def test_negative_seed_exits_1(self, tau_paragraphs, strategy, tmp_path, capsys):
         out = tmp_path / "s.jsonl"
-        assert main(["export-training", "--paragraphs", tau_paragraphs,
-                     "--strategy", strategy, "--size", "2", "--seed", "-1",
-                     "--out", str(out)]) == 1
-        assert "paraeval: error: --seed must be >= 0, got -1\n" in \
-            capsys.readouterr().err
+        assert "paraeval export-training: error: --seed must be >= 0, got -1\n" in \
+            usage_error(capsys, ["export-training", "--paragraphs", tau_paragraphs,
+                                 "--strategy", strategy, "--size", "2", "--seed", "-1",
+                                 "--out", str(out)])
         assert not out.exists()
 
     def test_a_text_that_utf8_cannot_encode_exits_2_naming_the_paragraph(self, tmp_path,
@@ -467,10 +459,9 @@ class TestScore:
 
     def test_aligned_mode_requires_ratings(self, rich_paragraphs, tmp_path,
                                            capsys):
-        assert main(["score", "--paragraphs", rich_paragraphs,
-                     "--metric", "bleu", "--mode", "aligned",
-                     "--out", str(tmp_path / "s.tsv")]) == 1
-        assert "--ratings" in capsys.readouterr().err
+        assert "--ratings" in usage_error(capsys, [
+            "score", "--paragraphs", rich_paragraphs, "--metric", "bleu",
+            "--mode", "aligned", "--out", str(tmp_path / "s.tsv")])
 
     def test_aligned_mode_averages_sentence_scores(self, rich_paragraphs,
                                                    rich_ratings, tmp_path):
@@ -611,28 +602,25 @@ class TestMetaeval:
     def test_exactly_one_source_required(self, tau_paragraphs, tau_scores,
                                          tmp_path, capsys):
         base = str(tmp_path / "report")
-        assert main(["metaeval", "--paragraphs", tau_paragraphs,
-                     "--out", base]) == 1
-        assert main(["metaeval", "--paragraphs", tau_paragraphs,
-                     "--scores", tau_scores, "--metric", "bleu",
-                     "--out", base]) == 1
-        assert "exactly one score source" in capsys.readouterr().err
+        assert "one of the arguments --scores --metric is required" in usage_error(
+            capsys, ["metaeval", "--paragraphs", tau_paragraphs, "--out", base])
+        assert "argument --metric: not allowed with argument --scores" in usage_error(
+            capsys, ["metaeval", "--paragraphs", tau_paragraphs, "--scores", tau_scores,
+                     "--metric", "bleu", "--out", base])
 
     def test_negative_epsilon_exits_1(self, tau_paragraphs, tau_scores,
                                       tmp_path, capsys):
-        assert main(["metaeval", "--paragraphs", tau_paragraphs,
-                     "--scores", tau_scores, "--epsilon", "-0.5",
-                     "--out", str(tmp_path / "r")]) == 1
-        assert "--epsilon" in capsys.readouterr().err
+        assert "--epsilon" in usage_error(capsys, [
+            "metaeval", "--paragraphs", tau_paragraphs, "--scores", tau_scores,
+            "--epsilon", "-0.5", "--out", str(tmp_path / "r")])
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_epsilon_exits_1(self, value, tau_paragraphs, tau_scores,
                                         tmp_path, capsys):
         # A NaN epsilon would be written as "epsilon":NaN, which is not JSON.
-        assert main(["metaeval", "--paragraphs", tau_paragraphs,
-                     "--scores", tau_scores, "--epsilon", value,
-                     "--out", str(tmp_path / "r")]) == 1
-        assert "--epsilon must be a finite number >= 0" in capsys.readouterr().err
+        assert "--epsilon must be a finite number >= 0" in usage_error(capsys, [
+            "metaeval", "--paragraphs", tau_paragraphs, "--scores", tau_scores,
+            "--epsilon", value, "--out", str(tmp_path / "r")])
         assert not (tmp_path / "r.jsonl").exists()
 
     def test_report_value_with_a_tab_exits_2_and_writes_neither_file(
@@ -940,10 +928,9 @@ class TestTies:
 
     def test_two_score_sources_exit_1(self, tau_paragraphs, tau_scores,
                                       tmp_path, capsys):
-        assert main(["ties", "--paragraphs", tau_paragraphs,
-                     "--scores", tau_scores, "--metric", "bleu",
-                     "--out", str(tmp_path / "r")]) == 1
-        assert "at most one score source" in capsys.readouterr().err
+        assert "argument --metric: not allowed with argument --scores" in usage_error(
+            capsys, ["ties", "--paragraphs", tau_paragraphs, "--scores", tau_scores,
+                     "--metric", "bleu", "--out", str(tmp_path / "r")])
 
 
 class TestCompareModes:
@@ -1032,9 +1019,9 @@ class TestStats:
         assert [p.name for p in tmp_path.iterdir()] == ["p.jsonl"]
 
     def test_bad_budget_exits_1(self, rich_paragraphs, tmp_path, capsys):
-        assert main(["stats", "--paragraphs", rich_paragraphs, "--truncation",
-                     "--budget", "0", "--out", str(tmp_path / "s")]) == 1
-        assert "--budget" in capsys.readouterr().err
+        assert "--budget" in usage_error(capsys, [
+            "stats", "--paragraphs", rich_paragraphs, "--truncation", "--budget", "0",
+            "--out", str(tmp_path / "s")])
 
 
 # Every command that reads a paragraphs file, with its other arguments.
@@ -1056,6 +1043,35 @@ def test_empty_paragraphs_file_exits_2(command, tau_ratings, tmp_path, capsys):
             for arg in PARAGRAPH_COMMANDS[command]]
     assert main([command, "--paragraphs", str(empty), *argv]) == 2
     assert f"error: no paragraphs in {empty}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+# Every command that reads a ratings file, with its other arguments.
+RATINGS_COMMANDS = {
+    "validate": ["validate"],
+    "build-paragraphs": ["build-paragraphs", "--k", "1,2", "--out", "{out}"],
+    "compare-modes": ["compare-modes", "--paragraphs", "{paragraphs}", "--out", "{out}"],
+    "score-aligned": ["score", "--paragraphs", "{paragraphs}", "--mode", "aligned",
+                      "--out", "{out}.tsv"],
+    "metaeval-aligned": ["metaeval", "--paragraphs", "{paragraphs}", "--metric", "bleu",
+                         "--mode", "aligned", "--out", "{out}"],
+    "ties-aligned": ["ties", "--paragraphs", "{paragraphs}", "--metric", "bleu",
+                     "--mode", "aligned", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("command", sorted(RATINGS_COMMANDS))
+def test_a_ratings_file_without_ratings_exits_2(command, content, tau_paragraphs, tmp_path,
+                                                capsys):
+    ratings = tmp_path / "none.jsonl"
+    ratings.write_text(content, encoding="utf-8")
+    name, *argv = [arg.format(out=tmp_path / "out", paragraphs=tau_paragraphs)
+                   for arg in RATINGS_COMMANDS[command]]
+    assert main([name, "--ratings", str(ratings), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no ratings in {ratings}\n"
+    assert captured.out == ""
     assert not list(tmp_path.glob("out*"))
 
 
@@ -1124,8 +1140,9 @@ def test_ratings_with_other_texts_exit_2_in_aligned_mode(command, tmp_path, caps
     assert main([command, "--paragraphs", paragraphs, "--ratings", ratings,
                  *argv]) == 2
     assert capsys.readouterr().err == (
-        "error: wmt/en-de k=2: the rating records of paragraph ('wmt', 'en-de', "
-        "'sysA', 'd1', 0, 2) do not join to its hypothesis_text\n")
+        "error: wmt/en-de k=2: the rating records of paragraph dataset=wmt "
+        "lang_pair=en-de system=sysA doc=d1 start_index=0 k=2 do not join to its "
+        "hypothesis_text\n")
     assert not list(tmp_path.glob("out*"))
 
 
@@ -1324,10 +1341,9 @@ class TestSimulate:
     def test_fewer_than_two_distinct_ks_exits_1(self, ks, tmp_path, capsys):
         config_path = tmp_path / "sim.cfg"
         config_path.write_text(SIM_CONFIG, encoding="utf-8")
-        assert main(["simulate", "--config", str(config_path), "--ks", ks,
-                     "--out", str(tmp_path / "sim")]) == 1
-        assert capsys.readouterr().err == (
-            f"paraeval: error: --ks needs at least 2 distinct k values, "
+        assert usage_error(capsys, ["simulate", "--config", str(config_path),
+                                    "--ks", ks, "--out", str(tmp_path / "sim")]).endswith(
+            f"\nparaeval simulate: error: --ks needs at least 2 distinct k values, "
             f"got [{ks[0]}]\n")
 
     def test_a_k_above_the_configured_max_exits_2(self, tmp_path, capsys):
@@ -1357,9 +1373,9 @@ class TestSimulate:
     def test_nonpositive_seeds_exits_1(self, tmp_path, capsys):
         config_path = tmp_path / "sim.cfg"
         config_path.write_text(SIM_CONFIG, encoding="utf-8")
-        assert main(["simulate", "--config", str(config_path), "--seeds", "0",
-                     "--out", str(tmp_path / "sim")]) == 1
-        assert "--seeds" in capsys.readouterr().err
+        assert "--seeds" in usage_error(capsys, [
+            "simulate", "--config", str(config_path), "--seeds", "0",
+            "--out", str(tmp_path / "sim")])
 
 
 class TestParsing:
@@ -1381,6 +1397,71 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize("argv, typo, other", [
+        (["score", "--paragraphs", "p.jsonl", "--out", "s.tsv"], ["--tau-op"], "--tau-opt"),
+        (["validate", "--ratings", "r.jsonl"], ["--sed", "3"], "--seed"),
+    ], ids=["score", "validate"])
+    def test_a_suggestion_names_only_a_flag_of_the_command(self, argv, typo, other,
+                                                           capsys):
+        # `other` is a flag of another command; this one rejects it.
+        err = usage_error(capsys, [*argv, *typo])
+        command = argv[0]
+        assert err.startswith(f"usage: paraeval {command} ")
+        assert f"\nparaeval {command}: error: unrecognized arguments: {' '.join(typo)}" \
+            in err
+        assert other not in err
+        assert set(re.findall(r"did you mean (\S+)\?", err)) <= \
+            CLI_SURFACE[command] | {"-h", "--help"}
+
+
+# Every usage rule that a command's parser or its body checks: the command and
+# its arguments, and the message.
+USAGE_RULES = {
+    "aligned-without-ratings": (["score", "--paragraphs", "{paragraphs}", "--mode",
+                                 "aligned", "--out", "{out}"],
+                                "aligned mode needs --ratings to recover the sentence pairs"),
+    "export-size": (["export-training", "--paragraphs", "{paragraphs}", "--size", "0",
+                     "--out", "{out}"], "--size must be >= 1, got 0"),
+    "export-seed": (["export-training", "--paragraphs", "{paragraphs}", "--size", "1",
+                     "--seed", "-1", "--out", "{out}"], "--seed must be >= 0, got -1"),
+    "export-ks-without-stratified": (["export-training", "--paragraphs", "{paragraphs}",
+                                      "--size", "2", "--ks", "1", "--out", "{out}"],
+                                     "--ks applies only to --strategy stratified"),
+    "export-ks-not-dividing-size": (["export-training", "--paragraphs", "{paragraphs}",
+                                     "--strategy", "stratified", "--size", "3", "--ks", "1,2",
+                                     "--out", "{out}"],
+                                    "sample size 3 is not divisible by the 2 strata"),
+    "metaeval-epsilon": (["metaeval", "--paragraphs", "{paragraphs}", "--scores", "{scores}",
+                          "--epsilon", "-1", "--out", "{out}"],
+                         "--epsilon must be a finite number >= 0, got -1.0"),
+    "metaeval-without-a-source": (["metaeval", "--paragraphs", "{paragraphs}",
+                                   "--out", "{out}"],
+                                  "one of the arguments --scores --metric is required"),
+    "ties-with-two-sources": (["ties", "--paragraphs", "{paragraphs}", "--scores", "{scores}",
+                               "--metric", "bleu", "--out", "{out}"],
+                              "argument --metric: not allowed with argument --scores"),
+    "stats-budget": (["stats", "--paragraphs", "{paragraphs}", "--truncation",
+                      "--budget", "0", "--out", "{out}"], "--budget must be >= 1, got 0"),
+    "simulate-seeds": (["simulate", "--config", "{config}", "--seeds", "0", "--out", "{out}"],
+                       "--seeds must be >= 1, got 0"),
+    "simulate-one-k": (["simulate", "--config", "{config}", "--ks", "2", "--out", "{out}"],
+                       "--ks needs at least 2 distinct k values, got [2]"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(USAGE_RULES))
+def test_a_usage_error_prints_its_command_s_usage_and_name(rule, tau_paragraphs, tau_scores,
+                                                           tmp_path, capsys):
+    argv, message = USAGE_RULES[rule]
+    config = tmp_path / "sim.cfg"
+    config.write_text(SIM_CONFIG, encoding="utf-8")
+    err = usage_error(capsys, [arg.format(paragraphs=tau_paragraphs, scores=tau_scores,
+                                          config=config, out=tmp_path / "out")
+                               for arg in argv])
+    assert err.startswith(f"usage: paraeval {argv[0]} ")
+    assert err.endswith(f"\nparaeval {argv[0]}: error: {message}\n")
+    assert not list(tmp_path.glob("out*"))
 
 
 # The option strings of every subcommand. A new or removed option shows up

@@ -225,6 +225,27 @@ class TestParagraphsFile:
             fileio.write_paragraphs([good, bad], buffer)
         assert buffer.getvalue() == fileio.dump_json(vars(good)) + "\n"
 
+    @pytest.mark.parametrize("change, problem", [
+        ({"human_score": math.inf}, "field human_score must be finite, got inf"),
+        ({"sentence_scores": (math.nan, 0.25)},
+         "field sentence_scores must be finite, got [nan, 0.25]"),
+        ({"human_score": 1.125},
+         "human_score 1.125 does not aggregate its sentence_scores (expected 0.125)"),
+    ], ids=["infinite-human", "nan-sentence", "not-the-aggregate"])
+    def test_write_paragraphs_refuses_the_scores_read_paragraphs_refuses(self, change,
+                                                                         problem):
+        bad = replace(self.build(k=2, n=2)[0], **change)
+        buffer = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape(
+                "paragraph dataset=wmt lang_pair=en-de system=sysA doc=doc1 start_index=0 "
+                f"k=2: {problem}")):
+            fileio.write_paragraphs([bad], buffer)
+        assert buffer.getvalue() == ""
+        if all(map(math.isfinite, (bad.human_score, *bad.sentence_scores))):
+            # A line that JSON can hold, and which the reader refuses alike.
+            with pytest.raises(ParseError, match=re.escape(problem)):
+                fileio.read_paragraphs([fileio.dump_json(vars(bad))])
+
     def test_write_paragraphs_refuses_a_paragraph_read_without_its_texts(self, tmp_path):
         path = tmp_path / "p.jsonl"
         with open(path, "w", encoding="utf-8") as stream:

@@ -251,8 +251,8 @@ class TestScoreAlignedAvg:
             {"sysA": [("a b", "a b"), ("c d", "c d")],
              "sysB": [("a c", "a b"), ("c e", "c d")]}, k=2)
         records[3] = replace(records[3], **{field: "x y"})
-        with pytest.raises(ValueError, match=rf"paragraph \('wmt', 'en-de', "
-                           rf"'sysB', 'doc1', 0, 2\) do not join to its {field}"):
+        with pytest.raises(ValueError, match=f"paragraph dataset=wmt lang_pair=en-de "
+                           f"system=sysB doc=doc1 start_index=0 k=2 do not join to its {field}"):
             score_aligned_avg(paragraphs, records)
 
 
