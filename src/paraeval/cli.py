@@ -148,7 +148,7 @@ def _report(per_unit: dict, line: Callable[[tuple, list], str], args) -> int:
     tsv, jsonl = f"{args.out}.tsv", f"{args.out}.jsonl"
     return _commit(args, [(tsv, partial(fileio.write_tsv, REPORT_HEADER,
                                         (vars(row).values() for row in rows))),
-                          (jsonl, partial(fileio._write_jsonl, rows))],
+                          (jsonl, partial(fileio._write_jsonl, rows, REPORT_HEADER))],
                    [*(line(key, unit_rows) for key, unit_rows in per_unit.items()),
                     f"wrote {len(rows)} rows -> {tsv}, {jsonl}"])
 

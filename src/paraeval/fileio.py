@@ -6,7 +6,7 @@ text with tabs or newlines survives round-trips. Each format is one table
 of fields and getters: a record whose values have their exact JSON types
 passes one test, any other goes through the getters, which convert what
 they accept and name the first bad field. The writers write each record's
-dataclass fields in declaration order, which is the table's.
+fields by the table's names, in its order, which is the record type's.
 ``build-paragraphs`` writes through ``ParagraphWriter``, which makes each
 rating's escaped UTF-8 bytes once, when it is built, and every k's lines from
 them: the bytes of ``write_paragraphs``, as a property test checks. Both
@@ -19,8 +19,8 @@ accept gzip-compressed files, detected by magic bytes, and name the path in
 every error about the input: a bad line, cut-off gzip, failed validation.
 
 Every system translates the same documents, so ids, source and reference
-texts repeat once per system. Each reader call keeps one copy of each such
-string (a dict local to the call), so memory grows with distinct text.
+texts and scores repeat. Each reader call keeps one copy of each string, float
+score (``0.0`` and ``-0.0`` apart) and score file item tuple, in dicts of its own.
 ``read_paragraphs(stream, texts=False)`` checks the three texts of every
 paragraph as usual but keeps none of them (they read as None): ``metaeval``
 and ``ties`` with ``--scores`` read no text.
@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (
-    PARAGRAPH_KEY,
     ItemKey,
     ParagraphInstance,
     RatingRecord,
@@ -167,6 +166,8 @@ _PARAGRAPH_TABLE = (
     ("hypothesis_text", _get_str),
     ("token_count_ref", _get_count), ("token_count_hyp", _get_count),
 )
+_RATING_FIELDS, _PARAGRAPH_FIELDS = ([name for name, _ in table]
+                                     for table in (_RATING_TABLE, _PARAGRAPH_TABLE))
 _TEXTS = ("source_text", "reference_text", "hypothesis_text")
 # The exact JSON type of each getter's field in a record that passes one test.
 _JSON_TYPES = {_get_str: str, _get_shared: str, _get_int: int, _get_index: int,
@@ -176,15 +177,16 @@ _JSON_TYPES = {_get_str: str, _get_shared: str, _get_int: int, _get_index: int,
 def _derive(table: tuple, fast_check) -> tuple:
     """The table, required and known field names, the required values' getter
     and exact JSON types, score_type's position, the two trailing token count
-    fields, the shared strings' and the texts' positions and the format's own
-    fast test."""
+    fields, the positions of the shared strings, of the float and float list
+    fields and of the texts, and the format's own fast test."""
     fields = [name for name, _ in table]
     required = [name for name, get in table if get is not _get_count]
     ref, hyp = fields[len(required):]
     return (table, frozenset(required), frozenset(fields), operator.itemgetter(*required),
             [_JSON_TYPES[get] for _, get in table[:len(required)]],
             fields.index("score_type"), ref, hyp,
-            [i for i, (_, get) in enumerate(table) if get is _get_shared],
+            *([i for i, (_, get) in enumerate(table) if get is getter]
+              for getter in (_get_shared, _get_float, _get_floats)),
             [fields.index(name) for name in _TEXTS], fast_check)
 
 
@@ -237,8 +239,11 @@ def _record_values(stream: Lines, derived: tuple,
                    texts: bool = True) -> Iterator[tuple[int, list]]:
     """Each record's line number and values, in the record type's field order;
     with texts=False the checked texts are replaced by None."""
-    share = {}.setdefault  # one copy of each repeated string
-    _, required, known, values_of, types, kind, ref, hyp, shared, dropped, fast_check = derived
+    share, number = {}.setdefault, {}.setdefault  # one copy of each repeated value
+    def one(score: float) -> float:  # 0.0 == -0.0, so a zero is keyed by its repr
+        return number(score or repr(score), score)
+    (_, required, known, values_of, types, kind, ref, hyp, shared, floats, lists, dropped,
+     fast_check) = derived
     dropped = () if texts else dropped
     for lineno, obj in _parse_lines(stream):
         # A record whose required values have exactly their JSON types is taken
@@ -256,6 +261,10 @@ def _record_values(stream: Lines, derived: tuple,
             values[i] = None
         for i in shared:
             values[i] = share(values[i], values[i])
+        for i in floats:
+            values[i] = one(values[i])
+        for i in lists:
+            values[i] = tuple(map(one, values[i]))
         yield lineno, values
 
 
@@ -290,17 +299,16 @@ dump_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"),
                              allow_nan=False, default=_score_type_value).encode
 
 
-def _write_jsonl(records: Iterable, stream: IO[str]) -> None:
-    """One line per record: a frozen dataclass's instance dict holds its
-    fields in declaration order, which is the table's and the file's."""
+def _write_jsonl(records: Iterable, names: Sequence[str], stream: IO[str]) -> None:
+    """One line per record: an object of the named fields, in that order."""
     for record in records:
-        stream.write(dump_json(vars(record)))
+        stream.write(dump_json({name: getattr(record, name) for name in names}))
         stream.write("\n")
 
 
 def write_ratings(records: Iterable[RatingRecord], stream: IO[str]) -> None:
     """Serialize records one per line, fields in fixed order."""
-    _write_jsonl(records, stream)
+    _write_jsonl(records, _RATING_FIELDS, stream)
 
 
 def _unencodable(owner: str, value: str, exc: UnicodeEncodeError) -> ValueError:
@@ -350,7 +358,8 @@ def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -
         problem = _score_problem(paragraph)
         if problem is not None:
             raise ValueError(f"{paragraph.name}: {problem}")
-        _write_jsonl([_encodable(paragraph, operator.attrgetter("name"))], stream)
+        _write_jsonl([_encodable(paragraph, operator.attrgetter("name"))],
+                     _PARAGRAPH_FIELDS, stream)
 
 
 # What dump_json does to each str it writes (ensure_ascii=False): it maps every
@@ -419,13 +428,12 @@ def read_paragraphs(stream: Lines, texts: bool = True) -> list[ParagraphInstance
     for lineno, values in _record_values(stream, _PARAGRAPHS, texts):
         try:
             paragraph = ParagraphInstance(*values)
-        except ValueError as exc:  # k, start_index and the number of scores
-            key = PARAGRAPH_KEY.format(*values)
-            raise ParseError(lineno, f"invariant violation for {key}: {exc}") from None
+        except ValueError as exc:  # k, start_index or the number of scores, named
+            raise ParseError(lineno, str(exc)) from None
         problem = _score_problem(paragraph)
         if problem is not None:  # a human_score that does not aggregate is an invariant
             raise ParseError(lineno, problem if problem.startswith("field ") else
-                             f"invariant violation for {PARAGRAPH_KEY.format(*values)}: {problem}")
+                             f"{paragraph.name}: {problem}")
         paragraphs.append(paragraph)
     return paragraphs
 
@@ -447,9 +455,9 @@ def parse_external_scores(stream: Lines) -> dict[tuple[str, str, int], ScoreTabl
         raise ParseError(1, f"header must be {list(SCORES_HEADER)}, got {list(columns)}")
 
     groups: dict[tuple[str, str, int], dict] = {}
-    share = {}.setdefault  # as in read_rating_lines
-    # Each distinct start_index and k text, checked and converted once.
-    integers: dict[str, int] = {}
+    share = {}.setdefault  # one copy of each repeated string and item tuple
+    # Each distinct start_index, k and score text, checked and converted once.
+    integers, numbers = {}, {}
     for lineno, line in lines:
         line = line.rstrip("\n")
         if not line:
@@ -469,22 +477,26 @@ def parse_external_scores(stream: Lines) -> dict[tuple[str, str, int], ScoreTabl
                                  f"integers, got {start_raw!r} and {k_raw!r}")
             start_index = integers[start_raw] = int(start_raw)
             k = integers[k_raw] = int(k_raw)
-        try:
-            score = float(score_raw)
-        except ValueError:
-            score = None
-        if (score is None or not score_raw.isascii() or "_" in score_raw
-                or score_raw != score_raw.strip()):
-            raise ParseError(lineno, f"score is not a decimal number: {score_raw!r}")
-        if not math.isfinite(score):
-            raise ParseError(lineno, f"non-finite score: {score_raw!r}")
+        score = numbers.get(score_raw)
+        if score is None:
+            try:
+                score = float(score_raw)
+            except ValueError:
+                score = None
+            if (score is None or not score_raw.isascii() or "_" in score_raw
+                    or score_raw != score_raw.strip()):
+                raise ParseError(lineno, f"score is not a decimal number: {score_raw!r}")
+            if not math.isfinite(score):
+                raise ParseError(lineno, f"non-finite score: {score_raw!r}")
+            numbers[score_raw] = score
         if k < 1:
             raise ParseError(lineno, "k must be >= 1")
 
         entries = groups.get((metric, lang_pair, k))
         if entries is None:
             entries = groups[share(metric, metric), share(lang_pair, lang_pair), k] = {}
-        entry_key = (share(system, system), (share(doc_id, doc_id), start_index, k))
+        item = (share(doc_id, doc_id), start_index, k)
+        entry_key = (share(system, system), share(item, item))
         if entry_key in entries:
             raise ParseError(
                 lineno, f"duplicate score key: metric={metric} lang_pair={lang_pair} "

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .model import EvalItem, ItemKey, ScoreTable, SystemEntry, TauCalibration
@@ -110,11 +110,11 @@ def system_pairwise_accuracy(metric_sys: Mapping[str, float],
 
 @dataclass(frozen=True)
 class PairTable:
-    """Every within-item system pair of one unit, as flat lists."""
+    """Every within-item system pair of one unit, as flat typed arrays and a list."""
 
-    human: list[int]  # sign of each pair's human score difference
-    metric: list[float]  # each pair's metric score difference
-    weight: list[int]  # L / P for a pair of an item with P pairs
+    human: Sequence[int]  # array('b'): sign of each pair's human score difference
+    metric: Sequence[float]  # array('d'): each pair's metric score difference
+    weight: list[int]  # L / P for a pair of an item with P pairs, unbounded
     denominator: int  # n_items * L, L the lcm of the items' pair counts
 
 
@@ -125,15 +125,16 @@ def pair_table(items: Iterable[EvalItem]) -> PairTable:
     A system without a metric score gives its pairs a NaN metric difference,
     which the metric statistics reject.
     """
-    human, metric, counts = [], [], []
+    from array import array  # only the pairwise statistics load it
+    human, metric, counts = array("b"), array("d"), []
     for item in items:
         if len(item.per_system) >= 2:
             entries = item.per_system.values()
-            human += [(a > b) - (a < b) for a, b in
-                      combinations([e.human_score for e in entries], 2)]
-            metric += [a - b for a, b in combinations(
+            human.extend([(a > b) - (a < b) for a, b in
+                          combinations([e.human_score for e in entries], 2)])
+            metric.extend([a - b for a, b in combinations(
                 [math.nan if e.metric_score is None else e.metric_score
-                 for e in entries], 2)]
+                 for e in entries], 2)])
             counts.append(math.comb(len(entries), 2))
     common = math.lcm(*counts)
     weight = []
@@ -143,7 +144,7 @@ def pair_table(items: Iterable[EvalItem]) -> PairTable:
                      denominator=len(counts) * common)
 
 
-def _scored(differences: list[float]) -> list[float]:
+def _scored(differences: Sequence[float]) -> Sequence[float]:
     """Metric differences that exist and all come from metric scores."""
     if not differences or any(map(math.isnan, differences)):
         raise ValueError("no item has 2 or more systems with metric scores")
@@ -168,27 +169,27 @@ def tau_optimize(table: PairTable) -> TauCalibration:
     """Smallest epsilon maximizing tie-aware segment accuracy.
 
     Accuracy changes only at observed within-item absolute metric
-    differences. The pairs whose correctness flips when predicted tied
-    are sorted by that difference and their signed weights summed; the
-    first maximum at the end of a run of equal differences wins if it
-    beats epsilon 0, so ties in accuracy resolve to the smallest epsilon.
+    differences. The signed weights of the pairs whose correctness flips
+    when predicted tied are summed per distinct absolute difference and
+    accumulated in its ascending order; the first maximum wins if it beats
+    epsilon 0, so ties in accuracy resolve to the smallest epsilon.
     """
     metric = _scored(table.metric)
-    correct = [h == (d > 0) - (d < 0) for h, d in zip(table.human, metric)]
-    flips = sorted((i for i, (h, c) in enumerate(zip(table.human, correct))
-                    if (h == 0) != c), key=lambda i: abs(metric[i]))
-    # NaN equals no difference, so the last flip ends a run.
-    delta = [abs(metric[i]) for i in flips] + [math.nan]
-    gains = accumulate(-table.weight[i] if correct[i] else table.weight[i]
-                       for i in flips)
-    epsilon, gain = 0.0, 0
-    for j, running in enumerate(gains):
-        if running > gain and delta[j] != delta[j + 1]:
-            epsilon, gain = float(delta[j]), running
+    accuracy, gains = 0, {}  # at epsilon 0; the flips' weight per |difference|
+    for h, d, w in zip(table.human, metric, table.weight):
+        correct = h == (d > 0) - (d < 0)
+        accuracy += w if correct else 0
+        if (h == 0) != correct:
+            gains[abs(d)] = gains.get(abs(d), 0) + (-w if correct else w)
+    epsilon, gain, running = 0.0, 0, 0
+    for delta in sorted(gains):
+        running += gains[delta]
+        if running > gain:
+            epsilon, gain = delta, running
     if not math.isfinite(epsilon):
         raise ValueError("the optimal epsilon is beyond the float range: "
                          "metric score differences overflow")
-    accuracy = sum(w for w, c in zip(table.weight, correct) if c) + gain
+    accuracy += gain
     return TauCalibration(epsilon=epsilon,
                           accuracy_at_epsilon=accuracy / table.denominator)
 
@@ -222,7 +223,7 @@ def _centred(xs: Sequence[float], ys: Sequence[float]
     return dx, dy, math.fsum(d * d for d in dx), math.fsum(d * d for d in dy)
 
 
-def tie_rates(differences: list[float]) -> float:
+def tie_rates(differences: Sequence[float]) -> float:
     """Fraction of a table's pairs whose two scores are exactly equal.
 
     ``differences`` is one side of a ``PairTable``: ``human`` or ``metric``.

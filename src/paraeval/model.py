@@ -1,9 +1,10 @@
 """Domain types for paragraph-level MT evaluation data.
 
-All types are immutable after construction. Collection-level invariants
-(key uniqueness, score finiteness, a single score type per collection)
-are checked by ``validate_ratings``, which reports problems instead of
-raising so that callers can surface every issue at once.
+All types are immutable after construction and slotted (no ``__dict__``).
+Collection-level invariants (key uniqueness, score finiteness, a single
+score type per collection) are checked by ``validate_ratings``, which
+reports problems instead of raising so that callers can surface every
+issue at once. A paragraph's own invariant errors name the paragraph.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class ScoreType(enum.Enum):
     MQM = "MQM"    # summed weighted error scores; aggregates by sum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatingRecord:
     """One sentence-level human rating of a system translation."""
 
@@ -69,7 +70,7 @@ class RatingRecord:
                 self.doc_id, self.sent_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParagraphInstance:
     """A window of k same-rater sentences concatenated into one paragraph.
 
@@ -99,9 +100,10 @@ class ParagraphInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sentence_scores", tuple(self.sentence_scores))
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise ValueError(f"{self.name}: k must be >= 1, got {self.k}")
         if self.start_index < 0:
-            raise ValueError(f"start_index must be >= 0, got {self.start_index}")
+            raise ValueError(f"{self.name}: start_index must be >= 0, "
+                             f"got {self.start_index}")
         if len(self.sentence_scores) != self.k:
             raise ValueError(f"{self.name} has {len(self.sentence_scores)} "
                              f"sentence_scores, expected k={self.k}")
@@ -120,7 +122,7 @@ class ParagraphInstance:
         return "paragraph " + PARAGRAPH_KEY.format(*self.sort_key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreTable:
     """Metric scores for one evaluation unit, keyed by (system, item)."""
 
@@ -133,7 +135,7 @@ class ScoreTable:
                 raise ValueError(f"non-finite score for {key}: {score!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemEntry:
     """Human (and optionally metric) score of one system on one item."""
 
@@ -141,7 +143,7 @@ class SystemEntry:
     metric_score: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalItem:
     """All competing systems' paragraphs for one (doc, start, k) slot."""
 
@@ -149,7 +151,7 @@ class EvalItem:
     per_system: Mapping[str, SystemEntry]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TauCalibration:
     """Tie-introduction threshold chosen by the calibration sweep."""
 
@@ -161,7 +163,7 @@ class TauCalibration:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimConfig:
     """Parameters of the synthetic rater/metric noise generator."""
 
@@ -192,7 +194,7 @@ class SimConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     """Outcome of validating a rating collection."""
 

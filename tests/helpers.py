@@ -3,6 +3,7 @@
 import os
 import threading
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from paraeval.model import EvalItem, RatingRecord, ScoreType, SystemEntry
@@ -31,6 +32,12 @@ def make_rating(sent_index=0, rater_id="r1", score=0.0, *, dataset_id="wmt",
         token_count_ref=token_count_ref,
         token_count_hyp=token_count_hyp,
     )
+
+
+def record_fields(record):
+    """A record's fields by name, in declaration order; slotted records have no
+    ``__dict__`` for ``vars``."""
+    return {field.name: getattr(record, field.name) for field in fields(record)}
 
 
 def make_item(human, metric=None, doc_id="doc1", start_index=0, k=1):

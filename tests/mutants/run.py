@@ -153,12 +153,13 @@ MUTANTS = [
            "exponent + 1)\n",
            ("tests/test_paragraphs.py::test_a_da_window_whose_sum_overflows_has_its_mean",)),
     Mutant("tau-sweep-takes-equal-gains", "metaeval.py",
-           "        if running > gain and delta[j] != delta[j + 1]:\n",
-           "        if running >= gain and delta[j] != delta[j + 1]:\n",
-           ("tests/test_metaeval.py::TestTauOptimize",)),
-    Mutant("tau-sweep-stops-inside-a-run-of-equal-differences", "metaeval.py",
-           "        if running > gain and delta[j] != delta[j + 1]:\n",
            "        if running > gain:\n",
+           "        if running >= gain:\n",
+           ("tests/test_metaeval.py::TestTauOptimize",)),
+    # Of the pairs at one difference, the sweep counts only the last.
+    Mutant("tau-sweep-stops-inside-a-run-of-equal-differences", "metaeval.py",
+           "gains[abs(d)] = gains.get(abs(d), 0) + (-w if correct else w)",
+           "gains[abs(d)] = -w if correct else w",
            ("tests/test_metaeval.py::TestTauOptimize",
             "tests/test_metaeval_properties.py::"
             "test_core_matches_oracles_on_small_tied_units")),
@@ -171,13 +172,17 @@ MUTANTS = [
            "if abs(h) == (0 if abs(d) <= epsilon else 1))",
            ("tests/test_metaeval.py::TestSegmentAccuracy",)),
     Mutant("tau-correctness-ignores-the-sign", "metaeval.py",
-           "    correct = [h == (d > 0) - (d < 0) for h, d in",
-           "    correct = [abs(h) == (d != 0) for h, d in",
+           "        correct = h == (d > 0) - (d < 0)\n",
+           "        correct = abs(h) == (d != 0)\n",
            ("tests/test_metaeval.py::TestTauOptimize",)),
     Mutant("tau-flips-only-wrong-pairs", "metaeval.py",
-           "                    if (h == 0) != c), key=",
-           "                    if not c), key=",
+           "        if (h == 0) != correct:\n",
+           "        if not correct:\n",
            ("tests/test_metaeval.py::TestTauOptimize",)),
+    Mutant("signed-zeros-share-one-float", "fileio.py",
+           "        return number(score or repr(score), score)\n",
+           "        return number(score, score)\n",
+           ("tests/test_fileio.py::TestSharedStrings::test_signed_zeros_read_and_write_back",)),
     Mutant("text-free-read-skips-the-text-checks", "fileio.py",
            "    for lineno, obj in _parse_lines(stream):\n",
            "    for lineno, obj in _parse_lines(stream):\n"
@@ -217,8 +222,8 @@ MUTANTS = [
            (f"{CLI}::TestScore::"
             "test_a_line_that_stdout_cannot_encode_exits_2_and_writes_nothing",)),
     Mutant("paragraph-writer-without-the-utf8-check", "fileio.py",
-           "_write_jsonl([_encodable(paragraph, operator.attrgetter(\"name\"))], stream)",
-           "_write_jsonl([paragraph], stream)",
+           "_write_jsonl([_encodable(paragraph, operator.attrgetter(\"name\"))],",
+           "_write_jsonl([paragraph],",
            ("tests/test_fileio.py::TestParagraphsFile::"
             "test_write_paragraphs_names_a_string_utf8_cannot_encode",
             f"{CLI}::TestExportTraining::"

@@ -427,8 +427,8 @@ def read_paragraphs(stream):
             raise ParseError(lineno, "field sentence_scores is out of float range") from None
         except ParseError:  # a field getter's own report, already complete
             raise
-        except ValueError as exc:  # the paragraph's own invariant checks
-            raise ParseError(lineno, f"invariant violation for {key}: {exc}") from None
+        except ValueError as exc:  # the paragraph's own checks, which name it
+            raise ParseError(lineno, str(exc)) from None
         # JSON's Infinity and NaN (and overflowing literals such as 1e400)
         # parse as floats; a non-finite score would read as a human tie.
         if not math.isfinite(paragraph.human_score):
@@ -441,7 +441,7 @@ def read_paragraphs(stream):
         if not math.isclose(paragraph.human_score, expected,
                             rel_tol=1e-9, abs_tol=1e-9):
             raise ParseError(
-                lineno, f"invariant violation for {key}: human_score "
+                lineno, f"paragraph {key}: human_score "
                 f"{paragraph.human_score!r} does not aggregate its "
                 f"sentence_scores (expected {expected!r})")
         paragraphs.append(paragraph)

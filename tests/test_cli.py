@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import feeding_pipe, make_rating
+from helpers import feeding_pipe, make_rating, record_fields
 import paraeval
 from paraeval import fileio, metaeval, noise
 from paraeval.cli import REPORT_HEADER, build_parser, main, parse_k_spec
@@ -80,8 +80,8 @@ def write_paragraph_file(path, records, ks):
 
 def write_escaped_paragraph_file(path, records, ks=(1,)):
     """Paragraphs in ASCII JSON, whose escape \\ud800 reads as a lone surrogate."""
-    path.write_text("".join(json.dumps(dict(vars(p), score_type=p.score_type.value)) + "\n"
-                            for k in ks for p in build_paragraphs(records, k)),
+    path.write_text("".join(json.dumps(dict(record_fields(p), score_type=p.score_type.value))
+                            + "\n" for k in ks for p in build_paragraphs(records, k)),
                     encoding="ascii")
     return str(path)
 
@@ -315,8 +315,9 @@ class TestBuildParagraphs:
         records[2] = replace(records[2], hypothesis_text="lone \ud800")
         ratings = tmp_path / "surrogate.jsonl"
         # JSON's \ud800 escape reads as a lone surrogate.
-        ratings.write_text("".join(json.dumps(dict(vars(r), score_type=r.score_type.value))
-                                   + "\n" for r in records), encoding="ascii")
+        ratings.write_text("".join(
+            json.dumps(dict(record_fields(r), score_type=r.score_type.value)) + "\n"
+            for r in records), encoding="ascii")
         out_dir = tmp_path / "built"
         # Every rating is checked before any k is cut, so k=2 fails too,
         # though no k=2 window holds the third sentence.

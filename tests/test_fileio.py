@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 import oracles
-from helpers import feeding_pipe, make_rating
+from helpers import feeding_pipe, make_rating, record_fields
 from paraeval import fileio
 from paraeval.fileio import ParseError, ValidationError
 from paraeval.model import ParagraphInstance, RatingRecord, ScoreType
@@ -146,16 +146,21 @@ class TestParagraphsFile:
         paragraphs = self.build(k=3, n=3, score_type=ScoreType.MQM)
         assert roundtrip_paragraphs(paragraphs) == paragraphs
 
-    def test_score_count_mismatch_names_the_key(self):
+    @pytest.mark.parametrize("change, problem", [
+        ({"sentence_scores": [0.0, 0.25]}, "k=3 has 2 sentence_scores, expected k=3"),
+        ({"k": 0, "sentence_scores": []}, "k=0: k must be >= 1, got 0"),
+        ({"start_index": -1}, "k=3: start_index must be >= 0, got -1"),
+    ], ids=["score-count", "k", "start_index"])
+    def test_paragraph_invariant_names_the_paragraph_once(self, change, problem):
         buffer = io.StringIO()
         fileio.write_paragraphs(self.build(k=3, n=3), buffer)
-        obj = json.loads(buffer.getvalue())
-        obj["sentence_scores"] = obj["sentence_scores"][:2]
+        obj = dict(json.loads(buffer.getvalue()), **change)
         with pytest.raises(ParseError) as excinfo:
             fileio.read_paragraphs(io.StringIO(json.dumps(obj)))
-        message = str(excinfo.value)
-        assert "line 1" in message
-        assert "doc=doc1" in message and "k=3" in message
+        start = obj["start_index"]
+        assert str(excinfo.value) == (
+            f"line 1: paragraph dataset=wmt lang_pair=en-de system=sysA doc=doc1 "
+            f"start_index={start} {problem}")
 
     def test_inconsistent_human_score_rejected(self):
         buffer = io.StringIO()
@@ -223,7 +228,7 @@ class TestParagraphsFile:
                 "paragraph dataset=wmt lang_pair=en-de system=sysA doc=doc1 start_index=1 "
                 "k=1: field source_text holds '\\udc80', which UTF-8 cannot encode")):
             fileio.write_paragraphs([good, bad], buffer)
-        assert buffer.getvalue() == fileio.dump_json(vars(good)) + "\n"
+        assert buffer.getvalue() == fileio.dump_json(record_fields(good)) + "\n"
 
     @pytest.mark.parametrize("change, problem", [
         ({"human_score": math.inf}, "field human_score must be finite, got inf"),
@@ -244,7 +249,7 @@ class TestParagraphsFile:
         if all(map(math.isfinite, (bad.human_score, *bad.sentence_scores))):
             # A line that JSON can hold, and which the reader refuses alike.
             with pytest.raises(ParseError, match=re.escape(problem)):
-                fileio.read_paragraphs([fileio.dump_json(vars(bad))])
+                fileio.read_paragraphs([fileio.dump_json(record_fields(bad))])
 
     def test_write_paragraphs_refuses_a_paragraph_read_without_its_texts(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -405,7 +410,8 @@ class TestScoresFile:
 
 def _paragraph_with_list_scores():
     built = TestParagraphsFile.build(k=2, n=2)[0]
-    return ParagraphInstance(**dict(vars(built), sentence_scores=list(built.sentence_scores)))
+    return ParagraphInstance(**dict(record_fields(built),
+                                    sentence_scores=list(built.sentence_scores)))
 
 
 @pytest.mark.parametrize("record_type, fields, write, make", [
@@ -518,6 +524,12 @@ class TestSharedStrings:
         values = list(values)
         assert len({id(value) for value in values}) == len(set(values)) > 0
 
+    @staticmethod
+    def assert_one_float_per_repr(values):
+        """One object per float, where 0.0 and -0.0 are two."""
+        values = list(values)
+        assert len({id(value) for value in values}) == len(set(map(repr, values))) > 1
+
     @pytest.mark.parametrize("integral", [False, True])
     def test_rating_fields(self, integral):
         buffer = io.StringIO()
@@ -530,6 +542,7 @@ class TestSharedStrings:
         for name in ("dataset_id", "lang_pair", "system_id", "doc_id", "rater_id",
                      "source_text", "reference_text"):
             self.assert_one_object_per_value(getattr(r, name) for r in records)
+        self.assert_one_float_per_repr(r.score for r in records)
 
     @pytest.mark.parametrize("integral", [False, True])
     def test_paragraph_fields(self, integral):
@@ -546,6 +559,8 @@ class TestSharedStrings:
         for name in ("dataset_id", "lang_pair", "system_id", "doc_id", "rater_id",
                      "source_text", "reference_text"):
             self.assert_one_object_per_value(getattr(p, name) for p in read)
+        self.assert_one_float_per_repr(score for p in read
+                                       for score in (p.human_score, *p.sentence_scores))
 
     def test_score_fields(self):
         written = {("ext", "en-de", k): {
@@ -561,5 +576,38 @@ class TestSharedStrings:
         keys = [key for table in tables.values() for key in table.entries]
         self.assert_one_object_per_value(system for system, _ in keys)
         self.assert_one_object_per_value(doc for _, (doc, _, _) in keys)
+        self.assert_one_object_per_value(item for _, item in keys)
+        self.assert_one_float_per_repr(score for table in tables.values()
+                                       for score in table.entries.values())
         self.assert_one_object_per_value(metric for metric, _, _ in tables)
         self.assert_one_object_per_value(lang_pair for _, lang_pair, _ in tables)
+
+    def test_signed_zeros_read_and_write_back(self):
+        # MQM sums 0.0 and -0.0 to 0.0, which a human_score of -0.0 equals.
+        paragraphs = [ParagraphInstance(
+            dataset_id="wmt", lang_pair="en-de", system_id=system, doc_id="d1",
+            start_index=0, k=2, score_type=ScoreType.MQM, rater_id="r1",
+            human_score=human, sentence_scores=scores, source_text="s",
+            reference_text="r", hypothesis_text="h")
+            for system, human, scores in [("sysA", -0.0, (0.0, -0.0)),
+                                          ("sysB", 0.0, (-0.0, 0.0)),
+                                          ("sysC", -0.0, (-0.0, -0.0))]]
+        buffer = io.StringIO()
+        fileio.write_paragraphs(paragraphs, buffer)
+        text = buffer.getvalue()
+        read = fileio.read_paragraphs(io.StringIO(text))
+        assert [repr((p.human_score, p.sentence_scores)) for p in read] == \
+            ["(-0.0, (0.0, -0.0))", "(0.0, (-0.0, 0.0))", "(-0.0, (-0.0, -0.0))"]
+        rewritten = io.StringIO()
+        fileio.write_paragraphs(read, rewritten)
+        assert rewritten.getvalue() == text
+
+    def test_a_negative_zero_score_row_reads_as_negative_zero(self):
+        text = "\t".join(fileio.SCORES_HEADER) + "\n" + "".join(
+            f"m\ten-de\t{system}\td1\t0\t1\t{score}\n"
+            for system, score in [("sysA", "0.0"), ("sysB", "-0.0"), ("sysC", "0.0")])
+        (table,) = fileio.parse_external_scores(io.StringIO(text)).values()
+        assert [repr(score) for score in table.entries.values()] == ["0.0", "-0.0", "0.0"]
+        buffer = io.StringIO()
+        fileio.write_scores(fileio.score_rows("m", "en-de", table.entries), buffer)
+        assert buffer.getvalue() == text

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
-from helpers import make_rating
+from helpers import make_item, make_rating
+from paraeval import model
 from paraeval.model import (ParagraphInstance, ScoreTable, ScoreType,
                             SimConfig, SystemEntry, TauCalibration,
-                            validate_ratings)
+                            ValidationReport, validate_ratings)
 
 
 class TestRatingRecord:
@@ -198,3 +200,16 @@ class TestSimConfig:
 def test_system_entry_defaults_to_no_metric_score():
     entry = SystemEntry(human_score=1.5)
     assert entry.metric_score is None
+
+
+def test_no_record_has_an_instance_dict():
+    """Every record type is slotted: a reader's many records hold only their fields."""
+    records = [make_rating(), TestParagraphInstance.make(),
+               ScoreTable(metric_name="bleu", entries={}), SystemEntry(human_score=1.5),
+               make_item({"a": 1.0}), TauCalibration(epsilon=0.0, accuracy_at_epsilon=1.0),
+               TestSimConfig.make(), ValidationReport()]
+    assert {type(record) for record in records} == {
+        value for value in vars(model).values()
+        if dataclasses.is_dataclass(value) and value.__module__ == model.__name__}
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
