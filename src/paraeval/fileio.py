@@ -3,9 +3,11 @@
 Ratings and paragraphs are stored as line-delimited JSON (one object per
 line, UTF-8, fixed field order, unknown fields rejected) so that free
 text with tabs or newlines survives round-trips. Each format is one table
-of fields and getters: a record whose values have their exact JSON types
-passes one test, any other goes through the getters, which convert what
-they accept and name the first bad field. The writers write each record's
+of fields and getters, its only description: a record whose values have
+their exact JSON types passes one test, any other goes through the getters,
+which check JSON types only and name the first bad field. The record type
+checks the values, naming the record; every error names the line. The
+writers write each record's
 fields by the table's names, in its order, which is the record type's.
 ``build-paragraphs`` writes through ``ParagraphWriter``, which makes each
 rating's escaped UTF-8 bytes once, when it is built, and every k's lines from
@@ -19,8 +21,9 @@ accept gzip-compressed files, detected by magic bytes, and name the path in
 every error about the input: a bad line, cut-off gzip, failed validation.
 
 Every system translates the same documents, so ids, source and reference
-texts and scores repeat. Each reader call keeps one copy of each string, float
-score (``0.0`` and ``-0.0`` apart) and score file item tuple, in dicts of its own.
+texts and scores repeat. Each reader call keeps one copy of each string,
+float, sentence_scores tuple (``0.0`` and ``-0.0`` apart) and score file
+item tuple, in dicts of its own.
 ``read_paragraphs(stream, texts=False)`` checks the three texts of every
 paragraph as usual but keeps none of them (they read as None): ``metaeval``
 and ``ties`` with ``--scores`` read no text.
@@ -36,8 +39,9 @@ import operator
 import zlib
 from collections import Counter
 from contextlib import contextmanager
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
+from struct import pack
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (
@@ -46,7 +50,6 @@ from .model import (
     RatingRecord,
     ScoreTable,
     ScoreType,
-    _format_key,
     validate_ratings,
 )
 from .paragraphs import aggregate_score, sum_counts, window_score, windows
@@ -101,13 +104,6 @@ def _get_int(obj: dict, name: str, lineno: int) -> int:
     return value
 
 
-def _get_index(obj: dict, name: str, lineno: int) -> int:
-    value = _get_int(obj, name, lineno)
-    if value < 0:
-        raise ParseError(lineno, f"field {name} must be >= 0, got {value}")
-    return value
-
-
 def _get_float(obj: dict, name: str, lineno: int) -> float:
     value = obj[name]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -141,8 +137,8 @@ def _get_count(obj: dict, name: str, lineno: int):
     value = obj.get(name)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ParseError(lineno, f"field {name} must be a non-negative integer or null")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(lineno, f"field {name} must be an integer or null, got {value!r}")
     return value
 
 
@@ -150,7 +146,7 @@ def _get_count(obj: dict, name: str, lineno: int):
 _RATING_TABLE = (
     ("dataset_id", _get_shared), ("lang_pair", _get_shared),
     ("system_id", _get_shared), ("doc_id", _get_shared),
-    ("sent_index", _get_index), ("rater_id", _get_shared),
+    ("sent_index", _get_int), ("rater_id", _get_shared),
     ("score", _get_float), ("score_type", _get_score_type),
     ("source_text", _get_shared), ("reference_text", _get_shared),
     ("hypothesis_text", _get_str),
@@ -170,35 +166,13 @@ _RATING_FIELDS, _PARAGRAPH_FIELDS = ([name for name, _ in table]
                                      for table in (_RATING_TABLE, _PARAGRAPH_TABLE))
 _TEXTS = ("source_text", "reference_text", "hypothesis_text")
 # The exact JSON type of each getter's field in a record that passes one test.
-_JSON_TYPES = {_get_str: str, _get_shared: str, _get_int: int, _get_index: int,
+_JSON_TYPES = {_get_str: str, _get_shared: str, _get_int: int,
                _get_float: float, _get_floats: list, _get_score_type: str}
 
 
-def _derive(table: tuple, fast_check) -> tuple:
-    """The table, required and known field names, the required values' getter
-    and exact JSON types, score_type's position, the two trailing token count
-    fields, the positions of the shared strings, of the float and float list
-    fields and of the texts, and the format's own fast test."""
-    fields = [name for name, _ in table]
-    required = [name for name, get in table if get is not _get_count]
-    ref, hyp = fields[len(required):]
-    return (table, frozenset(required), frozenset(fields), operator.itemgetter(*required),
-            [_JSON_TYPES[get] for _, get in table[:len(required)]],
-            fields.index("score_type"), ref, hyp,
-            *([i for i, (_, get) in enumerate(table) if get is getter]
-              for getter in (_get_shared, _get_float, _get_floats)),
-            [fields.index(name) for name in _TEXTS], fast_check)
-
-
-_RATINGS = _derive(_RATING_TABLE, lambda obj: obj["sent_index"] >= 0)
-# Integer sentence scores go through the getters, which convert them.
-_PARAGRAPHS = _derive(_PARAGRAPH_TABLE,
-                      lambda obj: {float}.issuperset(map(type, obj["sentence_scores"])))
-
-
-def _checked_values(obj: dict, derived: tuple, lineno: int) -> list:
+def _checked_values(obj: dict, table: tuple, required: frozenset, known: frozenset,
+                    lineno: int) -> list:
     """A record's values in file order, each through its field's getter."""
-    table, required, known = derived[:3]
     for problem, names in ("missing", required - obj.keys()), ("unknown", obj.keys() - known):
         if names:
             raise ParseError(lineno, f"{problem} field {min(names)}")
@@ -235,42 +209,58 @@ def _parse_lines(stream: Lines) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
-def _record_values(stream: Lines, derived: tuple,
-                   texts: bool = True) -> Iterator[tuple[int, list]]:
+def _record_values(stream: Lines, table: tuple, texts: bool = True) -> Iterator[tuple[int, list]]:
     """Each record's line number and values, in the record type's field order;
     with texts=False the checked texts are replaced by None."""
-    share, number = {}.setdefault, {}.setdefault  # one copy of each repeated value
+    fields = [name for name, _ in table]
+    names = [name for name, get in table if get is not _get_count]  # the required ones
+    ref, hyp = fields[len(names):]  # the two token counts, optional and last
+    values_of = operator.itemgetter(*names)
+    types = [_JSON_TYPES[get] for _, get in table[:len(names)]]
+    required, known, kind = frozenset(names), frozenset(fields), fields.index("score_type")
+    shared, floats, lists = ([i for i, (_, get) in enumerate(table) if get is getter]
+                             for getter in (_get_shared, _get_float, _get_floats))
+    dropped = () if texts else [fields.index(name) for name in _TEXTS]
+    share, number, tuples = {}.setdefault, {}.setdefault, {}  # one copy of each repeated value
     def one(score: float) -> float:  # 0.0 == -0.0, so a zero is keyed by its repr
         return number(score or repr(score), score)
-    (_, required, known, values_of, types, kind, ref, hyp, shared, floats, lists, dropped,
-     fast_check) = derived
-    dropped = () if texts else dropped
     for lineno, obj in _parse_lines(stream):
-        # A record whose required values have exactly their JSON types is taken
-        # as it is; any other goes through the getters, which word the error.
+        # A record whose required values have exactly their JSON types (a list of
+        # floats only) is taken as it is; any other goes through the getters.
         values = list(values_of(obj)) if required <= obj.keys() <= known else []
         counts = obj.get(ref), obj.get(hyp)
         if (list(map(type, values)) == types and values[kind] in _SCORE_TYPES
-                and all(c is None or type(c) is int and c >= 0 for c in counts)
-                and fast_check(obj)):
+                and all(c is None or type(c) is int for c in counts)
+                and all({float}.issuperset(map(type, values[i])) for i in lists)):
             values[kind] = _SCORE_TYPES[values[kind]]
             values += counts
         else:
-            values = _checked_values(obj, derived, lineno)
+            values = _checked_values(obj, table, required, known, lineno)
         for i in dropped:
             values[i] = None
         for i in shared:
             values[i] = share(values[i], values[i])
         for i in floats:
             values[i] = one(values[i])
-        for i in lists:
-            values[i] = tuple(map(one, values[i]))
+        for i in lists:  # one tuple per sequence, keyed by its bits: 0.0 and -0.0 apart
+            key = pack("%dd" % len(values[i]), *values[i])
+            values[i] = tuples.get(key) or tuples.setdefault(key, tuple(map(one, values[i])))
         yield lineno, values
+
+
+def _records(stream: Lines, record_type: type, table: tuple, texts: bool = True) -> Iterator:
+    """Each line number and record; a value the record type refuses is a ParseError."""
+    for lineno, values in _record_values(stream, table, texts):
+        try:
+            record = record_type(*values)
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+        yield lineno, record
 
 
 def read_rating_lines(stream: Lines) -> list[RatingRecord]:
     """Parse a ratings stream without collection-level validation."""
-    return [RatingRecord(*values) for _, values in _record_values(stream, _RATINGS)]
+    return [record for _, record in _records(stream, RatingRecord, _RATING_TABLE)]
 
 
 def parse_ratings(stream: Lines) -> list[RatingRecord]:
@@ -316,37 +306,37 @@ def _unencodable(owner: str, value: str, exc: UnicodeEncodeError) -> ValueError:
                       f"which UTF-8 cannot encode")
 
 
-def _encodable(record, owner):
+def _encodable(record):
     """The paragraph or rating, once each string a paragraph line takes from it
     is known to encode to UTF-8; a text that is None or a string UTF-8 cannot
-    encode (a lone surrogate) is an error naming ``owner(record)`` and the field."""
+    encode (a lone surrogate) is an error naming the record and the field."""
     for name in _LINE_STRINGS:
         text = getattr(record, name)
         if text is None or not text.isascii():
             if text is None:  # as a paragraph read without its texts holds
-                raise ValueError(f"{owner(record)}: field {name} is None, not a string")
+                raise ValueError(f"{record.name}: field {name} is None, not a string")
             try:
                 text.encode()
             except UnicodeEncodeError as exc:
-                raise _unencodable(owner(record), f"field {name}", exc) from None
+                raise _unencodable(record.name, f"field {name}", exc) from None
     return record
 
 
 def _score_problem(paragraph: ParagraphInstance) -> Optional[str]:
-    """What ``read_paragraphs`` says of the paragraph's scores, or None."""
+    """What ``read_paragraphs`` says of the paragraph's scores, naming it, or None."""
     # JSON's NaN, Infinity and 1e400 parse as floats; a non-finite score
     # would read as a human tie. Only finite terms have a finite sum, so a
     # finite human_score close to the aggregate has finite sentence scores.
     human, scores = paragraph.human_score, paragraph.sentence_scores
     if not math.isfinite(human):
-        return f"field human_score must be finite, got {human!r}"
+        return f"{paragraph.name}: field human_score must be finite, got {human!r}"
     expected = aggregate_score(scores, paragraph.score_type)
     if math.isclose(human, expected, rel_tol=1e-9, abs_tol=1e-9):
         return None
     if not all(map(math.isfinite, scores)):
-        return f"field sentence_scores must be finite, got {list(scores)!r}"
-    return (f"human_score {human!r} does not aggregate its sentence_scores "
-            f"(expected {expected!r})")
+        return f"{paragraph.name}: field sentence_scores must be finite, got {list(scores)!r}"
+    return (f"{paragraph.name}: human_score {human!r} does not aggregate its "
+            f"sentence_scores (expected {expected!r})")
 
 
 def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -> None:
@@ -357,9 +347,8 @@ def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -
     for paragraph in paragraphs:
         problem = _score_problem(paragraph)
         if problem is not None:
-            raise ValueError(f"{paragraph.name}: {problem}")
-        _write_jsonl([_encodable(paragraph, operator.attrgetter("name"))],
-                     _PARAGRAPH_FIELDS, stream)
+            raise ValueError(problem)
+        _write_jsonl([_encodable(paragraph)], _PARAGRAPH_FIELDS, stream)
 
 
 # What dump_json does to each str it writes (ensure_ascii=False): it maps every
@@ -371,8 +360,8 @@ _JSON_SLOTS = {_get_str: b'"%b"', _get_shared: b'"%b"', _get_score_type: b'"%b"'
                _get_int: b"%d", _get_float: b"%b", _get_floats: b"[%b]", _get_count: b"%b"}
 _PARAGRAPH_LINE = b"{%b}\n" % b",".join(b'"%b":%b' % (name.encode(), _JSON_SLOTS[get])
                                         for name, get in _PARAGRAPH_TABLE)
-# The string fields of a rating that a paragraph line holds.
-_LINE_STRINGS = ("dataset_id", "lang_pair", "system_id", "doc_id", "rater_id", *_TEXTS)
+# The string fields of a paragraph line, each taken from its first or every rating.
+_LINE_STRINGS = [name for name, get in _PARAGRAPH_TABLE if get in (_get_shared, _get_str)]
 
 
 def _json_count(count) -> bytes:
@@ -393,11 +382,10 @@ class ParagraphWriter:
     def __init__(self, runs: list[list[RatingRecord]]):
         self.runs = runs
         self._escaped = escaped = cache(lambda text: _escape(text)[1:-1].encode())
-        checked = partial(_encodable, owner=lambda r: f"rating {_format_key(r.key)}")
         self._rows = [[(repr(r.score).encode(),  # as dump_json writes an int or a float
                         escaped(r.source_text), escaped(r.reference_text),
                         escaped(r.hypothesis_text), r.token_count_ref, r.token_count_hyp)
-                       for r in map(checked, run)] for run in runs]
+                       for r in map(_encodable, run)] for run in runs]
 
     def write(self, k: int, stream: IO[str]) -> Counter:
         """Write the paragraphs of k to the text stream's binary buffer and
@@ -425,15 +413,10 @@ def read_paragraphs(stream: Lines, texts: bool = True) -> list[ParagraphInstance
     """Parse a paragraph stream, checking per-paragraph invariants. With
     texts=False every text is checked but none is kept: each reads as None."""
     paragraphs = []
-    for lineno, values in _record_values(stream, _PARAGRAPHS, texts):
-        try:
-            paragraph = ParagraphInstance(*values)
-        except ValueError as exc:  # k, start_index or the number of scores, named
-            raise ParseError(lineno, str(exc)) from None
+    for lineno, paragraph in _records(stream, ParagraphInstance, _PARAGRAPH_TABLE, texts):
         problem = _score_problem(paragraph)
-        if problem is not None:  # a human_score that does not aggregate is an invariant
-            raise ParseError(lineno, problem if problem.startswith("field ") else
-                             f"{paragraph.name}: {problem}")
+        if problem is not None:
+            raise ParseError(lineno, problem)
         paragraphs.append(paragraph)
     return paragraphs
 

@@ -1,10 +1,12 @@
 """Domain types for paragraph-level MT evaluation data.
 
 All types are immutable after construction and slotted (no ``__dict__``).
-Collection-level invariants (key uniqueness, score finiteness, a single
-score type per collection) are checked by ``validate_ratings``, which
-reports problems instead of raising so that callers can surface every
-issue at once. A paragraph's own invariant errors name the paragraph.
+A rating or a paragraph checks its own values (an index or count below 0,
+k, the number of scores) and names itself, as ``name`` spells it, in each
+error; the readers' getters check JSON types only. Collection-level
+invariants (key uniqueness, score finiteness, a single score type per
+collection) are checked by ``validate_ratings``, which reports problems
+instead of raising so that callers can surface every issue at once.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class RatingRecord:
 
     def __post_init__(self) -> None:
         if self.sent_index < 0:
-            raise ValueError(f"sent_index must be >= 0, got {self.sent_index}")
+            raise ValueError(f"{self.name}: sent_index must be >= 0, got {self.sent_index}")
         self._check_score_type_and_counts()
 
     def _check_score_type_and_counts(self) -> None:
@@ -62,12 +64,16 @@ class RatingRecord:
         for name in ("token_count_ref", "token_count_hyp"):
             value = getattr(self, name)
             if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+                raise ValueError(f"{self.name}: {name} must be >= 0, got {value}")
 
     @property
     def key(self) -> RatingKey:
         return (self.dataset_id, self.lang_pair, self.system_id,
                 self.doc_id, self.sent_index)
+
+    @property
+    def name(self) -> str:  # as every error names the rating
+        return "rating " + _format_key(self.key)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,8 +111,8 @@ class ParagraphInstance:
             raise ValueError(f"{self.name}: start_index must be >= 0, "
                              f"got {self.start_index}")
         if len(self.sentence_scores) != self.k:
-            raise ValueError(f"{self.name} has {len(self.sentence_scores)} "
-                             f"sentence_scores, expected k={self.k}")
+            raise ValueError(f"{self.name}: {len(self.sentence_scores)} sentence_scores, "
+                             f"expected k={self.k}")
         RatingRecord._check_score_type_and_counts(self)
 
     @property

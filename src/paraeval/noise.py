@@ -29,6 +29,11 @@ from .model import SimConfig
 if TYPE_CHECKING:
     import numpy as np
 
+# The most bytes of float64 arrays that ``simulate`` may hold at once. Its peak is
+# six arrays of n_items x n_systems x max_k values: quality, human, metric, the
+# human prefix means, and the metric's cumulative sums and prefix means.
+SIMULATE_MAX_BYTES = 2 ** 30
+
 
 @dataclass(frozen=True)
 class NoiseCurvePoint:
@@ -44,8 +49,14 @@ def simulate(config: SimConfig) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
     """Simulate paragraph scores for every k in 1..max_k.
 
     Returns a mapping from window size to the (human, metric) score
-    matrices, each with one row per item and one column per system.
+    matrices, each with one row per item and one column per system. A config
+    whose arrays would pass ``SIMULATE_MAX_BYTES`` is an error, before any draw.
     """
+    needed = 6 * 8 * config.n_items * config.n_systems * config.max_k
+    if needed > SIMULATE_MAX_BYTES:
+        raise ValueError(f"simulate would hold {needed} bytes of arrays at once for "
+                         f"n_items={config.n_items} n_systems={config.n_systems} "
+                         f"max_k={config.max_k}, above its limit of {SIMULATE_MAX_BYTES}")
     import numpy as np
     rng = np.random.Generator(np.random.PCG64(config.seed))
     shape = (config.n_items, config.n_systems, config.max_k)
@@ -93,6 +104,7 @@ def noise_curve(config: SimConfig, ks: Sequence[int],
         matrices = simulate(seeded)
         for k in ks:
             accuracies[k].append(_agreement(*matrices[k]))
+        del matrices  # before the next seed's arrays are made
     return [NoiseCurvePoint(k=k,
                             mean_accuracy=fmean(accuracies[k]),
                             std_accuracy=pstdev(accuracies[k]),

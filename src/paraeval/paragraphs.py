@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .metaeval import _scaled
 from .model import (
+    PARAGRAPH_KEY,
     EvalItem,
     ParagraphInstance,
     RatingRecord,
@@ -70,8 +71,7 @@ def rater_runs(records: Iterable[RatingRecord]) -> list[list[RatingRecord]]:
     for record in records:
         by_index = groups[record.key[:4]]
         if record.sent_index in by_index:
-            raise ValueError(f"duplicate sent_index {record.sent_index} in "
-                             f"{record.key[:4]}; validate the collection first")
+            raise ValueError(f"{record.name}: duplicate sent_index; validate the collection")
         by_index[record.sent_index] = record
 
     runs = []
@@ -101,10 +101,8 @@ def window_score(window: Sequence[RatingRecord]) -> float:
     first = window[0]
     human_score = aggregate_score([r.score for r in window], first.score_type)
     if not math.isfinite(human_score):
-        raise ValueError(
-            f"window dataset={first.dataset_id} lang_pair={first.lang_pair} "
-            f"system={first.system_id} doc={first.doc_id} start_index={first.sent_index} "
-            f"k={len(window)}: human_score aggregates to non-finite {human_score!r}")
+        raise ValueError(f"window {PARAGRAPH_KEY.format(*first.key, len(window))}: "
+                         f"human_score aggregates to non-finite {human_score!r}")
     return human_score
 
 

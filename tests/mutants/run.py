@@ -222,14 +222,14 @@ MUTANTS = [
            (f"{CLI}::TestScore::"
             "test_a_line_that_stdout_cannot_encode_exits_2_and_writes_nothing",)),
     Mutant("paragraph-writer-without-the-utf8-check", "fileio.py",
-           "_write_jsonl([_encodable(paragraph, operator.attrgetter(\"name\"))],",
-           "_write_jsonl([paragraph],",
+           "_write_jsonl([_encodable(paragraph)], _PARAGRAPH_FIELDS, stream)",
+           "_write_jsonl([paragraph], _PARAGRAPH_FIELDS, stream)",
            ("tests/test_fileio.py::TestParagraphsFile::"
             "test_write_paragraphs_names_a_string_utf8_cannot_encode",
             f"{CLI}::TestExportTraining::"
             "test_a_text_that_utf8_cannot_encode_exits_2_naming_the_paragraph")),
     Mutant("rating-writer-without-the-utf8-check", "fileio.py",
-           "for r in map(checked, run)] for run in runs]",
+           "for r in map(_encodable, run)] for run in runs]",
            "for r in run] for run in runs]",
            (f"{CLI}::TestBuildParagraphs::"
             "test_a_text_that_utf8_cannot_encode_exits_2_naming_the_rating",
@@ -249,6 +249,32 @@ MUTANTS = [
            "    source = sub.add_mutually_exclusive_group()\n",
            (f"{CLI}::test_a_usage_error_prints_its_command_s_usage_and_name",
             f"{CLI}::TestMetaeval::test_exactly_one_source_required")),
+    Mutant("reader-drops-the-line-number", "fileio.py",
+           "            raise ParseError(lineno, str(exc)) from None\n"
+           "        yield lineno, record\n",
+           "            raise\n        yield lineno, record\n",
+           ("tests/test_fileio.py::test_a_value_the_record_refuses_names_its_line_and_the_record",
+            f"{CLI}::TestBuildParagraphs::"
+            "test_a_negative_token_count_exits_2_naming_the_line_and_the_rating")),
+    Mutant("model-accepts-a-negative-count", "model.py",
+           "            if value is not None and value < 0:\n",
+           "            if False:\n",
+           ("tests/test_fileio.py::test_a_value_the_record_refuses_names_its_line_and_the_record",
+            "tests/test_model.py::TestParagraphInstance::test_negative_token_count_rejected",
+            f"{CLI}::TestBuildParagraphs::"
+            "test_a_negative_token_count_exits_2_naming_the_line_and_the_rating")),
+    Mutant("main-without-its-value-error-branch", "cli.py",
+           "    except (OSError, ValueError, MemoryError) as exc:\n",
+           "    except (OSError, MemoryError) as exc:\n",
+           (f"{CLI}::TestValidate::test_negative_sent_index_exits_2_naming_the_line",
+            f"{CLI}::TestSimulate::"
+            "test_a_config_above_the_memory_limit_exits_2_before_any_draw")),
+    Mutant("commit-without-its-temp-file-clean-up", "cli.py",
+           "    finally:\n        for tmp, _ in temps:\n            tmp.unlink(missing_ok=True)\n",
+           "    finally:\n        pass\n",
+           (f"{CLI}::TestBuildParagraphs::test_window_with_a_non_finite_score_exits_2",
+            f"{CLI}::TestScore::"
+            "test_a_line_that_stdout_cannot_encode_exits_2_and_writes_nothing")),
     Mutant("validate-accepts-no-ratings", "cli.py",
            "    records = _load_ratings(args.ratings, validate=False)\n",
            "    with fileio._reading(args.ratings) as stream:\n"

@@ -313,13 +313,6 @@ def _get_int(obj, name, lineno):
     return value
 
 
-def _get_index(obj, name, lineno):
-    value = _get_int(obj, name, lineno)
-    if value < 0:
-        raise _parse_error(lineno, f"field {name} must be >= 0, got {value}")
-    return value
-
-
 def _get_float(obj, name, lineno):
     value = obj[name]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -334,8 +327,8 @@ def _get_opt_count(obj, name, lineno):
     value = obj.get(name)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise _parse_error(lineno, f"field {name} must be a non-negative integer or null")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _parse_error(lineno, f"field {name} must be an integer or null, got {value!r}")
     return value
 
 
@@ -365,26 +358,32 @@ def _parse_lines(stream):
 
 def read_rating_lines(stream):
     """Parse a ratings stream without collection-level validation."""
+    from paraeval.fileio import ParseError
     from paraeval.model import RatingRecord
 
     records = []
     for lineno, obj in _parse_lines(stream):
         _check_fields(obj, _RATING_REQUIRED, RATING_FIELDS, lineno)
-        records.append(RatingRecord(
-            dataset_id=_get_str(obj, "dataset_id", lineno),
-            lang_pair=_get_str(obj, "lang_pair", lineno),
-            system_id=_get_str(obj, "system_id", lineno),
-            doc_id=_get_str(obj, "doc_id", lineno),
-            sent_index=_get_index(obj, "sent_index", lineno),
-            rater_id=_get_str(obj, "rater_id", lineno),
-            score=_get_float(obj, "score", lineno),
-            score_type=_get_score_type(obj, lineno),
-            source_text=_get_str(obj, "source_text", lineno),
-            reference_text=_get_str(obj, "reference_text", lineno),
-            hypothesis_text=_get_str(obj, "hypothesis_text", lineno),
-            token_count_ref=_get_opt_count(obj, "token_count_ref", lineno),
-            token_count_hyp=_get_opt_count(obj, "token_count_hyp", lineno),
-        ))
+        try:
+            records.append(RatingRecord(
+                dataset_id=_get_str(obj, "dataset_id", lineno),
+                lang_pair=_get_str(obj, "lang_pair", lineno),
+                system_id=_get_str(obj, "system_id", lineno),
+                doc_id=_get_str(obj, "doc_id", lineno),
+                sent_index=_get_int(obj, "sent_index", lineno),
+                rater_id=_get_str(obj, "rater_id", lineno),
+                score=_get_float(obj, "score", lineno),
+                score_type=_get_score_type(obj, lineno),
+                source_text=_get_str(obj, "source_text", lineno),
+                reference_text=_get_str(obj, "reference_text", lineno),
+                hypothesis_text=_get_str(obj, "hypothesis_text", lineno),
+                token_count_ref=_get_opt_count(obj, "token_count_ref", lineno),
+                token_count_hyp=_get_opt_count(obj, "token_count_hyp", lineno),
+            ))
+        except ParseError:  # a field getter's own report, already complete
+            raise
+        except ValueError as exc:  # the rating's own checks, which name it
+            raise ParseError(lineno, str(exc)) from None
     return records
 
 
@@ -432,11 +431,11 @@ def read_paragraphs(stream):
         # JSON's Infinity and NaN (and overflowing literals such as 1e400)
         # parse as floats; a non-finite score would read as a human tie.
         if not math.isfinite(paragraph.human_score):
-            raise ParseError(lineno, f"field human_score must be finite, "
-                             f"got {paragraph.human_score!r}")
+            raise ParseError(lineno, f"paragraph {key}: field human_score must be "
+                             f"finite, got {paragraph.human_score!r}")
         if not all(map(math.isfinite, paragraph.sentence_scores)):
-            raise ParseError(lineno, f"field sentence_scores must be finite, "
-                             f"got {list(paragraph.sentence_scores)!r}")
+            raise ParseError(lineno, f"paragraph {key}: field sentence_scores must be "
+                             f"finite, got {list(paragraph.sentence_scores)!r}")
         expected = aggregate_score(paragraph.sentence_scores, paragraph.score_type)
         if not math.isclose(paragraph.human_score, expected,
                             rel_tol=1e-9, abs_tol=1e-9):

@@ -262,8 +262,12 @@ class TestValidate:
         path = tmp_path / "negative.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["validate", "--ratings", str(path)]) == 2
-        assert f"error: {path}: line 2: field sent_index must be >= 0, got -1" in \
-            capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}: line 2: rating dataset={record['dataset_id']} "
+            f"lang_pair={record['lang_pair']} system={record['system_id']} "
+            f"doc={record['doc_id']} sent_index=-1: sent_index must be >= 0, got -1\n")
+        assert captured.out == ""
 
 
 class TestBuildParagraphs:
@@ -308,6 +312,24 @@ class TestBuildParagraphs:
         # and its temp files are gone.
         assert captured.out == ""
         assert list(out_dir.iterdir()) == []
+
+    def test_a_negative_token_count_exits_2_naming_the_line_and_the_rating(self, tmp_path,
+                                                                          capsys):
+        records = [make_rating(sent_index=i, rater_id="A", token_count_ref=4)
+                   for i in range(2)]
+        ratings = Path(write_ratings(tmp_path / "r.jsonl", records))
+        ratings.write_text(ratings.read_text(encoding="utf-8").replace(
+            '"token_count_ref":4', '"token_count_ref":-4'), encoding="utf-8")
+        out_dir = tmp_path / "built"
+        assert main(["build-paragraphs", "--ratings", str(ratings), "--k", "1,2",
+                     "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {ratings}: line 1: rating dataset=wmt lang_pair=en-de system=sysA "
+            f"doc=doc1 sent_index=0: token_count_ref must be >= 0, got -4\n")
+        assert captured.out == ""
+        assert not out_dir.exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["r.jsonl"]
 
     def test_a_text_that_utf8_cannot_encode_exits_2_naming_the_rating(self, tmp_path,
                                                                       capsys):
@@ -1369,6 +1391,21 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config_path), "--ks", "1,4",
                      "--out", str(tmp_path / "sim")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["sim.cfg"]
+
+    def test_a_config_above_the_memory_limit_exits_2_before_any_draw(self, tmp_path,
+                                                                      capsys):
+        config_path = tmp_path / "sim.cfg"
+        config_path.write_text(SIM_CONFIG.replace("n_items = 30", "n_items = 1000000000"),
+                               encoding="utf-8")
+        assert main(["simulate", "--config", str(config_path), "--ks", "1,4",
+                     "--out", str(tmp_path / "sim")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: simulate would hold {6 * 8 * 10 ** 9 * 3 * 4} bytes of arrays at once "
+            f"for n_items=1000000000 n_systems=3 max_k=4, above its limit of "
+            f"{noise.SIMULATE_MAX_BYTES}\n")
+        assert captured.out == ""
         assert [path.name for path in tmp_path.iterdir()] == ["sim.cfg"]
 
     def test_nonpositive_seeds_exits_1(self, tmp_path, capsys):

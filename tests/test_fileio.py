@@ -5,6 +5,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -123,6 +124,64 @@ class TestRatingsFile:
         return buffer.getvalue().splitlines(keepends=True)
 
 
+def written_lines(records, write):
+    buffer = io.StringIO()
+    write(records, buffer)
+    return buffer.getvalue().splitlines()
+
+
+# The second record's name in the files below, up to its sent_index or start_index.
+RATING = "rating dataset=wmt lang_pair=en-de system=sysA doc=doc1 sent_index="
+PARAGRAPH = "paragraph dataset=wmt lang_pair=en-de system=sysA doc=doc1 start_index="
+
+
+@pytest.mark.parametrize("kind, change, rule", [
+    ("rating", {"sent_index": -1}, f"{RATING}-1: sent_index must be >= 0, got -1"),
+    ("rating", {"token_count_ref": -1}, f"{RATING}1: token_count_ref must be >= 0, got -1"),
+    ("rating", {"token_count_hyp": -1}, f"{RATING}1: token_count_hyp must be >= 0, got -1"),
+    ("paragraph", {"start_index": -1},
+     f"{PARAGRAPH}-1 k=2: start_index must be >= 0, got -1"),
+    ("paragraph", {"k": 0, "sentence_scores": []}, f"{PARAGRAPH}2 k=0: k must be >= 1, got 0"),
+    ("paragraph", {"sentence_scores": [0.5]},
+     f"{PARAGRAPH}2 k=2: 1 sentence_scores, expected k=2"),
+    ("paragraph", {"human_score": "@"},
+     f"{PARAGRAPH}2 k=2: field human_score must be finite, got inf"),
+], ids=["sent_index", "token_count_ref", "token_count_hyp", "start_index", "k",
+        "score-count", "infinite-human"])
+def test_a_value_the_record_refuses_names_its_line_and_the_record(kind, change, rule):
+    records = [make_rating(sent_index=i, score=i / 4, token_count_ref=3, token_count_hyp=2)
+               for i in range(4)]
+    if kind == "rating":
+        lines = written_lines(records[:2], fileio.write_ratings)
+        reads = [fileio.read_rating_lines, oracles.read_rating_lines]
+    else:
+        lines = written_lines(build_paragraphs(records, 2), fileio.write_paragraphs)
+        reads = [fileio.read_paragraphs, partial(fileio.read_paragraphs, texts=False),
+                 oracles.read_paragraphs]
+    lines[1] = json.dumps(dict(json.loads(lines[1]), **change)).replace('"@"', "Infinity")
+    for read in reads:
+        with pytest.raises(ParseError) as excinfo:
+            read(lines)
+        assert str(excinfo.value) == f"line 2: {rule}"
+        assert excinfo.value.line == 2
+
+
+def test_integer_and_float_sentence_scores_read_to_equal_paragraphs(monkeypatch):
+    (paragraph,) = build_paragraphs([make_rating(sent_index=i, score=i - 1.0)
+                                     for i in range(2)], 2)
+    floats = fileio.dump_json(record_fields(paragraph))
+    integers = floats.replace('"sentence_scores":[-1.0,0.0]', '"sentence_scores":[-1,0]')
+    assert integers != floats
+    checked, getters = [], fileio._checked_values
+    monkeypatch.setattr(fileio, "_checked_values",
+                        lambda obj, *rest: checked.append(obj) or getters(obj, *rest))
+    from_floats, from_integers = (fileio.read_paragraphs([line]) for line in (floats, integers))
+    assert from_floats == from_integers == [paragraph]
+    assert repr(from_floats) == repr(from_integers)
+    # Only the line of integer scores went through the getters.
+    assert checked == [json.loads(integers)]
+
+
 class TestParagraphsFile:
     @staticmethod
     def build(k=2, n=6, score_type=ScoreType.DA_Z):
@@ -145,22 +204,6 @@ class TestParagraphsFile:
     def test_mqm_sum_roundtrip(self):
         paragraphs = self.build(k=3, n=3, score_type=ScoreType.MQM)
         assert roundtrip_paragraphs(paragraphs) == paragraphs
-
-    @pytest.mark.parametrize("change, problem", [
-        ({"sentence_scores": [0.0, 0.25]}, "k=3 has 2 sentence_scores, expected k=3"),
-        ({"k": 0, "sentence_scores": []}, "k=0: k must be >= 1, got 0"),
-        ({"start_index": -1}, "k=3: start_index must be >= 0, got -1"),
-    ], ids=["score-count", "k", "start_index"])
-    def test_paragraph_invariant_names_the_paragraph_once(self, change, problem):
-        buffer = io.StringIO()
-        fileio.write_paragraphs(self.build(k=3, n=3), buffer)
-        obj = dict(json.loads(buffer.getvalue()), **change)
-        with pytest.raises(ParseError) as excinfo:
-            fileio.read_paragraphs(io.StringIO(json.dumps(obj)))
-        start = obj["start_index"]
-        assert str(excinfo.value) == (
-            f"line 1: paragraph dataset=wmt lang_pair=en-de system=sysA doc=doc1 "
-            f"start_index={start} {problem}")
 
     def test_inconsistent_human_score_rejected(self):
         buffer = io.StringIO()
@@ -186,8 +229,11 @@ class TestParagraphsFile:
             obj["sentence_scores"] = ["@"]
         lines[1] = json.dumps(obj).replace('"@"', literal) + "\n"
         reported = "sentence_scores" if field == "sentence_scores" else "human_score"
-        with pytest.raises(ParseError, match=rf"line 2: field {reported} (must be "
-                                             rf"finite|is out of float range)"):
+        # A getter refuses a literal beyond the float range; the paragraph that
+        # parses refuses a non-finite score, naming itself.
+        with pytest.raises(ParseError, match=rf"^line 2: (field {reported} is out of "
+                                             rf"float range|paragraph dataset=wmt .* k=1: "
+                                             rf"field {reported} must be finite)"):
             fileio.read_paragraphs(io.StringIO("".join(lines)))
 
     @pytest.mark.parametrize("field, literal, message", [
@@ -218,7 +264,9 @@ class TestParagraphsFile:
         path.write_text(text + "\n", encoding="utf-8")
         assert main(["stats", "--paragraphs", str(path), "--out",
                      str(tmp_path / "stats")]) == 2
-        assert "line 1: field human_score must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: paragraph dataset=wmt lang_pair=en-de system=sysA "
+            f"doc=doc1 start_index=0 k=1: field human_score must be finite, got inf\n")
 
     def test_write_paragraphs_names_a_string_utf8_cannot_encode(self):
         good, bad = self.build(k=1, n=2)
@@ -525,8 +573,8 @@ class TestSharedStrings:
         assert len({id(value) for value in values}) == len(set(values)) > 0
 
     @staticmethod
-    def assert_one_float_per_repr(values):
-        """One object per float, where 0.0 and -0.0 are two."""
+    def assert_one_object_per_repr(values):
+        """One object per float or tuple, where 0.0 and -0.0 are two."""
         values = list(values)
         assert len({id(value) for value in values}) == len(set(map(repr, values))) > 1
 
@@ -542,7 +590,7 @@ class TestSharedStrings:
         for name in ("dataset_id", "lang_pair", "system_id", "doc_id", "rater_id",
                      "source_text", "reference_text"):
             self.assert_one_object_per_value(getattr(r, name) for r in records)
-        self.assert_one_float_per_repr(r.score for r in records)
+        self.assert_one_object_per_repr(r.score for r in records)
 
     @pytest.mark.parametrize("integral", [False, True])
     def test_paragraph_fields(self, integral):
@@ -559,8 +607,9 @@ class TestSharedStrings:
         for name in ("dataset_id", "lang_pair", "system_id", "doc_id", "rater_id",
                      "source_text", "reference_text"):
             self.assert_one_object_per_value(getattr(p, name) for p in read)
-        self.assert_one_float_per_repr(score for p in read
-                                       for score in (p.human_score, *p.sentence_scores))
+        self.assert_one_object_per_repr(score for p in read
+                                        for score in (p.human_score, *p.sentence_scores))
+        self.assert_one_object_per_repr(p.sentence_scores for p in read)
 
     def test_score_fields(self):
         written = {("ext", "en-de", k): {
@@ -577,8 +626,8 @@ class TestSharedStrings:
         self.assert_one_object_per_value(system for system, _ in keys)
         self.assert_one_object_per_value(doc for _, (doc, _, _) in keys)
         self.assert_one_object_per_value(item for _, item in keys)
-        self.assert_one_float_per_repr(score for table in tables.values()
-                                       for score in table.entries.values())
+        self.assert_one_object_per_repr(score for table in tables.values()
+                                        for score in table.entries.values())
         self.assert_one_object_per_value(metric for metric, _, _ in tables)
         self.assert_one_object_per_value(lang_pair for _, lang_pair, _ in tables)
 
@@ -598,6 +647,27 @@ class TestSharedStrings:
         read = fileio.read_paragraphs(io.StringIO(text))
         assert [repr((p.human_score, p.sentence_scores)) for p in read] == \
             ["(-0.0, (0.0, -0.0))", "(0.0, (-0.0, 0.0))", "(-0.0, (-0.0, -0.0))"]
+        rewritten = io.StringIO()
+        fileio.write_paragraphs(read, rewritten)
+        assert rewritten.getvalue() == text
+
+    def test_equal_score_tuples_are_one_object_and_signed_zeros_two(self):
+        paragraphs = [ParagraphInstance(
+            dataset_id="wmt", lang_pair="en-de", system_id=system, doc_id=doc,
+            start_index=0, k=1, score_type=ScoreType.MQM, rater_id="r1",
+            human_score=score, sentence_scores=(score,), source_text="s",
+            reference_text="r", hypothesis_text="h")
+            for doc in ("d1", "d2") for system, score in [("sysA", 0.0), ("sysB", -0.0),
+                                                          ("sysC", -2.5)]]
+        buffer = io.StringIO()
+        fileio.write_paragraphs(paragraphs, buffer)
+        text = buffer.getvalue()
+        read = fileio.read_paragraphs(io.StringIO(text))
+        assert read == paragraphs
+        assert [repr(p.sentence_scores) for p in read[:3]] == ["(0.0,)", "(-0.0,)", "(-2.5,)"]
+        for first, second in zip(read[:3], read[3:]):  # one tuple per doc's system
+            assert first.sentence_scores is second.sentence_scores
+        assert read[0].sentence_scores is not read[1].sentence_scores
         rewritten = io.StringIO()
         fileio.write_paragraphs(read, rewritten)
         assert rewritten.getvalue() == text

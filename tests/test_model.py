@@ -16,6 +16,10 @@ class TestRatingRecord:
         record = make_rating(sent_index=3, system_id="sysB", doc_id="d9")
         assert record.key == ("wmt", "en-de", "sysB", "d9", 3)
 
+    def test_name_spells_the_key(self):
+        assert make_rating(sent_index=3, doc_id="d9").name == (
+            "rating dataset=wmt lang_pair=en-de system=sysA doc=d9 sent_index=3")
+
     def test_negative_sent_index_rejected(self):
         with pytest.raises(ValueError, match="sent_index"):
             make_rating(sent_index=-1)
@@ -137,7 +141,9 @@ class TestParagraphInstance:
 
     @pytest.mark.parametrize("name", ["token_count_ref", "token_count_hyp"])
     def test_negative_token_count_rejected(self, name):
-        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -5$"):
+        with pytest.raises(ValueError, match=f"^paragraph dataset=wmt lang_pair=en-de "
+                           f"system=sysA doc=doc1 start_index=0 k=2: {name} must be >= 0, "
+                           f"got -5$"):
             self.make(**{name: -5})
 
     def test_sentence_scores_coerced_to_tuple(self):

@@ -20,6 +20,15 @@ def config(**overrides):
     return SimConfig(**base)
 
 
+def test_a_config_past_the_memory_limit_is_refused_at_the_limit(monkeypatch):
+    # 3 items x 2 systems x 4 sentences, in six float64 arrays at once.
+    monkeypatch.setattr(noise, "SIMULATE_MAX_BYTES", 6 * 8 * 3 * 2 * 4)
+    assert len(simulate(config(n_items=3, n_systems=2, max_k=4))) == 4
+    with pytest.raises(ValueError, match=r"^simulate would hold 1344 bytes of arrays "
+                       r"at once for n_items=7 n_systems=2 max_k=2, above its limit of 1152$"):
+        simulate(config(n_items=7, n_systems=2, max_k=2))
+
+
 def pairs(matrices):
     """The matrices' rows as EvalItems, paired as the CLI pairs them."""
     human, metric = matrices

@@ -134,7 +134,9 @@ class TestBuildParagraphs:
 
     def test_duplicate_position_rejected(self):
         records = doc_records(["A", "A"]) + doc_records(["B"])
-        with pytest.raises(ValueError, match="duplicate sent_index"):
+        with pytest.raises(ValueError, match="^rating dataset=wmt lang_pair=en-de "
+                           "system=sysA doc=doc1 sent_index=0: duplicate sent_index; "
+                           "validate the collection$"):
             build_paragraphs(records, 1)
 
     def test_da_paragraph_score_is_mean(self):
