@@ -1,9 +1,9 @@
 """Paragraph-level MT evaluation data, scoring, and metric meta-evaluation."""
 
 from .fileio import (ParseError, ValidationError, load_external_scores,
-                     load_paragraphs, load_ratings, parse_external_scores,
-                     parse_ratings, read_paragraphs, read_rating_lines,
-                     write_paragraphs, write_ratings, write_scores)
+                     load_paragraphs, load_ratings, load_sim_config,
+                     parse_external_scores, parse_ratings, read_paragraphs,
+                     read_rating_lines, write_paragraphs, write_ratings, write_scores)
 from .metaeval import (PairTable, attach_metric_scores, mode_correlation,
                        pair_table, pearson_no_grouping, segment_accuracy,
                        system_pairwise_accuracy, system_scores, tau_optimize,
@@ -28,7 +28,7 @@ __all__ = [
     "ValidationError", "ValidationReport", "aggregate_score",
     "attach_metric_scores", "bleu_corpus", "bleu_sentence", "build_eval_items",
     "build_paragraphs", "char_token_count", "length_percentiles",
-    "load_external_scores", "load_paragraphs", "load_ratings",
+    "load_external_scores", "load_paragraphs", "load_ratings", "load_sim_config",
     "mode_correlation", "noise_curve", "pair_table", "parse_external_scores",
     "parse_ratings", "pearson_no_grouping", "read_paragraphs",
     "read_rating_lines", "sample_stratified", "sample_uniform",

@@ -16,6 +16,7 @@ Evaluation units are processed one at a time in canonical (dataset,
 lang_pair, k) order, each in (doc, start, system) order, so a report, or
 the row an error names, does not depend on the input's order.
 
+Each input option (``_INPUTS``) is read by its loader in ``fileio``.
 ``score``, ``metaeval`` and ``ties`` take each unit's score tables from
 ``_load_units``: the built-in ``--metric`` scores the unit's paragraphs
 whole (direct mode) or as the mean of their aligned sentences, or the
@@ -34,10 +35,10 @@ import sys
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, get_type_hints
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import fileio, metaeval, metrics, noise, sampling
-from .model import ParagraphInstance, RatingRecord, ScoreTable, SimConfig, validate_ratings
+from .model import ParagraphInstance, ScoreTable, validate_ratings
 from .paragraphs import build_eval_items, group_items, rater_runs
 
 UnitKey = tuple  # (dataset_id, lang_pair, k)
@@ -170,21 +171,6 @@ def _per_unit(units: dict, unit_rows: Callable[[UnitKey, list], list]) -> dict:
     return per_unit
 
 
-def _load_paragraphs(path: str, texts: bool = True) -> list[ParagraphInstance]:
-    paragraphs = fileio.load_paragraphs(path, texts)
-    if not paragraphs:
-        raise ValueError(f"no paragraphs in {path}")
-    return paragraphs
-
-
-def _load_ratings(path: str, validate: bool = True) -> list[RatingRecord]:
-    with fileio._reading(path) as stream:
-        records = (fileio.parse_ratings if validate else fileio.read_rating_lines)(stream)
-    if not records:
-        raise ValueError(f"no ratings in {path}")
-    return records
-
-
 def _group_units(paragraphs: Iterable[ParagraphInstance]
                  ) -> dict[UnitKey, list[ParagraphInstance]]:
     """Split paragraphs into canonically ordered (dataset, lang_pair, k) units.
@@ -211,10 +197,10 @@ def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Callable]
     """
     if args.metric is not None and args.mode == "aligned" and args.ratings is None:
         args.error("aligned mode needs --ratings to recover the sentence pairs")
-    units = _group_units(_load_paragraphs(args.paragraphs, texts=args.metric is not None))
+    units = _group_units(fileio.load_paragraphs(args.paragraphs, texts=args.metric is not None))
     if args.metric is not None:
         score = (metrics.score_direct if args.mode == "direct" else partial(
-            metrics.score_aligned_avg, records=_load_ratings(args.ratings)))
+            metrics.score_aligned_avg, records=fileio.load_ratings(args.ratings)))
         return units, lambda key, unit_paragraphs: [(args.mode, score(unit_paragraphs))]
     if args.scores is None:  # ties rates the human scores alone
         return units, lambda key, unit_paragraphs: []
@@ -246,7 +232,7 @@ def _paired_scores(table: ScoreTable,
 
 
 def cmd_validate(args) -> int:
-    records = _load_ratings(args.ratings, validate=False)
+    records = fileio.load_ratings(args.ratings, validate=False)
     report = validate_ratings(records)
     for line in report.errors:
         print(f"error: {line}", file=sys.stderr)
@@ -258,7 +244,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build_paragraphs(args) -> int:
-    records = _load_ratings(args.ratings)
+    records = fileio.load_ratings(args.ratings)
     # The runs are found once and every k is cut from them. The writer checks
     # every rating and makes its row of escaped bytes once, before the first k,
     # and each line as it is written: the runs and the rows are in memory.
@@ -285,7 +271,7 @@ def cmd_export_training(args) -> int:
         args.error("--ks applies only to --strategy stratified")
     if args.ks is not None and args.size % len(args.ks):
         args.error(f"sample size {args.size} is not divisible by the {len(args.ks)} strata")
-    pool = _load_paragraphs(args.paragraphs)
+    pool = fileio.load_paragraphs(args.paragraphs)
     if args.strategy == "stratified":
         ks = args.ks if args.ks is not None else sorted({p.k for p in pool})
         sample = sampling.sample_stratified(pool, args.size, ks, args.seed)
@@ -372,8 +358,8 @@ def cmd_ties(args) -> int:
 
 
 def cmd_compare_modes(args) -> int:
-    units = _group_units(_load_paragraphs(args.paragraphs))
-    records = _load_ratings(args.ratings)
+    units = _group_units(fileio.load_paragraphs(args.paragraphs))
+    records = fileio.load_ratings(args.ratings)
 
     def unit_rows(key, unit_paragraphs):
         direct = metrics.score_direct(unit_paragraphs)
@@ -388,7 +374,7 @@ def cmd_compare_modes(args) -> int:
 def cmd_stats(args) -> int:
     if args.budget < 1:
         args.error(f"--budget must be >= 1, got {args.budget}")
-    paragraphs = _load_paragraphs(args.paragraphs)
+    paragraphs = fileio.load_paragraphs(args.paragraphs)
     counter = (metrics.char_token_count if args.counter == "char"
                else metrics.whitespace_token_count)
     want_lengths = args.lengths or not args.truncation
@@ -424,42 +410,12 @@ def cmd_stats(args) -> int:
                               for r in rows), args)
 
 
-_SIM_FIELDS = get_type_hints(SimConfig)
-
-
-def _parse_sim_config(path: str) -> SimConfig:
-    """Read a flat `key = value` config file into a SimConfig."""
-    data = {}
-    with fileio._reading(path) as stream:
-        for lineno, raw in enumerate(stream, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key:
-                raise fileio.ParseError(lineno, "expected 'key = value'")
-            if key not in _SIM_FIELDS:
-                raise fileio.ParseError(lineno, f"unknown config key {key!r}")
-            if key in data:
-                raise fileio.ParseError(lineno, f"duplicate config key {key!r}")
-            try:
-                data[key] = _SIM_FIELDS[key](value)
-            except ValueError:
-                raise fileio.ParseError(lineno,
-                                        f"bad value for {key}: {value!r}")
-        missing = sorted(set(_SIM_FIELDS) - set(data))
-        if missing:
-            raise ValueError(f"config is missing keys: {', '.join(missing)}")
-        return SimConfig(**data)
-
-
 def cmd_simulate(args) -> int:
     if args.seeds < 1:
         args.error(f"--seeds must be >= 1, got {args.seeds}")
     if len(args.ks) < 2:
         args.error(f"--ks needs at least 2 distinct k values, got {args.ks}")
-    config = _parse_sim_config(args.config)
+    config = fileio.load_sim_config(args.config)
     per_k = {}
     for point in noise.noise_curve(config, args.ks, args.seeds):
         row = partial(ReportRow, "sim", "-", point.k, "simulated", "-")

@@ -1,32 +1,34 @@
-"""Reading and writing rating, paragraph, and metric score files.
+"""Reading and writing the files paraeval reads: ratings, paragraphs, metric
+scores and the simulator config. The CLI loads each input through this module.
 
 Ratings and paragraphs are stored as line-delimited JSON (one object per
 line, UTF-8, fixed field order, unknown fields rejected) so that free
-text with tabs or newlines survives round-trips. Each format is one table
-of fields and getters, its only description: a record whose values have
-their exact JSON types passes one test, any other goes through the getters,
-which check JSON types only and name the first bad field. The record type
-checks the values, naming the record; every error names the line. The
-writers write each record's
-fields by the table's names, in its order, which is the record type's.
-``build-paragraphs`` writes through ``ParagraphWriter``, which makes each
-rating's escaped UTF-8 bytes once, when it is built, and every k's lines from
-them: the bytes of ``write_paragraphs``, as a property test checks. Both
-writers refuse a string that UTF-8 cannot encode by one check. Metric scores
-are a tab-separated table whose start_index and k are unsigned ASCII decimal
-integers and whose score is an ASCII decimal number, optionally signed and
-with an exponent; one TSV writer, shared with the CLI's reports, refuses a
-value holding a tab, a line break or a lone surrogate. Path-based loaders
-accept gzip-compressed files, detected by magic bytes, and name the path in
-every error about the input: a bad line, cut-off gzip, failed validation.
+text with tabs or newlines survives round-trips. Each format's fields are
+its record type's, in declaration order, each read by its getter in
+``_GETTERS`` or, for a repeated string, ``_get_shared``: a record whose values
+have their exact JSON types passes one test, any other goes through the
+getters, which check JSON types only and name the first bad field. The record
+type checks the values, naming the record; every error names the line. The
+writers write each record's fields in the same order. ``build-paragraphs``
+writes through ``ParagraphWriter``, which makes each rating's escaped UTF-8
+bytes once and every k's lines from them: the bytes of ``write_paragraphs``,
+as a property test checks. Both writers refuse a string that UTF-8 cannot
+encode by one check. Metric scores are a tab-separated table whose
+start_index and k are unsigned ASCII decimal integers and whose score is an
+ASCII decimal number, optionally signed and with an exponent; one TSV writer,
+shared with the CLI's reports, refuses a value holding a tab, a line break or
+a lone surrogate. The simulator config is flat ``key = value`` lines, one per
+SimConfig field. Path-based loaders accept gzip-compressed files, detected by
+magic bytes, and name the path in every error about the input: a bad line,
+cut-off gzip, failed validation; a ratings or paragraphs file with no records
+is an error.
 
 Every system translates the same documents, so ids, source and reference
 texts and scores repeat. Each reader call keeps one copy of each string,
 float, sentence_scores tuple (``0.0`` and ``-0.0`` apart) and score file
-item tuple, in dicts of its own.
-``read_paragraphs(stream, texts=False)`` checks the three texts of every
-paragraph as usual but keeps none of them (they read as None): ``metaeval``
-and ``ties`` with ``--scores`` read no text.
+item tuple, in dicts of its own. ``read_paragraphs(stream, texts=False)``
+checks the three texts of every paragraph but keeps none (they read as None):
+``metaeval`` and ``ties`` with ``--scores`` read no text.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ import operator
 import zlib
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import fields
 from functools import cache
 from pathlib import Path
 from struct import pack
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union, get_type_hints
 
 from .model import (
     ItemKey,
@@ -50,6 +53,7 @@ from .model import (
     RatingRecord,
     ScoreTable,
     ScoreType,
+    SimConfig,
     validate_ratings,
 )
 from .paragraphs import aggregate_score, sum_counts, window_score, windows
@@ -142,26 +146,15 @@ def _get_count(obj: dict, name: str, lineno: int):
     return value
 
 
-# Each record format once: its fields in file and record-type order, with getters.
-_RATING_TABLE = (
-    ("dataset_id", _get_shared), ("lang_pair", _get_shared),
-    ("system_id", _get_shared), ("doc_id", _get_shared),
-    ("sent_index", _get_int), ("rater_id", _get_shared),
-    ("score", _get_float), ("score_type", _get_score_type),
-    ("source_text", _get_shared), ("reference_text", _get_shared),
-    ("hypothesis_text", _get_str),
-    ("token_count_ref", _get_count), ("token_count_hyp", _get_count),
-)
-_PARAGRAPH_TABLE = (
-    ("dataset_id", _get_shared), ("lang_pair", _get_shared),
-    ("system_id", _get_shared), ("doc_id", _get_shared),
-    ("start_index", _get_int), ("k", _get_int),
-    ("score_type", _get_score_type), ("rater_id", _get_shared),
-    ("human_score", _get_float), ("sentence_scores", _get_floats),
-    ("source_text", _get_shared), ("reference_text", _get_shared),
-    ("hypothesis_text", _get_str),
-    ("token_count_ref", _get_count), ("token_count_hyp", _get_count),
-)
+# The getter of every field but a repeated string, which reads through _get_shared.
+_GETTERS = {"sent_index": _get_int, "start_index": _get_int, "k": _get_int,
+            "score": _get_float, "human_score": _get_float, "sentence_scores": _get_floats,
+            "score_type": _get_score_type, "hypothesis_text": _get_str,
+            "token_count_ref": _get_count, "token_count_hyp": _get_count}
+# Each record format once: its record type's fields, in order, with getters.
+_RATING_TABLE, _PARAGRAPH_TABLE = (
+    tuple((f.name, _GETTERS.get(f.name, _get_shared)) for f in fields(record_type))
+    for record_type in (RatingRecord, ParagraphInstance))
 _RATING_FIELDS, _PARAGRAPH_FIELDS = ([name for name, _ in table]
                                      for table in (_RATING_TABLE, _PARAGRAPH_TABLE))
 _TEXTS = ("source_text", "reference_text", "hypothesis_text")
@@ -556,16 +549,52 @@ def _reading(path: Union[str, Path]) -> Iterator[IO[str]]:
             raise
 
 
-def load_ratings(path: Union[str, Path]) -> list[RatingRecord]:
+def load_ratings(path: Union[str, Path], validate: bool = True) -> list[RatingRecord]:
+    """The file's ratings, validated unless validate=False; none is an error."""
     with _reading(path) as stream:
-        return parse_ratings(stream)
+        records = (parse_ratings if validate else read_rating_lines)(stream)
+    if not records:
+        raise ValueError(f"no ratings in {path}")
+    return records
 
 
 def load_paragraphs(path: Union[str, Path], texts: bool = True) -> list[ParagraphInstance]:
+    """The file's paragraphs, as ``read_paragraphs`` reads them; none is an error."""
     with _reading(path) as stream:
-        return read_paragraphs(stream, texts)
+        paragraphs = read_paragraphs(stream, texts)
+    if not paragraphs:
+        raise ValueError(f"no paragraphs in {path}")
+    return paragraphs
 
 
 def load_external_scores(path: Union[str, Path]) -> dict[tuple[str, str, int], ScoreTable]:
     with _reading(path) as stream:
         return parse_external_scores(stream)
+
+
+_SIM_FIELDS = get_type_hints(SimConfig)
+
+
+def load_sim_config(path: Union[str, Path]) -> SimConfig:
+    """Read a flat `key = value` config file, `#` starting a comment, into a SimConfig."""
+    data = {}
+    with _reading(path) as stream:
+        for lineno, raw in enumerate(stream, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = map(str.strip, line.partition("="))
+            if not sep or not key:
+                raise ParseError(lineno, "expected 'key = value'")
+            if key not in _SIM_FIELDS:
+                raise ParseError(lineno, f"unknown config key {key!r}")
+            if key in data:
+                raise ParseError(lineno, f"duplicate config key {key!r}")
+            try:
+                data[key] = _SIM_FIELDS[key](value)
+            except ValueError:
+                raise ParseError(lineno, f"bad value for {key}: {value!r}") from None
+        missing = sorted(set(_SIM_FIELDS) - set(data))
+        if missing:
+            raise ValueError(f"config is missing keys: {', '.join(missing)}")
+        return SimConfig(**data)

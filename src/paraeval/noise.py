@@ -31,7 +31,8 @@ if TYPE_CHECKING:
 
 # The most bytes of float64 arrays that ``simulate`` may hold at once. Its peak is
 # six arrays of n_items x n_systems x max_k values: quality, human, metric, the
-# human prefix means, and the metric's cumulative sums and prefix means.
+# human prefix means, and the metric's cumulative sums and prefix means. Scoring
+# holds two of them and a few arrays of at most n_items x n_systems values.
 SIMULATE_MAX_BYTES = 2 ** 30
 
 
@@ -50,7 +51,8 @@ def simulate(config: SimConfig) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
 
     Returns a mapping from window size to the (human, metric) score
     matrices, each with one row per item and one column per system. A config
-    whose arrays would pass ``SIMULATE_MAX_BYTES`` is an error, before any draw.
+    whose arrays would pass ``SIMULATE_MAX_BYTES`` is an error, before any draw,
+    and so is one whose scores or their sums overflow float64.
     """
     needed = 6 * 8 * config.n_items * config.n_systems * config.max_k
     if needed > SIMULATE_MAX_BYTES:
@@ -61,26 +63,35 @@ def simulate(config: SimConfig) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     shape = (config.n_items, config.n_systems, config.max_k)
     system_means = rng.normal(0.0, config.system_mean_spread, config.n_systems)
-    quality = system_means[None, :, None] + rng.normal(0.0, config.sigma_quality,
-                                                       shape)
-    human = quality + rng.normal(0.0, config.sigma_human, shape)
-    metric = quality + rng.normal(0.0, config.sigma_metric, shape)
-    # Prefix means over sentences: cumulative left-to-right sums keep the
-    # accumulation order fixed regardless of which ks are consumed later.
-    denominators = np.arange(1, config.max_k + 1, dtype=np.float64)
-    human_means = np.cumsum(human, axis=2) / denominators
-    metric_means = np.cumsum(metric, axis=2) / denominators
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        quality = system_means[None, :, None] + rng.normal(0.0, config.sigma_quality,
+                                                           shape)
+        human = quality + rng.normal(0.0, config.sigma_human, shape)
+        metric = quality + rng.normal(0.0, config.sigma_metric, shape)
+        # Prefix means over sentences: cumulative left-to-right sums keep the
+        # accumulation order fixed regardless of which ks are consumed later.
+        denominators = np.arange(1, config.max_k + 1, dtype=np.float64)
+        human_means = np.cumsum(human, axis=2) / denominators
+        metric_means = np.cumsum(metric, axis=2) / denominators
+    # A value or a sum that is not finite leaves every later prefix sum so.
+    if not all(np.isfinite(means[:, :, -1]).all() for means in (human_means, metric_means)):
+        raise ValueError("simulated scores overflow float64; lower sigma_quality, "
+                         "sigma_human, sigma_metric or system_mean_spread")
     return {k: (human_means[:, :, k - 1], metric_means[:, :, k - 1])
             for k in range(1, config.max_k + 1)}
 
 
 def _agreement(human: np.ndarray, metric: np.ndarray) -> float:
-    """Share of within-row column pairs whose two differences agree in sign."""
+    """Share of within-row column pairs whose two differences agree in sign.
+    Each column is compared with the later ones at a time, so no array is
+    larger than the matrices. A difference past float64 is an infinity of its sign."""
     import numpy as np
-    first, second = np.triu_indices(human.shape[1], 1)
-    agree = (np.sign(human[:, first] - human[:, second])
-             == np.sign(metric[:, first] - metric[:, second]))
-    return int(np.count_nonzero(agree)) / agree.size
+    n_items, n = human.shape
+    with np.errstate(over="ignore"):
+        agree = sum(int(np.count_nonzero(np.sign(human[:, a, None] - human[:, a + 1:])
+                                         == np.sign(metric[:, a, None] - metric[:, a + 1:])))
+                    for a in range(n - 1))
+    return agree / (n_items * n * (n - 1) // 2)
 
 
 def noise_curve(config: SimConfig, ks: Sequence[int],

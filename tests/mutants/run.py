@@ -275,11 +275,21 @@ MUTANTS = [
            (f"{CLI}::TestBuildParagraphs::test_window_with_a_non_finite_score_exits_2",
             f"{CLI}::TestScore::"
             "test_a_line_that_stdout_cannot_encode_exits_2_and_writes_nothing")),
-    Mutant("validate-accepts-no-ratings", "cli.py",
-           "    records = _load_ratings(args.ratings, validate=False)\n",
-           "    with fileio._reading(args.ratings) as stream:\n"
-           "        records = fileio.read_rating_lines(stream)\n",
-           (f"{CLI}::test_a_ratings_file_without_ratings_exits_2",)),
+    Mutant("validate-accepts-no-ratings", "fileio.py",
+           "    if not records:\n        raise ValueError(f\"no ratings in {path}\")\n",
+           "    if not records and validate:\n"
+           "        raise ValueError(f\"no ratings in {path}\")\n",
+           (f"{CLI}::test_a_ratings_file_without_ratings_exits_2",
+            f"{CLI}::test_a_loader_refuses_a_file_without_records")),
+    Mutant("paragraph-loader-accepts-an-empty-file", "fileio.py",
+           "    if not paragraphs:\n        raise ValueError(f\"no paragraphs in {path}\")\n",
+           "",
+           (f"{CLI}::test_empty_paragraphs_file_exits_2",
+            f"{CLI}::test_a_loader_refuses_a_file_without_records")),
+    Mutant("agreement-skips-the-last-system", "noise.py",
+           "                    for a in range(n - 1))\n",
+           "                    for a in range(n - 2))\n",
+           ("tests/test_noise.py::test_agreement_counts_every_pair_of_systems",)),
 ]
 
 

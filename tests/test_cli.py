@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -1096,6 +1097,43 @@ def test_a_ratings_file_without_ratings_exits_2(command, content, tau_paragraphs
     assert captured.err == f"error: no ratings in {ratings}\n"
     assert captured.out == ""
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("load, kind", [
+    (fileio.load_ratings, "ratings"),
+    (partial(fileio.load_ratings, validate=False), "ratings"),
+    (fileio.load_paragraphs, "paragraphs"),
+], ids=["ratings", "unvalidated-ratings", "paragraphs"])
+def test_a_loader_refuses_a_file_without_records(load, kind, content, tmp_path):
+    path = tmp_path / "none.jsonl"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        load(path)
+    assert str(raised.value) == f"no {kind} in {path}"
+
+
+def test_load_ratings_validates_unless_told_not_to(tmp_path):
+    path = tmp_path / "ratings.jsonl"
+    records = [make_rating(score=0.5), make_rating(score=-0.5)]  # one key, twice
+    with open(path, "w", encoding="utf-8") as stream:
+        fileio.write_ratings(records, stream)
+    assert fileio.load_ratings(path, validate=False) == records
+    with pytest.raises(fileio.ValidationError) as raised:
+        fileio.load_ratings(path)
+    assert str(raised.value).startswith(
+        f"{path}: 1 validation error(s):\nduplicate rating key: dataset=wmt")
+
+
+def test_load_sim_config_reads_every_field_and_names_the_path(tmp_path):
+    path = tmp_path / "sim.cfg"
+    path.write_text(SIM_CONFIG, encoding="utf-8")
+    assert fileio.load_sim_config(path) == SimConfig(
+        n_items=30, n_systems=3, max_k=4, sigma_quality=1.0, sigma_human=0.5,
+        sigma_metric=0.5, system_mean_spread=0.5, seed=11)
+    path.write_text(SIM_CONFIG.replace("max_k = 4", "max_k = 0"), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: max_k must be >= 1"):
+        fileio.load_sim_config(path)
 
 
 # Commands that read no paragraph text, and score, which reads them all.

@@ -1,4 +1,5 @@
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,45 @@ def pairs(matrices):
     return pair_table(
         make_item(dict(enumerate(h)), dict(enumerate(m)), doc_id=f"item{i}")
         for i, (h, m) in enumerate(zip(human.tolist(), metric.tolist())))
+
+
+def brute_force_agreement(human, metric):
+    """The share of agreeing pairs, one (row, pair of columns) at a time."""
+    rows, n = human.shape
+    pairs = [(r, a, b) for r in range(rows) for a in range(n) for b in range(a + 1, n)]
+    return sum(np.sign(human[r, a] - human[r, b]) == np.sign(metric[r, a] - metric[r, b])
+               for r, a, b in pairs) / len(pairs)
+
+
+def test_agreement_counts_every_pair_of_systems():
+    rng = np.random.default_rng(7)
+    for _ in range(200):  # small integer scores, so many ties on both sides
+        shape = (rng.integers(1, 6), rng.integers(2, 9))
+        human, metric = (rng.integers(-2, 3, shape).astype(float) for _ in range(2))
+        assert noise._agreement(human, metric) == brute_force_agreement(human, metric)
+
+
+def test_scoring_holds_no_array_larger_than_the_simulated_ones():
+    # Two thousand systems make about two million pairs per item; the scoring
+    # must not hold them at once.
+    tracemalloc.start()
+    try:
+        noise_curve(config(n_items=1, n_systems=2000, max_k=2), ks=[1, 2], n_seeds=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("field", ["sigma_quality", "sigma_human", "sigma_metric",
+                                   "system_mean_spread"])
+def test_scores_that_overflow_are_refused_without_a_warning(field):
+    with pytest.raises(ValueError, match="^simulated scores overflow float64"):
+        simulate(config(**{field: 1e308}))
+
+
+def test_a_difference_past_float64_keeps_its_sign():
+    assert noise._agreement(np.array([[1e308, -1e308]]), np.array([[1.0, 0.0]])) == 1.0
 
 
 class TestSimulate:
