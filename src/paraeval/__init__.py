@@ -16,7 +16,7 @@ from .model import (EvalItem, ParagraphInstance, RatingRecord, ScoreTable,
                     ScoreType, SimConfig, SystemEntry, TauCalibration,
                     ValidationReport, validate_ratings)
 from .noise import NoiseCurvePoint, noise_curve, simulate
-from .paragraphs import aggregate_score, build_eval_items, build_paragraphs
+from .paragraphs import build_eval_items, build_paragraphs
 from .sampling import sample_stratified, sample_uniform
 
 __version__ = "0.1.0"
@@ -25,9 +25,9 @@ __all__ = [
     "BUILTIN_METRICS", "EvalItem", "NoiseCurvePoint",
     "PairTable", "ParagraphInstance", "ParseError", "RatingRecord",
     "ScoreTable", "ScoreType", "SimConfig", "SystemEntry", "TauCalibration",
-    "ValidationError", "ValidationReport", "aggregate_score",
-    "attach_metric_scores", "bleu_corpus", "bleu_sentence", "build_eval_items",
-    "build_paragraphs", "char_token_count", "length_percentiles",
+    "ValidationError", "ValidationReport", "attach_metric_scores",
+    "bleu_corpus", "bleu_sentence", "build_eval_items", "build_paragraphs",
+    "char_token_count", "length_percentiles",
     "load_external_scores", "load_paragraphs", "load_ratings", "load_sim_config",
     "mode_correlation", "noise_curve", "pair_table", "parse_external_scores",
     "parse_ratings", "pearson_no_grouping", "read_paragraphs",

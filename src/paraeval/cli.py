@@ -190,11 +190,17 @@ def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Callable]
     (mode label, table) pairs, each table named by its metric: the built-in
     --metric's scores, else the --scores tables of the unit's lang_pair and k
     in metric order, else none. The paragraphs keep their texts only if a
-    built-in metric scores them, and --ratings is read only by aligned mode.
+    built-in metric scores them; --ratings and --mode aligned go only with a
+    built-in metric, and --ratings only with aligned mode, which needs it.
 
     The scores file has no dataset column, so a lang_pair that spans two
     datasets would have one dataset's scores applied to the other's units.
     """
+    if args.metric is None and (args.ratings is not None or args.mode == "aligned"):
+        args.error(f"{'--mode aligned' if args.ratings is None else '--ratings'} "
+                   "applies only to a built-in --metric")
+    if args.ratings is not None and args.mode == "direct":
+        args.error("--ratings applies only to --mode aligned")
     if args.metric is not None and args.mode == "aligned" and args.ratings is None:
         args.error("aligned mode needs --ratings to recover the sentence pairs")
     units = _group_units(fileio.load_paragraphs(args.paragraphs, texts=args.metric is not None))
@@ -372,12 +378,18 @@ def cmd_compare_modes(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    if args.budget < 1:
-        args.error(f"--budget must be >= 1, got {args.budget}")
+    want_lengths = args.lengths or not args.truncation
+    if args.budget is not None and not args.truncation:
+        args.error("--budget applies only to --truncation")
+    if args.percentiles is not None and not want_lengths:
+        args.error("--percentiles applies only to --lengths")
+    budget = 1024 if args.budget is None else args.budget
+    percentiles = args.percentiles or [25.0, 50.0, 75.0]
+    if budget < 1:
+        args.error(f"--budget must be >= 1, got {budget}")
     paragraphs = fileio.load_paragraphs(args.paragraphs)
     counter = (metrics.char_token_count if args.counter == "char"
                else metrics.whitespace_token_count)
-    want_lengths = args.lengths or not args.truncation
     groups: dict[tuple[str, str], list[ParagraphInstance]] = {}
     for p in paragraphs:
         groups.setdefault((p.dataset_id, p.lang_pair), []).append(p)
@@ -386,7 +398,7 @@ def cmd_stats(args) -> int:
         rows = []
         if want_lengths:
             for k, per_percentile in metrics.length_percentiles(
-                    group, counter, args.percentiles).items():
+                    group, counter, percentiles).items():
                 for percentile, count in per_percentile.items():
                     try:
                         value = float(count)
@@ -398,10 +410,10 @@ def cmd_stats(args) -> int:
                                           value))
         if args.truncation:
             for k, (count, fraction) in metrics.truncation_stats(
-                    group, counter, args.budget).items():
-                rows.append(ReportRow(*key, k, "-", "-", f"truncated_count@{args.budget}",
+                    group, counter, budget).items():
+                rows.append(ReportRow(*key, k, "-", "-", f"truncated_count@{budget}",
                                       float(count)))
-                rows.append(ReportRow(*key, k, "-", "-", f"truncated_fraction@{args.budget}",
+                rows.append(ReportRow(*key, k, "-", "-", f"truncated_fraction@{budget}",
                                       fraction))
         return rows
 
@@ -520,14 +532,13 @@ def build_parser() -> _Parser:
                      help="report token-length percentiles (default when no "
                           "other statistic is selected)")
     sub.add_argument("--percentiles", type=_parse_percentiles,
-                     default=[25.0, 50.0, 75.0],
-                     help="comma list, e.g. '25,50,75'")
+                     help="comma list for --lengths (default 25,50,75)")
     sub.add_argument("--counter", choices=("whitespace", "char"),
                      default="whitespace",
                      help="token counter when counts are not precomputed")
     sub.add_argument("--truncation", action="store_true",
                      help="report how many paragraphs exceed the token budget")
-    sub.add_argument("--budget", type=int, default=1024,
+    sub.add_argument("--budget", type=int,
                      help="ref+hyp token budget for --truncation (default 1024)")
     sub.add_argument("--out", required=True, help="report base path")
 

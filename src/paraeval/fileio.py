@@ -8,16 +8,16 @@ its record type's, in declaration order, each read by its getter in
 ``_GETTERS`` or, for a repeated string, ``_get_shared``: a record whose values
 have their exact JSON types passes one test, any other goes through the
 getters, which check JSON types only and name the first bad field. The record
-type checks the values, naming the record; every error names the line. The
-writers write each record's fields in the same order. ``build-paragraphs``
-writes through ``ParagraphWriter``, which makes each rating's escaped UTF-8
-bytes once and every k's lines from them: the bytes of ``write_paragraphs``,
-as a property test checks. Both writers refuse a string that UTF-8 cannot
-encode by one check. Metric scores are a tab-separated table whose
-start_index and k are unsigned ASCII decimal integers and whose score is an
-ASCII decimal number, optionally signed and with an exponent; one TSV writer,
-shared with the CLI's reports, refuses a value holding a tab, a line break or
-a lone surrogate. The simulator config is flat ``key = value`` lines, one per
+type checks the values, a paragraph's scores included, naming the record;
+every error names the line. The writers write each record's fields in the
+same order. ``build-paragraphs`` writes through ``ParagraphWriter``, which
+makes each rating's escaped UTF-8 bytes once and every k's lines from them:
+the bytes of ``write_paragraphs``, as a property test checks. Both writers
+refuse a string that UTF-8 cannot encode by one check. Metric scores are a
+tab-separated table whose start_index and k are unsigned ASCII decimal
+integers and whose score is an ASCII decimal number, optionally signed and
+with an exponent; one TSV writer, shared with the CLI's reports, refuses a
+value holding a tab, a line break or a lone surrogate. The simulator config is flat ``key = value`` lines, one per
 SimConfig field. Path-based loaders accept gzip-compressed files, detected by
 magic bytes, and name the path in every error about the input: a bad line,
 cut-off gzip, failed validation; a ratings or paragraphs file with no records
@@ -45,7 +45,7 @@ from dataclasses import fields
 from functools import cache
 from pathlib import Path
 from struct import pack
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union, get_type_hints
+from typing import IO, Iterable, Iterator, Sequence, Union, get_type_hints
 
 from .model import (
     ItemKey,
@@ -56,7 +56,7 @@ from .model import (
     SimConfig,
     validate_ratings,
 )
-from .paragraphs import aggregate_score, sum_counts, window_score, windows
+from .paragraphs import sum_counts, window_score, windows
 
 _SCORE_TYPES = {t.value: t for t in ScoreType}
 # Parses one JSON value at an index of a string, without copying the string.
@@ -315,33 +315,11 @@ def _encodable(record):
     return record
 
 
-def _score_problem(paragraph: ParagraphInstance) -> Optional[str]:
-    """What ``read_paragraphs`` says of the paragraph's scores, naming it, or None."""
-    # JSON's NaN, Infinity and 1e400 parse as floats; a non-finite score
-    # would read as a human tie. Only finite terms have a finite sum, so a
-    # finite human_score close to the aggregate has finite sentence scores.
-    human, scores = paragraph.human_score, paragraph.sentence_scores
-    if not math.isfinite(human):
-        return f"{paragraph.name}: field human_score must be finite, got {human!r}"
-    expected = aggregate_score(scores, paragraph.score_type)
-    if math.isclose(human, expected, rel_tol=1e-9, abs_tol=1e-9):
-        return None
-    if not all(map(math.isfinite, scores)):
-        return f"{paragraph.name}: field sentence_scores must be finite, got {list(scores)!r}"
-    return (f"{paragraph.name}: human_score {human!r} does not aggregate its "
-            f"sentence_scores (expected {expected!r})")
-
-
 def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -> None:
-    """Serialize paragraphs one per line, fields in fixed order. Scores that
-    ``read_paragraphs`` refuses, a string that UTF-8 cannot encode (a lone
-    surrogate) or a text that is None is an error naming the paragraph and the
-    field, raised before the paragraph is written."""
-    for paragraph in paragraphs:
-        problem = _score_problem(paragraph)
-        if problem is not None:
-            raise ValueError(problem)
-        _write_jsonl([_encodable(paragraph)], _PARAGRAPH_FIELDS, stream)
+    """Serialize paragraphs one per line, fields in fixed order. A string that
+    UTF-8 cannot encode (a lone surrogate) or a text that is None is an error
+    naming the paragraph and the field, raised before the paragraph is written."""
+    _write_jsonl(map(_encodable, paragraphs), _PARAGRAPH_FIELDS, stream)
 
 
 # What dump_json does to each str it writes (ensure_ascii=False): it maps every
@@ -405,13 +383,7 @@ class ParagraphWriter:
 def read_paragraphs(stream: Lines, texts: bool = True) -> list[ParagraphInstance]:
     """Parse a paragraph stream, checking per-paragraph invariants. With
     texts=False every text is checked but none is kept: each reads as None."""
-    paragraphs = []
-    for lineno, paragraph in _records(stream, ParagraphInstance, _PARAGRAPH_TABLE, texts):
-        problem = _score_problem(paragraph)
-        if problem is not None:
-            raise ParseError(lineno, problem)
-        paragraphs.append(paragraph)
-    return paragraphs
+    return [p for _, p in _records(stream, ParagraphInstance, _PARAGRAPH_TABLE, texts)]
 
 
 def parse_external_scores(stream: Lines) -> dict[tuple[str, str, int], ScoreTable]:

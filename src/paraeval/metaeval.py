@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .model import EvalItem, ItemKey, ScoreTable, SystemEntry, TauCalibration
+from .model import EvalItem, ItemKey, ScoreTable, SystemEntry, TauCalibration, _scaled
 
 
 def _metric_scores(table: ScoreTable, keys: list[tuple[str, ItemKey]]) -> list[float]:
@@ -79,12 +79,6 @@ def _mean(values: Sequence[float]) -> float:
     except OverflowError:
         scaled, exponent = _scaled(values)
         return math.ldexp(math.fsum(scaled) / len(values), exponent)
-
-
-def _scaled(values: Sequence[float]) -> tuple[list[float], int]:
-    """The values times 2**-e, e the ``frexp`` exponent of the largest magnitude."""
-    exponent = math.frexp(max(map(abs, values)))[1]
-    return [math.ldexp(v, -exponent) for v in values], exponent
 
 
 def system_pairwise_accuracy(metric_sys: Mapping[str, float],

@@ -2,11 +2,13 @@
 
 All types are immutable after construction and slotted (no ``__dict__``).
 A rating or a paragraph checks its own values (an index or count below 0,
-k, the number of scores) and names itself, as ``name`` spells it, in each
-error; the readers' getters check JSON types only. Collection-level
-invariants (key uniqueness, score finiteness, a single score type per
-collection) are checked by ``validate_ratings``, which reports problems
-instead of raising so that callers can surface every issue at once.
+k, the number of scores; a paragraph's scores, finite and aggregating by
+``ScoreType.aggregate``), however it is made, and names itself, as ``name``
+spells it, in each error; the readers' getters check JSON types only.
+Collection-level invariants (key uniqueness, score finiteness, a single
+score type per collection) are checked by ``validate_ratings``, which
+reports problems instead of raising so that callers can surface every issue
+at once.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import enum
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice
-from typing import Iterable, Mapping, Optional, Tuple
+from operator import add
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 # (dataset_id, lang_pair, system_id, doc_id, sent_index)
 RatingKey = Tuple[str, str, str, str, int]
@@ -33,6 +37,26 @@ class ScoreType(enum.Enum):
 
     DA_Z = "DA_Z"  # per-rater z-normalized direct assessment; aggregates by mean
     MQM = "MQM"    # summed weighted error scores; aggregates by sum
+
+    def aggregate(self, sentence_scores: Sequence[float]) -> float:
+        """Combine per-sentence scores into one paragraph score.
+
+        DA z-scores average; MQM scores sum (a sentence's MQM score is already
+        a sum of error weights). Summation runs in list order, so results are
+        bit-reproducible for a fixed input order. Where the sum of DA scores
+        overflows, the mean is that of the ``_scaled`` scores, scaled back, so
+        finite scores have a finite mean.
+        """
+        scores = list(sentence_scores)
+        if not scores:
+            raise ValueError("sentence_scores must be non-empty")
+        total = reduce(add, scores, 0.0)
+        if self is ScoreType.MQM:
+            return total
+        if math.isinf(total):
+            scaled, exponent = _scaled(scores)
+            return math.ldexp(reduce(add, scaled, 0.0) / len(scores), exponent)
+        return total / len(scores)
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,10 +105,11 @@ class ParagraphInstance:
     """A window of k same-rater sentences concatenated into one paragraph.
 
     ``human_score`` is the mean of ``sentence_scores`` for DA_Z data and
-    their sum for MQM data; the list order follows ascending sentence
-    position. Token counts are the sums of the per-sentence counts when
-    every underlying record carried one, else None. The three texts are
-    None only in paragraphs read with ``texts=False``.
+    their sum for MQM data (``ScoreType.aggregate``, to 1e-9), and both are
+    finite; the list order follows ascending sentence position. Token counts
+    are the sums of the per-sentence counts when every underlying record
+    carried one, else None. The three texts are None only in paragraphs read
+    with ``texts=False``.
     """
 
     dataset_id: str
@@ -114,6 +139,20 @@ class ParagraphInstance:
             raise ValueError(f"{self.name}: {len(self.sentence_scores)} sentence_scores, "
                              f"expected k={self.k}")
         RatingRecord._check_score_type_and_counts(self)
+        # JSON's NaN, Infinity and 1e400 parse as floats; a non-finite score
+        # would read as a human tie. Only finite terms have a finite sum, so a
+        # finite human_score close to the aggregate has finite sentence scores.
+        human, scores = self.human_score, self.sentence_scores
+        if not math.isfinite(human):
+            raise ValueError(f"{self.name}: field human_score must be finite, got {human!r}")
+        expected = self.score_type.aggregate(scores)
+        if math.isclose(human, expected, rel_tol=1e-9, abs_tol=1e-9):
+            return
+        if not all(map(math.isfinite, scores)):
+            raise ValueError(f"{self.name}: field sentence_scores must be finite, "
+                             f"got {list(scores)!r}")
+        raise ValueError(f"{self.name}: human_score {human!r} does not aggregate its "
+                         f"sentence_scores (expected {expected!r})")
 
     @property
     def item_key(self) -> ItemKey:
@@ -210,6 +249,12 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.errors
+
+
+def _scaled(values: Sequence[float]) -> tuple[list[float], int]:
+    """The values times 2**-e, e the ``frexp`` exponent of the largest magnitude."""
+    exponent = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -exponent) for v in values], exponent
 
 
 def _format_key(key: RatingKey) -> str:

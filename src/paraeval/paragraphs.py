@@ -7,49 +7,26 @@ cuts each run into paragraphs of k sentences from its start; a remainder
 shorter than k is dropped. This equals the greedy slide that
 ``tests/oracles.py`` keeps as the reference. ``build_paragraphs`` takes these
 two steps for one k; ``build-paragraphs`` finds the runs once per command and
-cuts every k from them. ``group_items`` checks one unit's rules and groups its
-paragraphs by item; the CLI's units, the BLEU scorers and ``build_eval_items``
-read it.
+cuts every k from them. ``window_score`` aggregates a window's sentence
+scores by ``ScoreType.aggregate``; the paragraph checks its own scores.
+``group_items`` checks one unit's rules and groups its paragraphs by item;
+the CLI's units, the BLEU scorers and ``build_eval_items`` read it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from functools import reduce
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .metaeval import _scaled
 from .model import (
     PARAGRAPH_KEY,
     EvalItem,
     ParagraphInstance,
     RatingRecord,
-    ScoreType,
     SystemEntry,
 )
-
-
-def aggregate_score(sentence_scores: Sequence[float], score_type: ScoreType) -> float:
-    """Combine per-sentence scores into one paragraph score.
-
-    DA z-scores average; MQM scores sum (a sentence's MQM score is already
-    a sum of error weights). Summation runs in list order, so results are
-    bit-reproducible for a fixed input order. Where the sum of DA scores
-    overflows, the mean is that of the ``_scaled`` scores, scaled back, so
-    finite scores have a finite mean.
-    """
-    scores = list(sentence_scores)
-    if not scores:
-        raise ValueError("sentence_scores must be non-empty")
-    total = reduce(add, scores, 0.0)
-    if score_type is ScoreType.MQM:
-        return total
-    if math.isinf(total):
-        scaled, exponent = _scaled(scores)
-        return math.ldexp(reduce(add, scaled, 0.0) / len(scores), exponent)
-    return total / len(scores)
 
 
 def sum_counts(counts: list[Optional[int]]) -> Optional[int]:
@@ -99,7 +76,7 @@ def window_score(window: Sequence[RatingRecord]) -> float:
     """The window's human_score; a score that aggregates to a non-finite value
     (as any non-finite sentence score does) is an error naming the window."""
     first = window[0]
-    human_score = aggregate_score([r.score for r in window], first.score_type)
+    human_score = first.score_type.aggregate([r.score for r in window])
     if not math.isfinite(human_score):
         raise ValueError(f"window {PARAGRAPH_KEY.format(*first.key, len(window))}: "
                          f"human_score aggregates to non-finite {human_score!r}")

@@ -143,15 +143,32 @@ MUTANTS = [
            "for i in range(a + 1, b)), 10))\n",
            ("tests/test_model.py::TestValidateRatings::"
             "test_more_than_ten_unrated_positions_are_shown_cut_short",)),
-    Mutant("aggregate-score-without-scaling", "paragraphs.py",
-           "        return math.ldexp(reduce(add, scaled, 0.0) / len(scores), exponent)\n",
-           "        return total / len(scores)\n",
+    Mutant("aggregate-score-without-scaling", "model.py",
+           "            return math.ldexp(reduce(add, scaled, 0.0) / len(scores), exponent)\n",
+           "            return total / len(scores)\n",
            ("tests/test_paragraphs.py::test_a_da_window_whose_sum_overflows_has_its_mean",)),
-    Mutant("aggregate-score-scales-back-one-power-too-far", "paragraphs.py",
-           "        return math.ldexp(reduce(add, scaled, 0.0) / len(scores), exponent)\n",
-           "        return math.ldexp(reduce(add, scaled, 0.0) / len(scores), "
+    Mutant("aggregate-score-scales-back-one-power-too-far", "model.py",
+           "            return math.ldexp(reduce(add, scaled, 0.0) / len(scores), exponent)\n",
+           "            return math.ldexp(reduce(add, scaled, 0.0) / len(scores), "
            "exponent + 1)\n",
            ("tests/test_paragraphs.py::test_a_da_window_whose_sum_overflows_has_its_mean",)),
+    Mutant("paragraph-accepts-a-score-that-does-not-aggregate", "model.py",
+           "        if math.isclose(human, expected, rel_tol=1e-9, abs_tol=1e-9):\n",
+           "        if all(map(math.isfinite, scores)):\n",
+           ("tests/test_fileio.py::TestParagraphsFile::test_inconsistent_human_score_rejected",
+            "tests/test_fileio.py::TestParagraphsFile::"
+            "test_a_paragraph_refuses_the_scores_read_paragraphs_refuses",
+            "tests/test_paragraphs.py::TestBuildEvalItems::"
+            "test_scores_the_reader_refuses_never_reach_an_item")),
+    # A NaN or infinite human_score then reads as one that does not aggregate.
+    Mutant("paragraph-accepts-a-non-finite-human-score", "model.py",
+           "        if not math.isfinite(human):\n",
+           "        if False:\n",
+           ("tests/test_fileio.py::test_a_value_the_record_refuses_names_its_line_and_the_record",
+            "tests/test_fileio.py::TestParagraphsFile::"
+            "test_a_paragraph_refuses_the_scores_read_paragraphs_refuses",
+            "tests/test_paragraphs.py::TestBuildEvalItems::"
+            "test_scores_the_reader_refuses_never_reach_an_item")),
     Mutant("tau-sweep-takes-equal-gains", "metaeval.py",
            "        if running > gain:\n",
            "        if running >= gain:\n",
@@ -222,8 +239,8 @@ MUTANTS = [
            (f"{CLI}::TestScore::"
             "test_a_line_that_stdout_cannot_encode_exits_2_and_writes_nothing",)),
     Mutant("paragraph-writer-without-the-utf8-check", "fileio.py",
-           "_write_jsonl([_encodable(paragraph)], _PARAGRAPH_FIELDS, stream)",
-           "_write_jsonl([paragraph], _PARAGRAPH_FIELDS, stream)",
+           "_write_jsonl(map(_encodable, paragraphs), _PARAGRAPH_FIELDS, stream)",
+           "_write_jsonl(paragraphs, _PARAGRAPH_FIELDS, stream)",
            ("tests/test_fileio.py::TestParagraphsFile::"
             "test_write_paragraphs_names_a_string_utf8_cannot_encode",
             f"{CLI}::TestExportTraining::"

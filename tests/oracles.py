@@ -391,7 +391,6 @@ def read_paragraphs(stream):
     """Parse a paragraph stream, checking per-paragraph invariants."""
     from paraeval.fileio import ParseError
     from paraeval.model import ParagraphInstance
-    from paraeval.paragraphs import aggregate_score
 
     paragraphs = []
     for lineno, obj in _parse_lines(stream):
@@ -436,7 +435,7 @@ def read_paragraphs(stream):
         if not all(map(math.isfinite, paragraph.sentence_scores)):
             raise ParseError(lineno, f"paragraph {key}: field sentence_scores must be "
                              f"finite, got {list(paragraph.sentence_scores)!r}")
-        expected = aggregate_score(paragraph.sentence_scores, paragraph.score_type)
+        expected = paragraph.score_type.aggregate(paragraph.sentence_scores)
         if not math.isclose(paragraph.human_score, expected,
                             rel_tol=1e-9, abs_tol=1e-9):
             raise ParseError(

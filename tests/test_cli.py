@@ -1207,14 +1207,6 @@ def test_ratings_with_other_texts_exit_2_in_aligned_mode(command, tmp_path, caps
     assert not list(tmp_path.glob("out*"))
 
 
-# Commands given --ratings that they do not read: only aligned mode reads them.
-RATINGS_FREE_COMMANDS = {
-    "metaeval-scores": ["metaeval", "--scores", "{scores}"],
-    "ties-scores": ["ties", "--scores", "{scores}"],
-    "metaeval-direct": ["metaeval", "--metric", "bleu", "--mode", "direct"],
-}
-
-
 @pytest.mark.parametrize("argv, out, output", [
     # The k=1 file comes first and is not written either.
     (["build-paragraphs", "--ratings", "paragraphs-k2.jsonl", "--k", "1,2"], ".",
@@ -1238,20 +1230,6 @@ def test_an_output_that_is_an_input_exits_2_and_leaves_the_input(argv, out, outp
     assert captured.out == ""
     assert source.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [source.name]
-
-
-@pytest.mark.parametrize("command", sorted(RATINGS_FREE_COMMANDS))
-def test_a_missing_ratings_file_is_not_read_outside_aligned_mode(
-        command, tau_paragraphs, tau_scores, tmp_path):
-    name, *argv = [arg.format(scores=tau_scores) for arg in RATINGS_FREE_COMMANDS[command]]
-    missing = str(tmp_path / "nope.jsonl")
-    assert main([name, "--paragraphs", tau_paragraphs, *argv,
-                 "--out", str(tmp_path / "plain")]) == 0
-    assert main([name, "--paragraphs", tau_paragraphs, *argv, "--ratings", missing,
-                 "--out", str(tmp_path / "given")]) == 0
-    for suffix in (".tsv", ".jsonl"):
-        assert (tmp_path / f"given{suffix}").read_bytes() == \
-            (tmp_path / f"plain{suffix}").read_bytes()
 
 
 def test_a_missing_ratings_file_exits_2_in_aligned_mode(tau_paragraphs, tmp_path, capsys):
@@ -1519,6 +1497,32 @@ USAGE_RULES = {
                               "argument --metric: not allowed with argument --scores"),
     "stats-budget": (["stats", "--paragraphs", "{paragraphs}", "--truncation",
                       "--budget", "0", "--out", "{out}"], "--budget must be >= 1, got 0"),
+    # An option the run would not read; no --ratings file exists.
+    **{f"{command}-scores-with-ratings": (
+        [command, "--paragraphs", "{paragraphs}", "--scores", "{scores}", "--ratings",
+         "{out}-missing.jsonl", "--out", "{out}"],
+        "--ratings applies only to a built-in --metric") for command in ("metaeval", "ties")},
+    **{f"{command}-scores-aligned": (
+        [command, "--paragraphs", "{paragraphs}", "--scores", "{scores}", "--mode",
+         "aligned", "--out", "{out}"],
+        "--mode aligned applies only to a built-in --metric") for command in ("metaeval", "ties")},
+    **{f"{command}-direct-with-ratings": (
+        [command, "--paragraphs", "{paragraphs}", "--metric", "bleu", "--ratings",
+         "{out}-missing.jsonl", "--out", "{out}"],
+        "--ratings applies only to --mode aligned") for command in ("score", "metaeval", "ties")},
+    "ties-human-with-ratings": (["ties", "--paragraphs", "{paragraphs}", "--ratings",
+                                 "{out}-missing.jsonl", "--out", "{out}"],
+                                "--ratings applies only to a built-in --metric"),
+    "ties-human-aligned": (["ties", "--paragraphs", "{paragraphs}", "--mode", "aligned",
+                            "--out", "{out}"],
+                           "--mode aligned applies only to a built-in --metric"),
+    "stats-budget-without-truncation": (["stats", "--paragraphs", "{paragraphs}", "--budget",
+                                         "12", "--out", "{out}"],
+                                        "--budget applies only to --truncation"),
+    "stats-percentiles-without-lengths": (["stats", "--paragraphs", "{paragraphs}",
+                                           "--truncation", "--percentiles", "50",
+                                           "--out", "{out}"],
+                                          "--percentiles applies only to --lengths"),
     "simulate-seeds": (["simulate", "--config", "{config}", "--seeds", "0", "--out", "{out}"],
                        "--seeds must be >= 1, got 0"),
     "simulate-one-k": (["simulate", "--config", "{config}", "--ks", "2", "--out", "{out}"],

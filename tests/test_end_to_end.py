@@ -374,7 +374,8 @@ def test_every_report_row_matches_the_oracles(tmp_path_factory, corpus):
     for mode in ("direct", "aligned"):
         path = tmp / f"{mode}.tsv"
         code, out, err = run("score", "--paragraphs", paragraphs, "--mode", mode,
-                             "--ratings", ratings, "--out", path)
+                             *(["--ratings", ratings] if mode == "aligned" else []),
+                             "--out", path)
         assert (code, err) == (0, "")
         assert out.endswith(f"wrote {sum(map(len, units.values()))} scores -> {path}\n")
         scored[mode] = (path, check_scores(
@@ -427,7 +428,8 @@ def test_every_report_row_matches_the_oracles(tmp_path_factory, corpus):
         check_source(["--scores", path], tables, name, span_error)
     # The built-in metric gives the values score wrote.
     for mode in ("direct", "aligned"):
-        check_source(["--metric", "bleu", "--mode", mode, "--ratings", ratings],
+        check_source(["--metric", "bleu", "--mode", mode,
+                      *(["--ratings", ratings] if mode == "aligned" else [])],
                      [("bleu", mode, scored[mode][1])], f"builtin-{mode}", None)
     base = tmp / "human-ties"
     check_report(run("ties", "--paragraphs", paragraphs, "--out", base), base,

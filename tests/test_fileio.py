@@ -285,19 +285,20 @@ class TestParagraphsFile:
         ({"human_score": 1.125},
          "human_score 1.125 does not aggregate its sentence_scores (expected 0.125)"),
     ], ids=["infinite-human", "nan-sentence", "not-the-aggregate"])
-    def test_write_paragraphs_refuses_the_scores_read_paragraphs_refuses(self, change,
-                                                                         problem):
-        bad = replace(self.build(k=2, n=2)[0], **change)
-        buffer = io.StringIO()
-        with pytest.raises(ValueError, match=re.escape(
-                "paragraph dataset=wmt lang_pair=en-de system=sysA doc=doc1 start_index=0 "
-                f"k=2: {problem}")):
-            fileio.write_paragraphs([bad], buffer)
-        assert buffer.getvalue() == ""
-        if all(map(math.isfinite, (bad.human_score, *bad.sentence_scores))):
+    def test_a_paragraph_refuses_the_scores_read_paragraphs_refuses(self, change, problem):
+        good = self.build(k=2, n=2)[0]
+        message = ("paragraph dataset=wmt lang_pair=en-de system=sysA doc=doc1 "
+                   f"start_index=0 k=2: {problem}")
+        bad = dict(record_fields(good), **change)
+        for make in (lambda: ParagraphInstance(**bad), lambda: replace(good, **change)):
+            with pytest.raises(ValueError) as excinfo:
+                make()
+            assert str(excinfo.value) == message
+        if all(map(math.isfinite, (bad["human_score"], *bad["sentence_scores"]))):
             # A line that JSON can hold, and which the reader refuses alike.
-            with pytest.raises(ParseError, match=re.escape(problem)):
-                fileio.read_paragraphs([fileio.dump_json(record_fields(bad))])
+            with pytest.raises(ParseError) as excinfo:
+                fileio.read_paragraphs([fileio.dump_json(bad)])
+            assert str(excinfo.value) == f"line 1: {message}"
 
     def test_write_paragraphs_refuses_a_paragraph_read_without_its_texts(self, tmp_path):
         path = tmp_path / "p.jsonl"

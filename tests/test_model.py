@@ -147,7 +147,7 @@ class TestParagraphInstance:
             self.make(**{name: -5})
 
     def test_sentence_scores_coerced_to_tuple(self):
-        paragraph = self.make(scores=[1.0, 2.0])
+        paragraph = self.make(scores=[1.0, 2.0], human_score=1.5)
         assert paragraph.sentence_scores == (1.0, 2.0)
         assert isinstance(paragraph.sentence_scores, tuple)
 

@@ -8,31 +8,31 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import make_rating
-from paraeval.model import ScoreType
-from paraeval.paragraphs import aggregate_score, build_eval_items, build_paragraphs
+from paraeval.model import ParagraphInstance, ScoreType
+from paraeval.paragraphs import build_eval_items, build_paragraphs
 
 
 class TestAggregateScore:
     def test_da_z_averages(self):
-        assert aggregate_score([0.5, -0.5], ScoreType.DA_Z) == 0.0
+        assert ScoreType.DA_Z.aggregate([0.5, -0.5]) == 0.0
 
     def test_mqm_sums(self):
-        assert aggregate_score([-5.0, -1.0, 0.0], ScoreType.MQM) == -6.0
+        assert ScoreType.MQM.aggregate([-5.0, -1.0, 0.0]) == -6.0
 
     def test_singleton_is_identity_for_both_types(self):
-        assert aggregate_score([0.73], ScoreType.DA_Z) == 0.73
-        assert aggregate_score([0.73], ScoreType.MQM) == 0.73
+        assert ScoreType.DA_Z.aggregate([0.73]) == 0.73
+        assert ScoreType.MQM.aggregate([0.73]) == 0.73
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            aggregate_score([], ScoreType.DA_Z)
+            ScoreType.DA_Z.aggregate([])
 
     def test_summation_order_is_input_order(self):
         values = [0.1, 0.2, 0.3, -0.4, 1e-17]
         expected = 0.0
         for v in values:
             expected += v
-        assert aggregate_score(values, ScoreType.MQM) == expected
+        assert ScoreType.MQM.aggregate(values) == expected
 
 
 # Every finite float: subnormals, values near the largest float, both signs.
@@ -54,14 +54,14 @@ def plain_sum(scores):
 def test_a_finite_plain_sum_is_kept_bit_for_bit(scores):
     total = plain_sum(scores)
     if math.isfinite(total):
-        assert aggregate_score(scores, ScoreType.DA_Z) == total / len(scores)
-    assert aggregate_score(scores, ScoreType.MQM) == total
+        assert ScoreType.DA_Z.aggregate(scores) == total / len(scores)
+    assert ScoreType.MQM.aggregate(scores) == total
 
 
 @PROPERTY
 @given(FINITE_SCORES)
 def test_the_mean_of_finite_scores_is_finite_and_within_the_summation_bound(scores):
-    mean = aggregate_score(scores, ScoreType.DA_Z)
+    mean = ScoreType.DA_Z.aggregate(scores)
     assert math.isfinite(mean)
     # Recursive summation of n terms errs by at most gamma_(n-1) * sum |x|;
     # gamma_(n+1) also covers the division's rounding and the terms that
@@ -73,11 +73,11 @@ def test_the_mean_of_finite_scores_is_finite_and_within_the_summation_bound(scor
 
 
 def test_a_da_window_whose_sum_overflows_has_its_mean():
-    assert aggregate_score([8.98846567431158e+307] * 2, ScoreType.DA_Z) == \
+    assert ScoreType.DA_Z.aggregate([8.98846567431158e+307] * 2) == \
         8.98846567431158e+307
-    assert aggregate_score([1.7976931348623157e308] * 3, ScoreType.DA_Z) == \
+    assert ScoreType.DA_Z.aggregate([1.7976931348623157e308] * 3) == \
         1.7976931348623157e308
-    assert aggregate_score([1.7e308, 1.7e308], ScoreType.MQM) == math.inf
+    assert ScoreType.MQM.aggregate([1.7e308, 1.7e308]) == math.inf
 
 def doc_records(raters, rated=None, **overrides):
     """One document's records: one per rated position, rater per position."""
@@ -290,6 +290,28 @@ class TestBuildEvalItems:
         (item,) = build_eval_items(paragraphs, 2)
         assert item.per_system["sys1"].human_score == 1.5
         assert item.per_system["sys1"].metric_score is None
+
+    def test_scores_the_reader_refuses_never_reach_an_item(self):
+        # Built by hand, these three paragraphs of one item once went through
+        # build_eval_items, attach_metric_scores and pair_table and gave human
+        # signs [0, 0, 1]: a NaN difference reads as a tie.
+        def paragraph(system_id, human_score, score):
+            return ParagraphInstance(
+                dataset_id="wmt", lang_pair="en-de", system_id=system_id, doc_id="docA",
+                start_index=0, k=1, score_type=ScoreType.DA_Z, rater_id="A",
+                human_score=human_score, sentence_scores=(score,), source_text="s",
+                reference_text="r", hypothesis_text="h")
+
+        name = "paragraph dataset=wmt lang_pair=en-de system={} doc=docA start_index=0 k=1"
+        for system_id, human_score, score, problem in [
+                ("sys1", math.nan, 1.0, "field human_score must be finite, got nan"),
+                ("sys3", 0.5, 2.0, "human_score 0.5 does not aggregate its "
+                                   "sentence_scores (expected 2.0)")]:
+            with pytest.raises(ValueError) as excinfo:
+                build_eval_items([paragraph(system_id, human_score, score),
+                                  paragraph("sys2", 1.0, 1.0)], 1)
+            assert str(excinfo.value) == f"{name.format(system_id)}: {problem}"
+            assert excinfo.traceback[-1].name == "__post_init__"
 
     def test_mixed_units_rejected(self):
         paragraphs = (self.paragraphs_for({"sys1": {"docA": ["A", "A"]}}) +
