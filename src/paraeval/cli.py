@@ -1,9 +1,11 @@
 """Command-line front end for batch dataset builds, scoring, and reports.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, bad ranges), 2 on
-data errors (missing or malformed inputs, invariant violations). The
-subcommand's parser prints every usage error, argparse's or a command's own
-(``args.error``): its usage line, then ``paraeval CMD: error: ...``.
+data errors (missing or malformed inputs, invariant violations). ``OPTIONS``
+declares each option once; before a command runs, ``_check`` fills in its
+defaults and applies every usage rule (``_RULES``). The subcommand's parser
+prints every usage error, argparse's or a rule's: its usage line, then
+``paraeval CMD: error: ...``.
 
 Report-producing subcommands take ``--out BASE`` and write ``BASE.tsv``
 and ``BASE.jsonl`` with identical rows; every row carries the full
@@ -32,8 +34,9 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -43,6 +46,7 @@ from .paragraphs import build_eval_items, group_items, rater_runs
 
 UnitKey = tuple  # (dataset_id, lang_pair, k)
 _INPUTS = ("ratings", "paragraphs", "scores", "config")  # the options that name input files
+MAX_K = 10_000  # the largest window size a k list may name
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,26 +65,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_k_spec(spec: str) -> list[int]:
-    """Parse '1-10', '2,5,7', or a mix into a sorted list of distinct ks."""
-    ks = []
+    """Parse '1-10', '2,5,7', or a mix into a sorted list of distinct ks, each
+    at most MAX_K; a range is bounded before it is expanded."""
+    ks: set[int] = set()
     try:
         for part in spec.split(","):
             part = part.strip()
-            if "-" in part[1:]:
-                lo, _, hi = part.partition("-")
-                lo, hi = int(lo), int(hi)
-                if lo > hi:
-                    raise argparse.ArgumentTypeError(
-                        f"empty range {lo}-{hi} in {spec!r}")
-                ks.extend(range(lo, hi + 1))
-            else:
-                ks.append(int(part))
+            lo, _, hi = part.partition("-") if "-" in part[1:] else (part, "", part)
+            lo, hi = int(lo), int(hi)
+            if lo > hi:
+                raise argparse.ArgumentTypeError(
+                    f"empty range {lo}-{hi} in {spec!r}")
+            if hi > MAX_K:
+                raise argparse.ArgumentTypeError(f"k values must be <= {MAX_K}, got {spec!r}")
+            ks.update(range(lo, hi + 1))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad k list {spec!r}; "
                                          f"expected forms like '1-10' or '2,5,7'")
     if not ks or min(ks) < 1:
         raise argparse.ArgumentTypeError(f"k values must be >= 1, got {spec!r}")
-    return sorted(set(ks))
+    return sorted(ks)
 
 
 def _parse_percentiles(spec: str) -> list[float]:
@@ -190,19 +194,12 @@ def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Callable]
     (mode label, table) pairs, each table named by its metric: the built-in
     --metric's scores, else the --scores tables of the unit's lang_pair and k
     in metric order, else none. The paragraphs keep their texts only if a
-    built-in metric scores them; --ratings and --mode aligned go only with a
-    built-in metric, and --ratings only with aligned mode, which needs it.
+    built-in metric scores them; ``_RULES`` refuse --mode and --ratings
+    without one, and --ratings without aligned mode, which needs it.
 
     The scores file has no dataset column, so a lang_pair that spans two
     datasets would have one dataset's scores applied to the other's units.
     """
-    if args.metric is None and (args.ratings is not None or args.mode == "aligned"):
-        args.error(f"{'--mode aligned' if args.ratings is None else '--ratings'} "
-                   "applies only to a built-in --metric")
-    if args.ratings is not None and args.mode == "direct":
-        args.error("--ratings applies only to --mode aligned")
-    if args.metric is not None and args.mode == "aligned" and args.ratings is None:
-        args.error("aligned mode needs --ratings to recover the sentence pairs")
     units = _group_units(fileio.load_paragraphs(args.paragraphs, texts=args.metric is not None))
     if args.metric is not None:
         score = (metrics.score_direct if args.mode == "direct" else partial(
@@ -269,14 +266,6 @@ def cmd_build_paragraphs(args) -> int:
 
 
 def cmd_export_training(args) -> int:
-    if args.size < 1:
-        args.error(f"--size must be >= 1, got {args.size}")
-    if args.seed < 0:
-        args.error(f"--seed must be >= 0, got {args.seed}")
-    if args.ks is not None and args.strategy != "stratified":
-        args.error("--ks applies only to --strategy stratified")
-    if args.ks is not None and args.size % len(args.ks):
-        args.error(f"sample size {args.size} is not divisible by the {len(args.ks)} strata")
     pool = fileio.load_paragraphs(args.paragraphs)
     if args.strategy == "stratified":
         ks = args.ks if args.ks is not None else sorted({p.k for p in pool})
@@ -300,8 +289,6 @@ def cmd_score(args) -> int:
 
 
 def cmd_metaeval(args) -> int:
-    if not (math.isfinite(args.epsilon) and args.epsilon >= 0):
-        args.error(f"--epsilon must be a finite number >= 0, got {args.epsilon}")
     units, tables = _load_units(args)
     paired = args.level == "segment" or args.tau_opt or args.ties
 
@@ -378,27 +365,19 @@ def cmd_compare_modes(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    want_lengths = args.lengths or not args.truncation
-    if args.budget is not None and not args.truncation:
-        args.error("--budget applies only to --truncation")
-    if args.percentiles is not None and not want_lengths:
-        args.error("--percentiles applies only to --lengths")
-    budget = 1024 if args.budget is None else args.budget
-    percentiles = args.percentiles or [25.0, 50.0, 75.0]
-    if budget < 1:
-        args.error(f"--budget must be >= 1, got {budget}")
     paragraphs = fileio.load_paragraphs(args.paragraphs)
-    counter = (metrics.char_token_count if args.counter == "char"
-               else metrics.whitespace_token_count)
+    # Each distinct text is counted once; a counter that is never called was not read.
+    counter = cache(metrics.char_token_count if args.counter == "char"
+                    else metrics.whitespace_token_count)
     groups: dict[tuple[str, str], list[ParagraphInstance]] = {}
     for p in paragraphs:
         groups.setdefault((p.dataset_id, p.lang_pair), []).append(p)
 
     def group_rows(key, group):
         rows = []
-        if want_lengths:
+        if args.lengths or not args.truncation:
             for k, per_percentile in metrics.length_percentiles(
-                    group, counter, percentiles).items():
+                    group, counter, args.percentiles).items():
                 for percentile, count in per_percentile.items():
                     try:
                         value = float(count)
@@ -410,23 +389,22 @@ def cmd_stats(args) -> int:
                                           value))
         if args.truncation:
             for k, (count, fraction) in metrics.truncation_stats(
-                    group, counter, budget).items():
-                rows.append(ReportRow(*key, k, "-", "-", f"truncated_count@{budget}",
+                    group, counter, args.budget).items():
+                rows.append(ReportRow(*key, k, "-", "-", f"truncated_count@{args.budget}",
                                       float(count)))
-                rows.append(ReportRow(*key, k, "-", "-", f"truncated_fraction@{budget}",
+                rows.append(ReportRow(*key, k, "-", "-", f"truncated_fraction@{args.budget}",
                                       fraction))
         return rows
 
-    return _report(_per_unit(dict(sorted(groups.items())), group_rows), lambda _, rows:
+    code = _report(_per_unit(dict(sorted(groups.items())), group_rows), lambda _, rows:
                    "\n".join(f"{r.dataset}/{r.lang_pair} k={r.k}: {r.statistic}={r.value:g}"
                               for r in rows), args)
+    if "counter" in args.given and not counter.cache_info().misses:
+        print("note: --counter was not read: every count is in the file", file=sys.stderr)
+    return code
 
 
 def cmd_simulate(args) -> int:
-    if args.seeds < 1:
-        args.error(f"--seeds must be >= 1, got {args.seeds}")
-    if len(args.ks) < 2:
-        args.error(f"--ks needs at least 2 distinct k values, got {args.ks}")
     config = fileio.load_sim_config(args.config)
     per_k = {}
     for point in noise.noise_curve(config, args.ks, args.seeds):
@@ -441,123 +419,135 @@ def cmd_simulate(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
+COMMANDS = {  # each command's function and help
+    "validate": (cmd_validate, "Check a ratings file's invariants."),
+    "build-paragraphs": (cmd_build_paragraphs, "Build sliding-window paragraphs from ratings."),
+    "export-training": (cmd_export_training, "Sample a reproducible training subset."),
+    "score": (cmd_score, "Score paragraphs with a built-in metric."),
+    "metaeval": (cmd_metaeval, "Measure metric-human agreement per evaluation unit."),
+    "ties": (cmd_ties, "Report exact-tie rates per evaluation unit."),
+    "compare-modes": (cmd_compare_modes, "Correlate direct and aligned scores of one metric."),
+    "stats": (cmd_stats, "Report paragraph length statistics per k."),
+    "simulate": (cmd_simulate, "Run the rater/metric noise model across window sizes."),
+}
+_REQUIRED = object()  # the default of an option that a command requires
+_SCORING = ("score", "metaeval", "ties")  # the commands that can score with a built-in metric
+_SOURCES = {"metaeval": _REQUIRED, "ties": None}  # one score source, or at most one
+
+# Each option once: its flag, each command that takes it with its default there
+# as on the command line (False makes a switch), its help, and its type or
+# choices. A source option is in the command's group of score sources.
+_Option = namedtuple("_Option", "flag defaults help type choices source",
+                     defaults=(str, None, False))
+OPTIONS = [
+    _Option("--ratings", dict.fromkeys(("validate", "build-paragraphs", "compare-modes"),
+                                       _REQUIRED), "ratings .jsonl[.gz]"),
+    _Option("--paragraphs", dict.fromkeys(("export-training", *_SCORING, "compare-modes",
+                                           "stats"), _REQUIRED), "paragraphs .jsonl[.gz]"),
+    _Option("--config", {"simulate": _REQUIRED}, "flat key=value file of noise model fields"),
+    _Option("--scores", _SOURCES, "external scores .tsv[.gz]", source=True),
+    _Option("--metric", _SOURCES, "built-in metric", choices=metrics.BUILTIN_METRICS, source=True),
+    _Option("--metric", dict.fromkeys(("score", "compare-modes"), "bleu"), "a built-in metric",
+            choices=metrics.BUILTIN_METRICS),
+    _Option("--mode", dict.fromkeys(_SCORING, "direct"), "score each paragraph whole or as "
+            "the mean of its aligned sentences", choices=("direct", "aligned")),
+    _Option("--ratings", dict.fromkeys(_SCORING), "ratings .jsonl[.gz] for aligned mode"),
+    _Option("--k", {"build-paragraphs": "1-10"}, "window sizes, e.g. 1-10 or 2,5", parse_k_spec),
+    _Option("--strategy", {"export-training": "uniform"}, "sampling strategy",
+            choices=("uniform", "stratified")),
+    _Option("--size", {"export-training": _REQUIRED}, "sample size", int),
+    _Option("--ks", {"export-training": None, "simulate": "1,2,5,10"}, "window sizes; "
+            "export-training's strata, by default the pool's ks", parse_k_spec),
+    _Option("--seed", {"export-training": "0"}, "sampling seed", int),
+    _Option("--label", {"score": None}, "metric column value (default '<metric>-<mode>')"),
+    _Option("--level", {"metaeval": "segment"}, "agreement level", choices=("system", "segment")),
+    _Option("--epsilon", {"metaeval": "0"}, "metric tie threshold for segment accuracy", float),
+    _Option("--tau-opt", {"metaeval": False}, "also report the optimal tie threshold"),
+    _Option("--pearson", {"metaeval": False}, "also report no-grouping Pearson"),
+    _Option("--ties", {"metaeval": False}, "also report human and metric tie rates"),
+    _Option("--lengths", {"stats": False}, "report token-length percentiles (the default)"),
+    _Option("--percentiles", {"stats": "25,50,75"}, "--lengths percentiles", _parse_percentiles),
+    _Option("--counter", {"stats": "whitespace"}, "token counter for a count not in the file",
+            choices=("whitespace", "char")),
+    _Option("--truncation", {"stats": False}, "report how many paragraphs exceed --budget"),
+    _Option("--budget", {"stats": "1024"}, "ref+hyp token budget for --truncation", int),
+    _Option("--seeds", {"simulate": "50"}, "number of seeds", int),
+    _Option("--out", dict.fromkeys(list(COMMANDS)[1:], _REQUIRED), "output: build-paragraphs' "
+            "directory, export-training's .jsonl, score's .tsv, else a report's base path"),
+]
+
+# Each usage rule: its commands, whether the options break it (``a.given``
+# names those given), and its message: a format string of the options'
+# values, or a function making it.
+_RULES = [
+    (("export-training",), lambda a: a.size < 1, "--size must be >= 1, got {size}"),
+    (("export-training",), lambda a: a.seed < 0, "--seed must be >= 0, got {seed}"),
+    (("export-training",), lambda a: "ks" in a.given and a.strategy != "stratified",
+     "--ks applies only to --strategy stratified"),
+    (("export-training",), lambda a: "ks" in a.given and a.size % len(a.ks),
+     lambda a: f"sample size {a.size} is not divisible by the {len(a.ks)} strata"),
+    (("metaeval",), lambda a: not 0 <= a.epsilon < math.inf,
+     "--epsilon must be a finite number >= 0, got {epsilon}"),
+    (("metaeval",), lambda a: "epsilon" in a.given and a.level == "system",
+     "--epsilon applies only to --level segment"),
+    (_SOURCES, lambda a: a.metric is None and "ratings" in a.given,
+     "--ratings applies only to a built-in --metric"),
+    (_SOURCES, lambda a: a.metric is None and "mode" in a.given,
+     "--mode {mode} applies only to a built-in --metric"),
+    (_SCORING, lambda a: "ratings" in a.given and a.mode != "aligned",
+     "--ratings applies only to --mode aligned"),
+    (_SCORING, lambda a: a.mode == "aligned" and a.ratings is None,
+     "aligned mode needs --ratings to recover the sentence pairs"),
+    (("stats",), lambda a: "budget" in a.given and not a.truncation,
+     "--budget applies only to --truncation"),
+    (("stats",), lambda a: "percentiles" in a.given and a.truncation and not a.lengths,
+     "--percentiles applies only to --lengths"),
+    (("stats",), lambda a: a.budget < 1, "--budget must be >= 1, got {budget}"),
+    (("simulate",), lambda a: a.seeds < 1, "--seeds must be >= 1, got {seeds}"),
+    (("simulate",), lambda a: len(a.ks) < 2, "--ks needs at least 2 distinct k values, got {ks}"),
+]
+
+
 def build_parser() -> _Parser:
-    parser = _Parser(prog="paraeval",
-                     description="Build paragraph-level MT evaluation data, "
-                                 "score it, and meta-evaluate metrics.")
-    subparsers = parser.add_subparsers(dest="command", required=True,
-                                       metavar="COMMAND")
-
-    def add(name, func, help_text):
-        sub = subparsers.add_parser(name, help=help_text, description=help_text)
-        sub.set_defaults(func=func, error=sub.error)
-        return sub
-
-    sub = add("validate", cmd_validate, "Check a ratings file's invariants.")
-    sub.add_argument("--ratings", required=True, help="ratings .jsonl[.gz]")
-
-    sub = add("build-paragraphs", cmd_build_paragraphs,
-              "Build sliding-window paragraphs from sentence ratings.")
-    sub.add_argument("--ratings", required=True, help="ratings .jsonl[.gz]")
-    sub.add_argument("--k", type=parse_k_spec, default=list(range(1, 11)),
-                     help="window sizes, e.g. '1-10' or '2,5' (default 1-10)")
-    sub.add_argument("--out", required=True,
-                     help="output directory for paragraphs-k<k>.jsonl files")
-
-    sub = add("export-training", cmd_export_training,
-              "Sample a reproducible training subset of paragraphs.")
-    sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")
-    sub.add_argument("--strategy", choices=("uniform", "stratified"),
-                     default="uniform")
-    sub.add_argument("--size", type=int, required=True, help="sample size")
-    sub.add_argument("--ks", type=parse_k_spec, default=None,
-                     help="strata for the stratified strategy "
-                          "(default: ks present in the pool)")
-    sub.add_argument("--seed", type=int, default=0, help="sampling seed")
-    sub.add_argument("--out", required=True, help="output .jsonl path")
-
-    sub = add("score", cmd_score, "Score paragraphs with a built-in metric.")
-    sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")
-    sub.add_argument("--metric", choices=metrics.BUILTIN_METRICS,
-                     default="bleu")
-    sub.add_argument("--mode", choices=("direct", "aligned"), default="direct",
-                     help="whole-paragraph scoring or mean over aligned "
-                          "sentence pairs")
-    sub.add_argument("--ratings", help="ratings file (required for aligned mode)")
-    sub.add_argument("--label", help="metric column value "
-                                     "(default '<metric>-<mode>')")
-    sub.add_argument("--out", required=True, help="output scores .tsv path")
-
-    sub = add("metaeval", cmd_metaeval,
-              "Measure metric-human agreement per evaluation unit.")
-    sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")
-    source = sub.add_mutually_exclusive_group(required=True)
-    source.add_argument("--scores", help="external scores .tsv[.gz]")
-    source.add_argument("--metric", choices=metrics.BUILTIN_METRICS,
-                        help="score with a built-in metric instead of --scores")
-    sub.add_argument("--mode", choices=("direct", "aligned"), default="direct")
-    sub.add_argument("--ratings", help="ratings file (for aligned mode)")
-    sub.add_argument("--level", choices=("system", "segment"), default="segment")
-    sub.add_argument("--epsilon", type=float, default=0.0,
-                     help="metric tie threshold for segment accuracy")
-    sub.add_argument("--tau-opt", action="store_true",
-                     help="also report the optimal tie threshold")
-    sub.add_argument("--pearson", action="store_true",
-                     help="also report no-grouping Pearson")
-    sub.add_argument("--ties", action="store_true",
-                     help="also report human and metric tie rates")
-    sub.add_argument("--out", required=True, help="report base path")
-
-    sub = add("ties", cmd_ties, "Report exact-tie rates per evaluation unit.")
-    sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")
-    source = sub.add_mutually_exclusive_group()
-    source.add_argument("--scores", help="external scores .tsv[.gz]")
-    source.add_argument("--metric", choices=metrics.BUILTIN_METRICS,
-                        help="also rate ties of a built-in metric")
-    sub.add_argument("--mode", choices=("direct", "aligned"), default="direct")
-    sub.add_argument("--ratings", help="ratings file (for aligned mode)")
-    sub.add_argument("--out", required=True, help="report base path")
-
-    sub = add("compare-modes", cmd_compare_modes,
-              "Correlate direct vs aligned-average scoring of one metric.")
-    sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")
-    sub.add_argument("--ratings", required=True, help="ratings .jsonl[.gz]")
-    sub.add_argument("--metric", choices=metrics.BUILTIN_METRICS,
-                     default="bleu")
-    sub.add_argument("--out", required=True, help="report base path")
-
-    sub = add("stats", cmd_stats, "Report paragraph length statistics per k.")
-    sub.add_argument("--paragraphs", required=True, help="paragraphs .jsonl[.gz]")
-    sub.add_argument("--lengths", action="store_true",
-                     help="report token-length percentiles (default when no "
-                          "other statistic is selected)")
-    sub.add_argument("--percentiles", type=_parse_percentiles,
-                     help="comma list for --lengths (default 25,50,75)")
-    sub.add_argument("--counter", choices=("whitespace", "char"),
-                     default="whitespace",
-                     help="token counter when counts are not precomputed")
-    sub.add_argument("--truncation", action="store_true",
-                     help="report how many paragraphs exceed the token budget")
-    sub.add_argument("--budget", type=int,
-                     help="ref+hyp token budget for --truncation (default 1024)")
-    sub.add_argument("--out", required=True, help="report base path")
-
-    sub = add("simulate", cmd_simulate,
-              "Run the rater/metric noise model across window sizes.")
-    sub.add_argument("--config", required=True,
-                     help="flat key=value file with the noise model fields")
-    sub.add_argument("--ks", type=parse_k_spec, default=[1, 2, 5, 10],
-                     help="window sizes to evaluate (default 1,2,5,10)")
-    sub.add_argument("--seeds", type=int, default=50,
-                     help="number of seeds (default 50)")
-    sub.add_argument("--out", required=True, help="report base path")
+    parser = _Parser(prog="paraeval", description="Build paragraph-level MT evaluation "
+                     "data, score it, and meta-evaluate metrics.")
+    subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (func, help_text) in COMMANDS.items():
+        command = subparsers.add_parser(name, help=help_text, description=help_text)
+        command.set_defaults(func=func, error=command.error)
+        if name in _SOURCES:
+            sources = command.add_mutually_exclusive_group(required=_SOURCES[name] is _REQUIRED)
+        for option in (option for option in OPTIONS if name in option.defaults):
+            default = option.defaults[name]
+            kwargs = ({"action": "store_true"} if default is False
+                      else {"type": option.type, "choices": option.choices})
+            (sources if option.source else command).add_argument(
+                option.flag, default=None, required=default is _REQUIRED and not option.source,
+                help=option.help + (f" (default {default})" if isinstance(default, str) else ""),
+                **kwargs)
     return parser
+
+
+def _check(args) -> None:
+    """Fill in the defaults of the options not given, then exit 1 on the first
+    usage rule that the options break. Every optional flag parses to None, so
+    ``args.given`` names each argument given, even at its default value."""
+    args.given = {dest for dest, value in vars(args).items() if value is not None}
+    for option in OPTIONS:
+        dest = option.flag[2:].replace("-", "_")
+        default = option.defaults.get(args.command, _REQUIRED)
+        if dest not in args.given and default is not _REQUIRED:
+            setattr(args, dest, option.type(default) if isinstance(default, str) else default)
+    for commands, broken, message in _RULES:
+        if args.command in commands and broken(args):
+            args.error(message(args) if callable(message) else message.format_map(vars(args)))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:  # named by the command's parser, which suggests from its own flags
         args.error(f"unrecognized arguments: {' '.join(unknown)}")
+    _check(args)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

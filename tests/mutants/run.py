@@ -262,10 +262,23 @@ MUTANTS = [
            (f"{CLI}::TestParsing::test_unknown_flag_exits_1_with_suggestion",
             f"{CLI}::TestParsing::test_a_suggestion_names_only_a_flag_of_the_command")),
     Mutant("metaeval-source-not-required", "cli.py",
-           "    source = sub.add_mutually_exclusive_group(required=True)\n",
-           "    source = sub.add_mutually_exclusive_group()\n",
+           "add_mutually_exclusive_group(required=_SOURCES[name] is _REQUIRED)",
+           "add_mutually_exclusive_group(required=False)",
            (f"{CLI}::test_a_usage_error_prints_its_command_s_usage_and_name",
             f"{CLI}::TestMetaeval::test_exactly_one_source_required")),
+    Mutant("check-skips-the-usage-rules", "cli.py",
+           "    for commands, broken, message in _RULES:\n",
+           "    for commands, broken, message in []:\n",
+           ("tests/test_unread_options.py::"
+            "test_an_option_the_form_does_not_give_is_read_or_refused",)),
+    Mutant("k-list-without-its-bound", "cli.py",
+           "            if hi > MAX_K:\n",
+           "            if False:\n",
+           (f"{CLI}::TestParsing::test_parse_k_spec_refuses_a_k_above_the_bound",)),
+    Mutant("stats-without-the-counter-note", "cli.py",
+           "    if \"counter\" in args.given and not counter.cache_info().misses:\n",
+           "    if False:\n",
+           ("tests/test_unread_options.py::test_a_counter_the_run_never_calls_prints_one_note",)),
     Mutant("reader-drops-the-line-number", "fileio.py",
            "            raise ParseError(lineno, str(exc)) from None\n"
            "        yield lineno, record\n",

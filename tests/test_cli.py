@@ -1438,6 +1438,13 @@ class TestParsing:
         assert parse_k_spec("2,5,7") == [2, 5, 7]
         assert parse_k_spec("1-3,7,2") == [1, 2, 3, 7]
 
+    @pytest.mark.parametrize("spec", ["1-10001", "10001", "2,5-10001"])
+    def test_parse_k_spec_refuses_a_k_above_the_bound(self, spec):
+        assert parse_k_spec("9999-10000") == [9999, 10000]
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match=f"^k values must be <= 10000, got '{spec}'$"):
+            parse_k_spec(spec)
+
     def test_unknown_flag_exits_1_with_suggestion(self, tau_paragraphs,
                                                   tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -1523,6 +1530,21 @@ USAGE_RULES = {
                                            "--truncation", "--percentiles", "50",
                                            "--out", "{out}"],
                                           "--percentiles applies only to --lengths"),
+    "metaeval-system-epsilon": (["metaeval", "--paragraphs", "{paragraphs}", "--scores",
+                                 "{scores}", "--level", "system", "--epsilon", "0",
+                                 "--out", "{out}"], "--epsilon applies only to --level segment"),
+    **{f"{command}-scores-direct": (
+        [command, "--paragraphs", "{paragraphs}", "--scores", "{scores}", "--mode",
+         "direct", "--out", "{out}"],
+        "--mode direct applies only to a built-in --metric") for command in ("metaeval", "ties")},
+    "ties-human-direct": (["ties", "--paragraphs", "{paragraphs}", "--mode", "direct",
+                           "--out", "{out}"], "--mode direct applies only to a built-in --metric"),
+    "build-paragraphs-k-above-the-bound": (
+        ["build-paragraphs", "--ratings", "{out}-missing.jsonl", "--k", "1-10001",
+         "--out", "{out}"], "argument --k: k values must be <= 10000, got '1-10001'"),
+    "simulate-ks-above-the-bound": (
+        ["simulate", "--config", "{config}", "--ks", "1,10001", "--out", "{out}"],
+        "argument --ks: k values must be <= 10000, got '1,10001'"),
     "simulate-seeds": (["simulate", "--config", "{config}", "--seeds", "0", "--out", "{out}"],
                        "--seeds must be >= 1, got 0"),
     "simulate-one-k": (["simulate", "--config", "{config}", "--ks", "2", "--out", "{out}"],
