@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import fileio, metaeval, metrics, noise, sampling
-from .model import ParagraphInstance, ScoreTable, validate_ratings
+from .model import ParagraphInstance, validate_ratings
 from .paragraphs import build_eval_items, group_items, rater_runs
 
 UnitKey = tuple  # (dataset_id, lang_pair, k)
@@ -223,14 +223,6 @@ def _load_units(args) -> tuple[dict[UnitKey, list[ParagraphInstance]], Callable]
     return units, external_tables
 
 
-def _paired_scores(table: ScoreTable,
-                   unit_paragraphs: list[ParagraphInstance]
-                   ) -> tuple[list, list[float], list[float]]:
-    """The unit's (system, item) keys, and metric and human scores aligned with them."""
-    keys = [(p.system_id, p.item_key) for p in unit_paragraphs]
-    return keys, metaeval._metric_scores(table, keys), [p.human_score for p in unit_paragraphs]
-
-
 # --- subcommands -----------------------------------------------------------
 
 
@@ -296,6 +288,9 @@ def cmd_metaeval(args) -> int:
         dataset, lang_pair, k = key
         rows = []
         items = build_eval_items(unit_paragraphs, k) if paired else None
+        # The unit's (system, item) keys, and the human scores aligned with them.
+        keys = [(p.system_id, p.item_key) for p in unit_paragraphs]
+        human = [p.human_score for p in unit_paragraphs]
         for mode, table in tables(key, unit_paragraphs):
             def row(statistic, value, epsilon=None):
                 rows.append(ReportRow(dataset, lang_pair, k, table.metric_name, mode,
@@ -305,10 +300,10 @@ def cmd_metaeval(args) -> int:
                     metaeval.attach_metric_scores(items, table))
             if args.level == "system":
                 # Both means run over exactly the unit's (system, item) keys.
-                keys, xs, ys = _paired_scores(table, unit_paragraphs)
+                metric = metaeval._metric_scores(table, keys)
                 accuracy = metaeval.system_pairwise_accuracy(
-                    metaeval.system_scores(dict(zip(keys, xs))),
-                    metaeval.system_scores(dict(zip(keys, ys))))
+                    metaeval.system_scores(dict(zip(keys, metric))),
+                    metaeval.system_scores(dict(zip(keys, human))))
                 row("system_pairwise_accuracy", accuracy)
             else:
                 row("segment_accuracy",
@@ -320,8 +315,8 @@ def cmd_metaeval(args) -> int:
                     calibration.epsilon)
             if args.pearson:
                 if args.level == "segment":  # the system level joined them above
-                    _, xs, ys = _paired_scores(table, unit_paragraphs)
-                row("pearson_no_grouping", metaeval.pearson_no_grouping(xs, ys))
+                    metric = metaeval._metric_scores(table, keys)
+                row("pearson_no_grouping", metaeval.pearson_no_grouping(metric, human))
             if args.ties:
                 row("human_tie_rate", metaeval.tie_rates(pairs.human))
                 row("metric_tie_rate", metaeval.tie_rates(pairs.metric))

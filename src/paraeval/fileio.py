@@ -5,7 +5,7 @@ Ratings and paragraphs are stored as line-delimited JSON (one object per
 line, UTF-8, fixed field order, unknown fields rejected) so that free
 text with tabs or newlines survives round-trips. Each format's fields are
 its record type's, in declaration order, each read by its getter in
-``_GETTERS`` or, for a repeated string, ``_get_shared``: a record whose values
+``_GETTERS`` or, for a repeated string, by ``_get_str``: a record whose values
 have their exact JSON types passes one test, any other goes through the
 getters, which check JSON types only and name the first bad field. The record
 type checks the values, a paragraph's scores included, naming the record;
@@ -96,11 +96,6 @@ def _get_str(obj: dict, name: str, lineno: int) -> str:
     return value
 
 
-def _get_shared(obj: dict, name: str, lineno: int) -> str:
-    """A string that repeats across records; the readers keep one copy."""
-    return _get_str(obj, name, lineno)
-
-
 def _get_int(obj: dict, name: str, lineno: int) -> int:
     value = obj[name]
     if isinstance(value, bool) or not isinstance(value, int):
@@ -146,20 +141,20 @@ def _get_count(obj: dict, name: str, lineno: int):
     return value
 
 
-# The getter of every field but a repeated string, which reads through _get_shared.
+# The getter of every field but a repeated string, read by _get_str and kept once.
 _GETTERS = {"sent_index": _get_int, "start_index": _get_int, "k": _get_int,
             "score": _get_float, "human_score": _get_float, "sentence_scores": _get_floats,
             "score_type": _get_score_type, "hypothesis_text": _get_str,
             "token_count_ref": _get_count, "token_count_hyp": _get_count}
 # Each record format once: its record type's fields, in order, with getters.
 _RATING_TABLE, _PARAGRAPH_TABLE = (
-    tuple((f.name, _GETTERS.get(f.name, _get_shared)) for f in fields(record_type))
+    tuple((f.name, _GETTERS.get(f.name, _get_str)) for f in fields(record_type))
     for record_type in (RatingRecord, ParagraphInstance))
 _RATING_FIELDS, _PARAGRAPH_FIELDS = ([name for name, _ in table]
                                      for table in (_RATING_TABLE, _PARAGRAPH_TABLE))
 _TEXTS = ("source_text", "reference_text", "hypothesis_text")
 # The exact JSON type of each getter's field in a record that passes one test.
-_JSON_TYPES = {_get_str: str, _get_shared: str, _get_int: int,
+_JSON_TYPES = {_get_str: str, _get_int: int,
                _get_float: float, _get_floats: list, _get_score_type: str}
 
 
@@ -211,8 +206,9 @@ def _record_values(stream: Lines, table: tuple, texts: bool = True) -> Iterator[
     values_of = operator.itemgetter(*names)
     types = [_JSON_TYPES[get] for _, get in table[:len(names)]]
     required, known, kind = frozenset(names), frozenset(fields), fields.index("score_type")
-    shared, floats, lists = ([i for i, (_, get) in enumerate(table) if get is getter]
-                             for getter in (_get_shared, _get_float, _get_floats))
+    shared = [i for i, name in enumerate(fields) if name not in _GETTERS]
+    floats, lists = ([i for i, (_, get) in enumerate(table) if get is getter]
+                     for getter in (_get_float, _get_floats))
     dropped = () if texts else [fields.index(name) for name in _TEXTS]
     share, number, tuples = {}.setdefault, {}.setdefault, {}  # one copy of each repeated value
     def one(score: float) -> float:  # 0.0 == -0.0, so a zero is keyed by its repr
@@ -327,12 +323,12 @@ def write_paragraphs(paragraphs: Iterable[ParagraphInstance], stream: IO[str]) -
 # space is the escapes of the texts joined by a space.
 _escape = json.encoder.encode_basestring
 # A paragraph line as dump_json writes it, with a %-slot per field in table order.
-_JSON_SLOTS = {_get_str: b'"%b"', _get_shared: b'"%b"', _get_score_type: b'"%b"',
+_JSON_SLOTS = {_get_str: b'"%b"', _get_score_type: b'"%b"',
                _get_int: b"%d", _get_float: b"%b", _get_floats: b"[%b]", _get_count: b"%b"}
 _PARAGRAPH_LINE = b"{%b}\n" % b",".join(b'"%b":%b' % (name.encode(), _JSON_SLOTS[get])
                                         for name, get in _PARAGRAPH_TABLE)
 # The string fields of a paragraph line, each taken from its first or every rating.
-_LINE_STRINGS = [name for name, get in _PARAGRAPH_TABLE if get in (_get_shared, _get_str)]
+_LINE_STRINGS = [name for name, get in _PARAGRAPH_TABLE if get is _get_str]
 
 
 def _json_count(count) -> bytes:

@@ -3,8 +3,11 @@
 All types are immutable after construction and slotted (no ``__dict__``).
 A rating or a paragraph checks its own values (an index or count below 0,
 k, the number of scores; a paragraph's scores, finite and aggregating by
-``ScoreType.aggregate``), however it is made, and names itself, as ``name``
-spells it, in each error; the readers' getters check JSON types only.
+``ScoreType.aggregate``: a DA_Z mean, or an MQM sum that no order of the
+sentences changes), however it is made, and names itself, as ``name`` spells
+it, in each error; the readers' getters check JSON types only. ``DOC_KEY``
+spells a document's coordinates, and ``RATING_KEY`` and ``PARAGRAPH_KEY``
+extend it.
 Collection-level invariants (key uniqueness, score finiteness, a single
 score type per collection) are checked by ``validate_ratings``, which
 reports problems instead of raising so that callers can surface every issue
@@ -17,6 +20,7 @@ import enum
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 from itertools import islice
 from operator import add
@@ -28,8 +32,11 @@ RatingKey = Tuple[str, str, str, str, int]
 # (doc_id, start_index, k)
 ItemKey = Tuple[str, int, int]
 
-# How errors spell a paragraph's coordinates, filled from its sort_key().
-PARAGRAPH_KEY = "dataset={} lang_pair={} system={} doc={} start_index={} k={}"
+# How errors spell a document's coordinates; a rating's, filled from its key,
+# and a paragraph's, filled from its sort_key(), extend it.
+DOC_KEY = "dataset={} lang_pair={} system={} doc={}"
+RATING_KEY = DOC_KEY + " sent_index={}"
+PARAGRAPH_KEY = DOC_KEY + " start_index={} k={}"
 
 
 class ScoreType(enum.Enum):
@@ -42,17 +49,23 @@ class ScoreType(enum.Enum):
         """Combine per-sentence scores into one paragraph score.
 
         DA z-scores average; MQM scores sum (a sentence's MQM score is already
-        a sum of error weights). Summation runs in list order, so results are
-        bit-reproducible for a fixed input order. Where the sum of DA scores
-        overflows, the mean is that of the ``_scaled`` scores, scaled back, so
-        finite scores have a finite mean.
+        a sum of error weights). An MQM sum is the exact sum of the scores
+        rounded once (``math.fsum``, or ``_exact_sum`` where fsum's partial sums
+        leave the float range), so no order of the scores changes it and equal
+        penalties in any order tie. A DA sum runs in list order, so a mean is
+        bit-reproducible for a fixed input order; where it overflows, the mean
+        is that of the ``_scaled`` scores, scaled back, so finite scores have a
+        finite mean.
         """
         scores = list(sentence_scores)
         if not scores:
             raise ValueError("sentence_scores must be non-empty")
-        total = reduce(add, scores, 0.0)
         if self is ScoreType.MQM:
-            return total
+            try:
+                return math.fsum(scores)
+            except (OverflowError, ValueError):  # a partial sum overflows, or inf meets -inf
+                return _exact_sum(scores)
+        total = reduce(add, scores, 0.0)
         if math.isinf(total):
             scaled, exponent = _scaled(scores)
             return math.ldexp(reduce(add, scaled, 0.0) / len(scores), exponent)
@@ -97,7 +110,7 @@ class RatingRecord:
 
     @property
     def name(self) -> str:  # as every error names the rating
-        return "rating " + _format_key(self.key)
+        return "rating " + RATING_KEY.format(*self.key)
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,10 +270,16 @@ def _scaled(values: Sequence[float]) -> tuple[list[float], int]:
     return [math.ldexp(v, -exponent) for v in values], exponent
 
 
-def _format_key(key: RatingKey) -> str:
-    dataset_id, lang_pair, system_id, doc_id, sent_index = key
-    return (f"dataset={dataset_id} lang_pair={lang_pair} system={system_id} "
-            f"doc={doc_id} sent_index={sent_index}")
+def _exact_sum(values: Sequence[float]) -> float:
+    """The exact sum of finite values rounded once, inf or -inf past the float
+    range; with a term that is not finite, the list-order sum, not finite either."""
+    if not all(map(math.isfinite, values)):
+        return reduce(add, values, 0.0)
+    exact = sum(map(Fraction, values))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 def validate_ratings(records: Iterable[RatingRecord]) -> ValidationReport:
@@ -279,11 +298,12 @@ def validate_ratings(records: Iterable[RatingRecord]) -> ValidationReport:
     key_counts = Counter(r.key for r in records)
     for key, count in key_counts.items():
         if count > 1:
-            errors.append(f"duplicate rating key: {_format_key(key)} ({count} records)")
+            errors.append(f"duplicate rating key: {RATING_KEY.format(*key)} ({count} records)")
 
     for record in records:
         if not math.isfinite(record.score):
-            errors.append(f"non-finite score at {_format_key(record.key)}: {record.score!r}")
+            errors.append(f"non-finite score at {RATING_KEY.format(*record.key)}: "
+                          f"{record.score!r}")
 
     type_counts = Counter(r.score_type for r in records)
     if len(type_counts) > 1:
@@ -299,11 +319,8 @@ def validate_ratings(records: Iterable[RatingRecord]) -> ValidationReport:
         missing = list(islice((i for a, b in zip([-1, *ordered], ordered)
                                for i in range(a + 1, b)), 11))
         if missing:
-            dataset_id, lang_pair, system_id, doc_id = doc_key
             shown = ",".join(map(str, missing[:10])) + (",..." if len(missing) > 10 else "")
-            warnings.append(
-                f"unrated positions in dataset={dataset_id} lang_pair={lang_pair} "
-                f"system={system_id} doc={doc_id}: {shown}")
+            warnings.append(f"unrated positions in {DOC_KEY.format(*doc_key)}: {shown}")
 
     return ValidationReport(errors=tuple(sorted(errors)),
                             warnings=tuple(sorted(warnings)))

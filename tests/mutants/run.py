@@ -79,7 +79,8 @@ MUTANTS = [
             "test_missing_entry_names_system_and_item")),
     Mutant("segment-level-joins-every-row", "cli.py",
            "            if paired:\n                pairs = metaeval.pair_table(\n",
-           "            _paired_scores(table, unit_paragraphs)\n"
+           "            metaeval._metric_scores(table, [(p.system_id, p.item_key) "
+           "for p in unit_paragraphs])\n"
            "            if paired:\n                pairs = metaeval.pair_table(\n",
            (f"{CLI}::TestMetaeval::"
             "test_a_missing_row_of_a_one_system_item_is_read_only_where_needed",)),
@@ -87,7 +88,8 @@ MUTANTS = [
            "        for mode, table in tables(key, unit_paragraphs):\n"
            "            pairs = ",
            "        for mode, table in tables(key, unit_paragraphs):\n"
-           "            _paired_scores(table, unit_paragraphs)\n"
+           "            metaeval._metric_scores(table, [(p.system_id, p.item_key) "
+           "for p in unit_paragraphs])\n"
            "            pairs = ",
            (f"{CLI}::TestTies::test_a_missing_row_of_a_one_system_item_is_not_read",)),
     Mutant("no-dataset-span-check", "cli.py",
@@ -152,6 +154,21 @@ MUTANTS = [
            "            return math.ldexp(reduce(add, scaled, 0.0) / len(scores), "
            "exponent + 1)\n",
            ("tests/test_paragraphs.py::test_a_da_window_whose_sum_overflows_has_its_mean",)),
+    Mutant("mqm-sums-in-list-order", "model.py",
+           "                return math.fsum(scores)\n",
+           "                return reduce(add, scores, 0.0)\n",
+           ("tests/test_paragraphs.py::TestAggregateScore::"
+            "test_mqm_sum_is_the_exact_sum_rounded_once",
+            "tests/test_paragraphs.py::"
+            "test_no_order_of_the_sentence_scores_changes_an_mqm_score",
+            f"{CLI}::TestTies::test_mqm_penalties_in_another_order_are_a_human_tie")),
+    Mutant("mqm-sum-past-fsum-s-range-in-list-order", "model.py",
+           "                return _exact_sum(scores)\n",
+           "                return reduce(add, scores, 0.0)\n",
+           ("tests/test_paragraphs.py::"
+            "test_no_order_of_the_sentence_scores_changes_an_mqm_score",
+            "tests/test_paragraphs.py::"
+            "test_a_da_mean_keeps_a_finite_plain_sum_and_an_mqm_sum_is_exact")),
     Mutant("paragraph-accepts-a-score-that-does-not-aggregate", "model.py",
            "        if math.isclose(human, expected, rel_tol=1e-9, abs_tol=1e-9):\n",
            "        if all(map(math.isfinite, scores)):\n",

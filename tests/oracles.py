@@ -16,7 +16,42 @@ from itertools import combinations
 MAX_ORDER = 4
 
 
+# --- the noise model's closed form ------------------------------------------
+
+def expected_segment_accuracy(k, sigma_quality, sigma_human, sigma_metric, spread):
+    """The expected epsilon-0 segment accuracy of ``noise.py``'s model at
+    window k, over system means drawn with standard deviation ``spread``.
+
+    One system pair's human and metric differences at window k are jointly
+    normal with mean 0 and correlation rho_k = (s^2 + sq^2/k) /
+    sqrt((s^2 + (sq^2 + sh^2)/k) (s^2 + (sq^2 + sm^2)/k)); ties have
+    probability 0, so the signs agree with Sheppard's orthant probability
+    1/2 + asin(rho_k)/pi.
+    """
+    s2, q2 = spread ** 2, sigma_quality ** 2
+    rho = (s2 + q2 / k) / math.sqrt((s2 + (q2 + sigma_human ** 2) / k)
+                                    * (s2 + (q2 + sigma_metric ** 2) / k))
+    return 0.5 + math.asin(rho) / math.pi
+
+
 # --- sliding-window construction -------------------------------------------
+
+def paragraph_score(score_type, scores):
+    """A window's human score from its sentence scores: for "MQM" their exact
+    sum rounded once (inf or -inf past the float range), whatever their order;
+    for "DA_Z" their float sum in list order, which must stay finite, over
+    their number."""
+    if score_type == "MQM":
+        exact = sum(map(Fraction, scores))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+    total = 0.0
+    for score in scores:
+        total += score
+    return total / len(scores)
+
 
 def window_starts(rated, raters, k):
     """Greedy left-to-right scan over one document's positions.
@@ -435,7 +470,7 @@ def read_paragraphs(stream):
         if not all(map(math.isfinite, paragraph.sentence_scores)):
             raise ParseError(lineno, f"paragraph {key}: field sentence_scores must be "
                              f"finite, got {list(paragraph.sentence_scores)!r}")
-        expected = paragraph.score_type.aggregate(paragraph.sentence_scores)
+        expected = paragraph_score(paragraph.score_type.value, paragraph.sentence_scores)
         if not math.isclose(paragraph.human_score, expected,
                             rel_tol=1e-9, abs_tol=1e-9):
             raise ParseError(

@@ -927,6 +927,21 @@ class TestTies:
                          "--out", str(tmp_path / f"ties-{Path(scores).stem}")]) == 0
         assert read_report(tmp_path / "ties-missing") == read_report(tmp_path / "ties-full")
 
+    def test_mqm_penalties_in_another_order_are_a_human_tie(self, tmp_path, capsys):
+        # Summed left to right, the first paragraph scores -1.2 and the second
+        # -1.2000000000000002: one ulp apart, an ordering of two equal sums.
+        records = [mqm(i, score, system, "d1") for system, scores in (
+            ("sysA", [-0.1, -0.1, -1.0]), ("sysB", [-1.0, -0.1, -0.1]))
+            for i, score in enumerate(scores)]
+        ratings, built = write_ratings(tmp_path / "r.jsonl", records), tmp_path / "built"
+        assert main(["build-paragraphs", "--ratings", ratings, "--k", "3",
+                     "--out", str(built)]) == 0
+        capsys.readouterr()
+        assert main(["ties", "--paragraphs", str(built / "paragraphs-k3.jsonl"),
+                     "--out", str(tmp_path / "ties")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == \
+            "wmt/en-de k=3: human_tie_rate(-)=1.0000"
+
     def test_scores_for_a_lang_pair_spanning_two_datasets_exit_2(
             self, two_dataset_paragraphs, tau_scores, tmp_path, capsys):
         assert main(["ties", "--paragraphs", two_dataset_paragraphs,

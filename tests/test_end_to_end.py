@@ -155,16 +155,14 @@ def expected_paragraphs(records, k):
         raters = [by_index[i]["rater_id"] if i in by_index else None for i in positions]
         for start in oracles.window_starts(rated, raters, k):
             window = [by_index[i] for i in range(start, start + k)]
-            total = 0.0
-            for r in window:
-                total += r["score"]
             first = window[0]
             paragraphs.append({
                 "dataset_id": first["dataset_id"], "lang_pair": first["lang_pair"],
                 "system_id": first["system_id"], "doc_id": first["doc_id"],
                 "start_index": start, "k": k, "score_type": first["score_type"],
                 "rater_id": first["rater_id"],
-                "human_score": total / k if first["score_type"] == "DA_Z" else total,
+                "human_score": oracles.paragraph_score(
+                    first["score_type"], [r["score"] for r in window]),
                 "sentence_scores": [r["score"] for r in window],
                 **{field: " ".join(r[field] for r in window) for field in
                    ("source_text", "reference_text", "hypothesis_text")},

@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -27,12 +28,11 @@ class TestAggregateScore:
         with pytest.raises(ValueError, match="non-empty"):
             ScoreType.DA_Z.aggregate([])
 
-    def test_summation_order_is_input_order(self):
+    def test_mqm_sum_is_the_exact_sum_rounded_once(self):
+        # Left to right these sum to 0.20000000000000007.
         values = [0.1, 0.2, 0.3, -0.4, 1e-17]
-        expected = 0.0
-        for v in values:
-            expected += v
-        assert ScoreType.MQM.aggregate(values) == expected
+        assert ScoreType.MQM.aggregate(values) == float(sum(map(Fraction, values))) \
+            == 0.19999999999999998
 
 
 # Every finite float: subnormals, values near the largest float, both signs.
@@ -51,11 +51,20 @@ def plain_sum(scores):
 
 @PROPERTY
 @given(FINITE_SCORES)
-def test_a_finite_plain_sum_is_kept_bit_for_bit(scores):
+def test_a_da_mean_keeps_a_finite_plain_sum_and_an_mqm_sum_is_exact(scores):
     total = plain_sum(scores)
     if math.isfinite(total):
         assert ScoreType.DA_Z.aggregate(scores) == total / len(scores)
-    assert ScoreType.MQM.aggregate(scores) == total
+    assert ScoreType.MQM.aggregate(scores) == oracles.paragraph_score("MQM", scores)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([-0.1, -1.0, -5.0, -0.0])), min_size=1, max_size=6))
+@example([1.7976931348623157e308] * 2 + [-1.7976931348623157e308])  # fsum overflows
+def test_no_order_of_the_sentence_scores_changes_an_mqm_score(scores):
+    assert len({repr(ScoreType.MQM.aggregate(order))
+                for order in set(itertools.permutations(scores))}) == 1
 
 
 @PROPERTY
